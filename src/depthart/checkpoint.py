@@ -22,6 +22,11 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed or carries an unexpected layout."""
 
 
+def rolling_period(total_steps: int) -> int:
+    """Steps between rolling checkpoints of a training run."""
+    return 1000 if total_steps >= 5000 else max(1, total_steps // 5)
+
+
 def save(path: str, entries: dict[str, np.ndarray], version: int = VERSION) -> None:
     """Write entries atomically (temp file + rename)."""
     blob = bytearray()

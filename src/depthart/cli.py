@@ -33,9 +33,9 @@ import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
 from .data import DataError, load_manifest, make_dataset, normalize_depth  # noqa: E402
-from .metrics import (MetricsReport, evaluate_rasters, per_scale_curve,  # noqa: E402
+from .metrics import (evaluate_rasters, per_scale_curve,  # noqa: E402
                       predict_depth_rasters, write_scale_curve_csv)
-from .training import (ConfigError, TrainConfig, fit,  # noqa: E402
+from .training import (ConfigError, TrainConfig, fit, read_config,  # noqa: E402
                        write_loss_curve)
 from .var import VarConfig, VarModel  # noqa: E402
 from .vq import (DivergenceError, ScheduleError, VqModel, VqTrainConfig,  # noqa: E402
@@ -69,20 +69,6 @@ def _write_manifest(path: str, subcommand: str, config: dict, seed: int,
     os.replace(tmp, path)
 
 
-def _parse_kv_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed config line: {line!r}")
-            k, v = (s.strip() for s in line.split("=", 1))
-            out[k] = v
-    return out
-
-
 def _overrides(args) -> dict[str, str]:
     out = {}
     for item in args.set or []:
@@ -113,14 +99,7 @@ VQ_CONFIG_KEYS = ("lr", "batch", "steps", "seed", "data_dir", "out_dir")
 
 def cmd_train_vqvae(args) -> int:
     t0 = time.monotonic()
-    raw = _parse_kv_file(args.config)
-    raw.update(_overrides(args))
-    for key in VQ_CONFIG_KEYS:
-        if key not in raw:
-            raise ConfigError(f"missing config key {key!r}")
-    unknown = set(raw) - set(VQ_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    raw = read_config(args.config, VQ_CONFIG_KEYS, _overrides(args))
     steps = int(raw["steps"])
     cfg = VqTrainConfig(steps=steps, warmup_steps=max(1, steps // 10),
                         batch=int(raw["batch"]), lr=float(raw["lr"]),

@@ -287,20 +287,6 @@ def predict_depth_rasters(model, vq, samples: list[DepthSample],
     return preds
 
 
-def vq_reconstruction_rasters(vq, samples: list[DepthSample],
-                              chunk: int = 64) -> list[np.ndarray]:
-    """Autoencoder floor: encode ground truth, decompose, compose, decode."""
-    preds: list[np.ndarray] = []
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
-        norm = np.stack([normalize_depth(s.depth, s.mask) for s in part])[:, None]
-        feats = vq.encode_batch(norm)
-        dec = vq.decode_batch(vq.compose_batch(vq.decompose_batch(feats)))[:, 0]
-        for i, s in enumerate(part):
-            preds.append(denormalize_depth(dec[i], depth_p98(s.depth, s.mask)))
-    return preds
-
-
 def per_scale_curve(model, vq, samples: list[DepthSample],
                     chunk: int = 32) -> tuple[list[tuple[int, float]], float]:
     """AbsRel of the decoded cumulative composition after each scale, plus

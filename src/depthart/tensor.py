@@ -14,12 +14,16 @@ are dtype-preserving.
 No implicit broadcasting: elementwise ops require exact shape equality.
 The few places that need a broadcast (bias add, positional-table add,
 attention masking) are explicit named ops with hand-written backward
-passes. A tape and the tensors recorded on it belong to one thread.
+passes. Each thread has its own stack of active tapes, so a tape records
+only the ops of the thread that opened it, and other threads may run
+inference while one trains. A tape and the tensors recorded on it belong
+to that thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,7 +37,14 @@ class DimensionError(ValueError):
 # tape
 # --------------------------------------------------------------------------
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    """The active tapes of the current thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.tapes: list["Tape"] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class Tape:
@@ -50,11 +61,11 @@ class Tape:
         self.records: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
 
     def record(self, out: "Tensor", backward: Callable[[np.ndarray], None]) -> None:
@@ -63,7 +74,8 @@ class Tape:
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 # --------------------------------------------------------------------------
@@ -138,12 +150,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, dtype=self.data.dtype)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse sweep from this scalar through its tape."""
         if self._tape is None:
@@ -154,39 +160,6 @@ class Tensor:
         for out, fn in reversed(self._tape.records):
             if out.grad is not None:
                 fn(out.grad)
-
-    # -- operator sugar -------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    def __radd__(self, other):
-        return add_scalar(self, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _maybe_record(out: Tensor, parents: Sequence[Tensor],
@@ -429,22 +402,25 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh form (GPT-2 convention)."""
+    """GELU, tanh form (GPT-2 convention). One fresh buffer, plus one
+    keeping tanh for the backward pass when the op is recorded."""
     xd = x.data
-    x2 = xd * xd  # reused by the backward pass; avoids slow float pow
-    u = x2 * _GELU_A
-    u += 1.0
-    u *= xd
-    u *= _GELU_C
-    th = np.tanh(u, out=u)
-    y = th + 1.0
+    th = xd * xd  # avoids slow float pow
+    th *= _GELU_A
+    th += 1.0
+    th *= xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    recorded = active_tape() is not None and x._needs_grad()
+    y = th + 1.0 if recorded else np.add(th, 1.0, out=th)
     y *= xd
     y *= 0.5
     out = Tensor(y, dtype=x.dtype)
 
     def backward(g):
         if x._needs_grad():
-            du = x2 * (3.0 * _GELU_A)
+            du = xd * xd
+            du *= 3.0 * _GELU_A
             du += 1.0
             du *= _GELU_C
             t2 = th * th
@@ -563,49 +539,27 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def _masked_softmax_scores(q: np.ndarray, k: np.ndarray, mask: np.ndarray,
-                           inv_sqrt: float) -> np.ndarray:
-    """Attention probabilities, computed in place on the score buffer."""
-    s = q @ k.swapaxes(-1, -2)
-    s *= inv_sqrt
-    s += mask
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
+class KVCache:
+    """Keys and values [B, H, L, dh] of the L rows one attention layer has
+    seen, for incremental decoding."""
+
+    k: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return 0 if self.k is None else self.k.shape[2]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
-    """Scaled dot-product attention over ``[B, H, L, Dh]`` with an additive
-    ``[Lq, Lk]`` mask (0 allowed, -inf blocked). Fully-blocked rows are not
-    supported; the mask construction must leave every query something to see.
-    """
-    if q.data.ndim != 4 or k.data.shape != q.data.shape or v.data.shape[:3] != k.data.shape[:3]:
-        raise DimensionError("attention: q/k/v must be [B, H, L, Dh]")
-    dh = q.data.shape[-1]
-    inv_sqrt = 1.0 / math.sqrt(dh)
-    p = _masked_softmax_scores(q.data, k.data, mask, inv_sqrt)
-    out = Tensor(p @ v.data, dtype=q.dtype)
-
-    def backward(g):
-        dp = g @ v.data.swapaxes(-1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        if q._needs_grad():
-            q._accumulate_owned((ds @ k.data) * inv_sqrt)
-        if k._needs_grad():
-            k._accumulate_owned((ds.swapaxes(-1, -2) @ q.data) * inv_sqrt)
-        if v._needs_grad():
-            v._accumulate_owned(p.swapaxes(-1, -2) @ g)
-
-    return _maybe_record(out, (q, k, v), backward)
-
-
-def multihead_attention(qkv: Tensor, heads: int, mask: np.ndarray) -> Tensor:
+def multihead_attention(qkv: Tensor, heads: int, mask: np.ndarray,
+                        cache: Optional[KVCache] = None) -> Tensor:
     """Fused masked attention over a packed ``[B, L, 3D]`` projection.
 
     Splits heads, runs scaled dot-product attention with the additive
-    mask, and merges heads back to ``[B, L, D]`` - one tape record for
-    the whole block, which keeps the training loop off the Python floor.
+    ``[L, L]`` mask, and merges heads back to ``[B, L, D]`` - one tape
+    record for the whole block, which keeps the training loop off the
+    Python floor. With ``cache`` (inference only) the rows follow those
+    in the cache, are appended to it, and attend to the first
+    ``mask.shape[1]`` keys of the cache and themselves.
     """
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads) != 0:
         raise DimensionError("multihead_attention: expected [B, L, 3D]")
@@ -616,11 +570,27 @@ def multihead_attention(qkv: Tensor, heads: int, mask: np.ndarray) -> Tensor:
     q = np.ascontiguousarray(arr[:, :, 0].transpose(0, 2, 1, 3))
     k = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
     v = np.ascontiguousarray(arr[:, :, 2].transpose(0, 2, 1, 3))
+    if cache is not None:
+        if active_tape() is not None:
+            raise RuntimeError("multihead_attention: a KV cache is for "
+                               "inference only, not under a tape")
+        if cache.k is not None:
+            k = np.concatenate([cache.k, k], axis=2)
+            v = np.concatenate([cache.v, v], axis=2)
+        cache.k, cache.v = k, v
+        k, v = k[:, :, :mask.shape[1]], v[:, :, :mask.shape[1]]
     inv_sqrt = 1.0 / math.sqrt(dh)
-    p = _masked_softmax_scores(q, k, mask, inv_sqrt)
+    p = q @ k.swapaxes(-1, -2)  # scores, turned into probabilities in place
+    p *= inv_sqrt
+    p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     heads_out = p @ v  # [B, H, L, dh]
     out = Tensor(heads_out.transpose(0, 2, 1, 3).reshape(b, length, d),
                  dtype=qkv.dtype)
+    if cache is not None:
+        return out
 
     def backward(g):
         if not qkv._needs_grad():

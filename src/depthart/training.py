@@ -15,11 +15,11 @@ import csv
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T, var as var_mod
+from . import checkpoint, tensor as T
 from .data import DepthSample, normalize_depth
 from .optim import AdamW, step_lr
 from .tensor import Tensor
@@ -34,6 +34,31 @@ _REGIME_ALIASES = {"tf": "teacher_forcing", "teacher_forcing": "teacher_forcing"
 
 class ConfigError(ValueError):
     """Run configuration is missing or malformed."""
+
+
+def read_config(path: str, keys: tuple[str, ...],
+                overrides: dict | None = None) -> dict[str, str]:
+    """Read a key=value file (``#`` starts a comment), let ``overrides``
+    win, and check that exactly ``keys`` are set."""
+    raw: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"malformed config line: {line!r}")
+            key, val = (s.strip() for s in line.split("=", 1))
+            raw[key] = val
+    if overrides:
+        raw.update({k: str(v) for k, v in overrides.items()})
+    for key in keys:
+        if key not in raw:
+            raise ConfigError(f"missing config key {key!r}")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return raw
 
 
 @dataclass
@@ -62,24 +87,7 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "TrainConfig":
-        raw: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"malformed config line: {line!r}")
-                key, val = (s.strip() for s in line.split("=", 1))
-                raw[key] = val
-        if overrides:
-            raw.update({k: str(v) for k, v in overrides.items()})
-        for key in cls.REQUIRED:
-            if key not in raw:
-                raise ConfigError(f"missing config key {key!r}")
-        unknown = set(raw) - set(cls.REQUIRED)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raw = read_config(path, cls.REQUIRED, overrides)
         return cls(
             regime=raw["regime"],
             lr=float(raw["lr"]), wd=float(raw["wd"]),
@@ -107,7 +115,6 @@ class TrainingSet:
     f_depth: np.ndarray
     teacher: list[np.ndarray]
     masks: np.ndarray
-    p98: np.ndarray                     # per-sample 98th percentile depth
 
     def __len__(self) -> int:
         return self.image_tokens.shape[0]
@@ -123,9 +130,7 @@ def prepare_training_set(vq: VqModel, samples: list[DepthSample],
                          chunk: int = 64) -> TrainingSet:
     """Encode a dataset once: image token maps, continuous ground-truth
     depth features, and the teacher decomposition."""
-    from .data import depth_p98
-
-    img_tok, fds, masks, p98s = [], [], [], []
+    img_tok, fds, masks = [], [], []
     teacher: list[list[np.ndarray]] = [[] for _ in vq.schedule.sizes]
     for lo in range(0, len(samples), chunk):
         part = samples[lo:lo + chunk]
@@ -138,13 +143,11 @@ def prepare_training_set(vq: VqModel, samples: list[DepthSample],
         for k, idx in enumerate(vq.decompose_batch(f_d)):
             teacher[k].append(idx)
         masks.append(np.stack([s.mask for s in part]))
-        p98s.extend(depth_p98(s.depth, s.mask) for s in part)
     return TrainingSet(
         image_tokens=np.concatenate(img_tok).astype(np.int64),
         f_depth=np.concatenate(fds),
         teacher=[np.concatenate(t).astype(np.int64) for t in teacher],
         masks=np.concatenate(masks),
-        p98=np.asarray(p98s, np.float32),
     )
 
 
@@ -258,10 +261,6 @@ def _abort_if_nan(loss: Tensor) -> None:
 STEP_FNS = {"teacher_forcing": teacher_forcing_step, "depthart": depthart_step}
 
 
-def checkpoint_period(total_steps: int) -> int:
-    return 1000 if total_steps >= 5000 else max(1, total_steps // 5)
-
-
 def fit(model: VarModel, vq: VqModel, dataset: TrainingSet | list[DepthSample],
         config: TrainConfig):
     """Run the configured regime; returns (model, curve) where curve rows
@@ -276,7 +275,7 @@ def fit(model: VarModel, vq: VqModel, dataset: TrainingSet | list[DepthSample],
     step_fn = STEP_FNS[config.regime]
     opt = AdamW(model.params, lr=config.lr, weight_decay=config.wd)
     rng = np.random.default_rng(config.seed)
-    period = checkpoint_period(config.steps)
+    period = checkpoint.rolling_period(config.steps)
     out_dir = config.out_dir or None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

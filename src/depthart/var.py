@@ -8,12 +8,16 @@ a learned start embedding. Attention for a depth position at scale k
 reaches the whole image prefix and depth scales strictly below k, so the
 scale-k logits are a function of (image tokens, z_{<k}) only.
 
-Decoding is greedy argmax per position, lowest index on ties.
+Decoding is greedy argmax per position, lowest index on ties. It runs
+the same ``forward`` as training, one scale per call, on the new rows
+only: each call gets those rows of the attention mask and a per-block
+key/value cache of all earlier rows. This is exact because the mask is
+prefix-closed: every row a position may see comes before its own scale,
+so it is already in the cache when the position is decoded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +28,6 @@ from .tensor import Tensor
 from .vq import ScaleSchedule, ScheduleError, TokenMap, VqModel
 
 NEG_INF = float("-inf")
-
-# diagnostics only: number of transformer forward passes this process
-forward_calls = 0
 
 
 @dataclass(frozen=True)
@@ -269,10 +270,16 @@ def flatten_maps(maps: list[TokenMap], schedule: ScaleSchedule) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def forward(model: VarModel, inputs: Tensor, mask: np.ndarray) -> Tensor:
-    """Logits [B, N_depth, V] for every depth position in one pass."""
-    global forward_calls
-    forward_calls += 1
+def forward(model: VarModel, inputs: Tensor, mask: np.ndarray,
+            cache: list[T.KVCache] | None = None) -> Tensor:
+    """Logits [B, N, V] for the depth positions among the input rows.
+
+    Without ``cache`` the inputs are a whole sequence and ``mask`` its
+    [L, L] ``attention_mask``. With ``cache`` (one ``T.KVCache`` per
+    block, inference only) they are the rows after the cached ones, and
+    ``mask`` is their rows of ``attention_mask(K)`` cut to the columns
+    they may see; the cache gains the rows.
+    """
     x = inputs
     single = x.data.ndim == 2
     if single:
@@ -282,165 +289,52 @@ def forward(model: VarModel, inputs: Tensor, mask: np.ndarray) -> Tensor:
             f"mask length {mask.shape[0]} != sequence length {x.data.shape[1]}")
     p = model.params
     cfg = model.config
-    b, length, d = x.data.shape
+    length = x.data.shape[1]
+    first = 0 if cache is None else len(cache[0])  # position of row 0
     for blk in range(cfg.blocks):
         pre = f"block{blk}/"
         h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
         qkv = T.linear(h, p[pre + "qkv_w"], p[pre + "qkv_b"])
-        att = T.multihead_attention(qkv, cfg.heads, mask)
+        att = T.multihead_attention(qkv, cfg.heads, mask,
+                                    None if cache is None else cache[blk])
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
         h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
         h2 = T.gelu(T.linear(h2, p[pre + "mlp_w1"], p[pre + "mlp_b1"]))
         x = T.add(x, T.linear(h2, p[pre + "mlp_w2"], p[pre + "mlp_b2"]))
     x = T.layer_norm(x, p["ln_f_g"], p["ln_f_b"])
     n_img = model.n_image_tokens()
-    depth_part = T.slice_axis(x, 1, n_img, length)
+    depth_part = T.slice_axis(x, 1, max(n_img - first, 0), length)
     logits = T.linear(depth_part, p["head_w"], p["head_b"])
     if single:
         logits = T.reshape(logits, logits.shape[1:])
     return logits
 
 
-class _KVCache:
-    """Per-layer key/value history for incremental greedy decoding.
-
-    Valid because the mask is prefix-closed: rows of depth scale k attend
-    to exactly the rows processed before them (image prefix plus depth
-    scales < k), never to their own scale. Decoding therefore needs no
-    mask at all: new rows attend to everything cached.
-    """
-
-    def __init__(self, blocks: int):
-        self.k: list[np.ndarray] = [None] * blocks  # [B, H, Lc, dh]
-        self.v: list[np.ndarray] = [None] * blocks
-
-    def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        if self.k[layer] is None:
-            self.k[layer] = k_new
-            self.v[layer] = v_new
-        else:
-            self.k[layer] = np.concatenate([self.k[layer], k_new], axis=2)
-            self.v[layer] = np.concatenate([self.v[layer], v_new], axis=2)
-
-
-def _np_layer_norm(x, gain, bias, eps=1e-5):
-    d = x.shape[-1]
-    x2 = x.reshape(-1, d)
-    mu = x2.mean(axis=1)
-    xc = x2 - mu[:, None]
-    var = np.einsum("nc,nc->n", xc, xc) / d
-    xc *= (1.0 / np.sqrt(var + eps))[:, None]
-    xc *= gain
-    xc += bias
-    return xc.reshape(x.shape)
-
-
-def _np_gelu(x):
-    u = x * x
-    u *= 0.044715
-    u += 1.0
-    u *= x
-    u *= 0.7978845608028654
-    np.tanh(u, out=u)
-    u += 1.0
-    u *= x
-    u *= 0.5
-    return u
-
-
-def _split_qkv(qkv: np.ndarray, heads: int):
-    b, n, threed = qkv.shape
-    d = threed // 3
-    dh = d // heads
-    arr = qkv.reshape(b, n, 3, heads, dh)
-    q = np.ascontiguousarray(arr[:, :, 0].transpose(0, 2, 1, 3))
-    k = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
-    v = np.ascontiguousarray(arr[:, :, 2].transpose(0, 2, 1, 3))
-    return q, k, v
-
-
-def _decode_rows(model: VarModel, rows: np.ndarray, cache: _KVCache,
-                 self_attend: bool) -> np.ndarray:
-    """Run the blocks over new rows against the cache (inference only).
-
-    ``self_attend`` is True for the bidirectional image prefix, where the
-    new rows also see each other; depth scales see only the cache.
-    Appends the new rows' keys/values, returns their final hidden states.
-    """
-    p = model.params
-    cfg = model.config
-    heads = cfg.heads
-    x = rows
-    inv_sqrt = 1.0 / math.sqrt(cfg.width // heads)
-    for blk in range(cfg.blocks):
-        pre = f"block{blk}/"
-        h = _np_layer_norm(x, p[pre + "ln1_g"].data, p[pre + "ln1_b"].data)
-        qkv = h.reshape(-1, cfg.width) @ p[pre + "qkv_w"].data
-        np.add(qkv, p[pre + "qkv_b"].data, out=qkv)
-        q, k_new, v_new = _split_qkv(qkv.reshape(h.shape[:2] + (-1,)), heads)
-        if self_attend:
-            k_att, v_att = k_new, v_new
-        else:
-            k_att, v_att = cache.k[blk], cache.v[blk]
-        s = q @ k_att.swapaxes(-1, -2)
-        s *= inv_sqrt
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        att = s @ v_att  # [B, H, n, dh]
-        b, _, n, _ = att.shape
-        merged = att.transpose(0, 2, 1, 3).reshape(b, n, cfg.width)
-        proj = merged.reshape(-1, cfg.width) @ p[pre + "attn_w"].data
-        np.add(proj, p[pre + "attn_b"].data, out=proj)
-        x = x + proj.reshape(x.shape)
-        h2 = _np_layer_norm(x, p[pre + "ln2_g"].data, p[pre + "ln2_b"].data)
-        up = h2.reshape(-1, cfg.width) @ p[pre + "mlp_w1"].data
-        np.add(up, p[pre + "mlp_b1"].data, out=up)
-        up = _np_gelu(up)
-        down = up @ p[pre + "mlp_w2"].data
-        np.add(down, p[pre + "mlp_b2"].data, out=down)
-        x = x + down.reshape(x.shape)
-        cache.append(blk, k_new, v_new)
-    return x
-
-
-def _head_logits(model: VarModel, hidden: np.ndarray) -> np.ndarray:
-    p = model.params
-    h = _np_layer_norm(hidden, p["ln_f_g"].data, p["ln_f_b"].data)
-    out = h.reshape(-1, model.config.width) @ p["head_w"].data
-    np.add(out, p["head_b"].data, out=out)
-    return out.reshape(hidden.shape[:2] + (model.config.vocab,))
-
-
 def infer_batch(model: VarModel, vq: VqModel,
                 img_tokens: np.ndarray) -> list[np.ndarray]:
     """Greedy next-scale decoding for a batch; returns per-scale [B, n_k].
 
-    One decode round per scale (K rounds total). The image prefix and
-    earlier depth scales are reused through the key/value cache, which is
-    exact here because the mask is prefix-closed. The sequence embedding
-    is rebuilt per round by the same code the training passes use, so the
-    inputs consumed here are bitwise what a full forward would consume.
+    One cached ``forward`` per scale: first the image prefix and the start
+    row, then each depth scale against all earlier rows, which is exact
+    because the mask is prefix-closed. The sequence embedding is rebuilt
+    per round by the same code the training passes use, so the inputs
+    consumed here are bitwise what a full forward would consume.
     """
-    global forward_calls
     schedule = model.config.schedule
     sizes = schedule.tokens_per_scale()
-    n_img = sum(sizes)
+    mask = model.attention_mask(len(schedule))
+    cache = [T.KVCache() for _ in range(model.config.blocks)]
     preds: list[np.ndarray] = []
-    cache = _KVCache(model.config.blocks)
-    row_start = 0
+    start = 0  # first sequence row not yet in the cache
     for k in range(len(schedule)):
         feats = depth_input_features(model, vq, preds, k + 1)
-        seq = embed_sequence(model, img_tokens, feats).data
-        if k == 0:
-            _decode_rows(model, seq[:, :n_img], cache, self_attend=True)
-        new_rows = seq[:, n_img + row_start:]
-        hidden = _decode_rows(model, new_rows, cache, self_attend=False)
-        logits = _head_logits(model, hidden)
-        forward_calls += 1
-        preds.append(logits.argmax(axis=2).astype(np.int32))
-        assert preds[-1].shape[1] == sizes[k]
-        row_start += sizes[k]
+        seq = embed_sequence(model, img_tokens, feats)
+        stop = seq.shape[1]
+        seen = stop - sizes[k]  # image prefix and depth scales < k
+        logits = forward(model, T.slice_axis(seq, 1, start, stop),
+                         mask[start:stop, :seen], cache)
+        preds.append(logits.data.argmax(axis=2).astype(np.int32))
+        start = stop
     return preds
 
 

@@ -15,7 +15,7 @@ updates, with k-means initialization over warm-up encoder outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -415,7 +415,7 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
     opt = AdamW(model.params, lr=config.lr, weight_decay=0.0)
     n = rasters.shape[0]
     curve: list[tuple[int, float]] = []
-    ckpt_period = 1000 if config.steps >= 5000 else max(1, config.steps // 5)
+    ckpt_period = checkpoint.rolling_period(config.steps)
     ckpt_path = os.path.join(out_dir, "vqvae_ckpt_latest.dart") if out_dir else None
     if ckpt_path:
         model.save(ckpt_path)

@@ -29,3 +29,22 @@ def tiny_var(tiny_vq):
     cfg = VarConfig(schedule=TINY_SCHEDULE, vocab=12, emb_dim=4,
                     width=32, heads=2, blocks=2)
     return VarModel(cfg, seed=5, codebook_init=tiny_vq.codebook.vectors)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.<name>`` for the test and
+    returns the list the wrapper appends each call's arguments to."""
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install

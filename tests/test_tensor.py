@@ -194,6 +194,13 @@ def test_gelu_values_and_grad():
     fd_gradcheck(lambda x: T.gelu(x), [r(4, 5)])
 
 
+def test_gelu_taped_equals_untaped():
+    x = T.Tensor(r(4, 5), requires_grad=True)
+    with T.Tape():
+        taped = T.gelu(x).data
+    assert taped.tobytes() == T.gelu(x).data.tobytes()
+
+
 def test_softmax_rows_sum_to_one():
     p = T.softmax(T.Tensor(r(5, 7)))
     assert np.allclose(p.data.sum(axis=-1), 1.0, atol=1e-5)
@@ -248,10 +255,35 @@ def test_embedding_lookup_out_of_range():
         T.embedding_lookup(T.Tensor(np.zeros((3, 2))), np.array([3]))
 
 
+def block_causal_mask(blocks):
+    """Additive mask where each row sees its own block and all earlier ones."""
+    ids = np.repeat(np.arange(len(blocks)), blocks)
+    return np.where(ids[None, :] <= ids[:, None], 0.0, -np.inf)
+
+
 def test_attention_grad():
-    mask = np.triu(np.full((4, 4), -np.inf), k=1)
-    fd_gradcheck(lambda q, k, v: T.attention(q, k, v, mask),
-                 [r(1, 2, 4, 3), r(1, 2, 4, 3), r(1, 2, 4, 3)])
+    mask = block_causal_mask([2, 1, 2])
+    fd_gradcheck(lambda qkv: T.multihead_attention(qkv, 2, mask),
+                 [r(2, 5, 3 * 4)])
+
+
+def test_cached_attention_matches_masked():
+    mask = block_causal_mask([3, 2, 1, 4])
+    qkv = T.Tensor(r(2, 10, 3 * 6))
+    full = T.multihead_attention(qkv, 3, mask).data
+    cache = T.KVCache()
+    parts = []
+    for lo, hi in ((0, 3), (3, 5), (5, 6), (6, 10)):
+        rows = T.Tensor(qkv.data[:, lo:hi])
+        parts.append(T.multihead_attention(rows, 3, mask[lo:hi, :hi], cache).data)
+    assert len(cache) == 10
+    assert np.allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
+
+
+def test_cached_attention_under_tape_raises():
+    qkv = T.Tensor(r(1, 2, 3 * 4))
+    with T.Tape(), pytest.raises(RuntimeError):
+        T.multihead_attention(qkv, 2, np.zeros((2, 2)), T.KVCache())
 
 
 # ---------------------------------------------------------------------------

@@ -202,12 +202,13 @@ def test_one_hot_margin_loss_near_zero(trained_tiny_vq, tiny_set):
     assert loss.item() < 1e-6
 
 
-def test_teacher_forcing_single_forward_per_batch(trained_tiny_vq, tiny_set):
+def test_teacher_forcing_single_forward_per_batch(trained_tiny_vq, tiny_set,
+                                                  count_calls):
     model = fresh_var(trained_tiny_vq, seed=9)
     opt = AdamW(model.params, lr=1e-4, weight_decay=1e-2)
-    var_mod.forward_calls = 0
+    calls = count_calls(training, "forward")
     teacher_forcing_step(model, trained_tiny_vq, tiny_set.batch(np.arange(4)), opt)
-    assert var_mod.forward_calls == 1
+    assert len(calls) == 1
 
 
 def test_depthart_equals_teacher_forcing_when_predictions_match(

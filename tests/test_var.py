@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -161,16 +163,37 @@ def test_gradient_reaches_every_parameter(tiny_var, tiny_vq):
 # infer
 # ---------------------------------------------------------------------------
 
-def test_infer_shapes_and_determinism(tiny_var, tiny_vq):
+def test_infer_shapes_and_determinism(tiny_var, tiny_vq, count_calls):
     img = random_maps(tiny_vq.schedule, 12, seed=18)
-    var.forward_calls = 0
+    calls = count_calls(var, "forward")
     preds_a = infer(tiny_var, img, tiny_vq)
-    assert var.forward_calls == len(tiny_vq.schedule)  # K forward passes
+    assert len(calls) == len(tiny_vq.schedule)  # K forward passes
     preds_b = infer(tiny_var, img, tiny_vq)
     for k, (a, b) in enumerate(zip(preds_a, preds_b)):
         assert (a.h, a.w) == tiny_vq.schedule.sizes[k]
         assert np.array_equal(a.indices, b.indices)
         assert a.indices.min() >= 0 and a.indices.max() < 12
+
+
+def test_cached_forward_matches_masked_forward(tiny_var, tiny_vq):
+    # the rows of each scale, run against a cache of all earlier rows with
+    # their mask rows cut to the visible columns, give the full pass's logits
+    img = random_maps(tiny_vq.schedule, 12, seed=31)
+    prev = random_maps(tiny_vq.schedule, 12, seed=32)[:2]
+    seq = build_inputs(prev, img, tiny_var, tiny_vq)
+    mask = tiny_var.attention_mask(3)
+    full = forward(tiny_var, seq, mask).data
+    cache = [T.KVCache() for _ in range(tiny_var.config.blocks)]
+    parts = []
+    start, stop = 0, tiny_var.n_image_tokens()
+    for n in tiny_var.config.schedule.tokens_per_scale():
+        seen, stop = stop, stop + n
+        rows = T.Tensor(seq.data[None, start:stop])
+        parts.append(forward(tiny_var, rows, mask[start:stop, :seen], cache).data[0])
+        start = stop
+    cached = np.concatenate(parts)
+    assert np.allclose(cached, full, atol=1e-5)
+    assert np.array_equal(cached.argmax(axis=-1), full.argmax(axis=-1))
 
 
 def test_incremental_decode_matches_full_forward(tiny_var, tiny_vq):
@@ -196,6 +219,30 @@ def test_infer_batch_matches_single(tiny_var, tiny_vq):
         singles = infer(tiny_var, maps, tiny_vq)
         for k, tm in enumerate(singles):
             assert np.array_equal(batched[k][b], tm.indices.reshape(-1))
+
+
+def test_inference_thread_ignores_other_threads_tape(tiny_var, tiny_vq):
+    # a tape records only its own thread's ops, so a second thread can run
+    # inference (which refuses to run under a tape) while the first trains
+    img = np.stack([flatten_maps(random_maps(tiny_vq.schedule, 12, seed=s),
+                                 tiny_vq.schedule) for s in (40, 41)])
+    errors = []
+
+    def worker():
+        try:
+            tiny_vq.encode_batch(np.zeros((2, 1, 16, 16), np.float32))
+            var.infer_batch(tiny_var, tiny_vq, img)
+        except Exception as e:  # reported below, in the main thread
+            errors.append(e)
+
+    with T.Tape() as tape:
+        before = len(tape.records)
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert len(tape.records) == before
+    assert not thread.is_alive()
+    assert errors == []
 
 
 def test_var_checkpoint_round_trip(tiny_var, tiny_vq, tmp_path):
