@@ -8,9 +8,11 @@ as a named float tensor (scalars are rank 0).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
+from typing import Optional
 
 import numpy as np
 
@@ -59,29 +61,49 @@ def save(path: str, entries: dict[str, np.ndarray], version: int = VERSION) -> N
 
 
 def load(path: str) -> dict[str, np.ndarray]:
+    """Read every entry; any malformed or truncated file raises CheckpointError."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:4] != MAGIC:
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise CheckpointError(f"{path}: truncated at byte {len(data)} "
+                                  f"(needs {off + n})")
+        off += n
+        return data[off - n:off]
+
+    if take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic {data[:4]!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
+    version, count = struct.unpack("<II", take(8))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (count,) = struct.unpack_from("<I", data, 8)
-    off = 12
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + nlen].decode("utf-8")
-        off += nlen
-        rank = data[off]
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", data, off) if rank else ()
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
-        entries[name] = arr.copy()
+        (nlen,) = struct.unpack("<H", take(2))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: entry name is not UTF-8") from e
+        rank = take(1)[0]
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        raw = take(4 * math.prod(dims))
+        entries[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     if off != len(data):
         raise CheckpointError(f"{path}: trailing bytes after last entry")
     return entries
+
+
+def entry(entries: dict[str, np.ndarray], name: str,
+         shape: tuple[Optional[int], ...]) -> np.ndarray:
+    """Entry ``name`` of a loaded checkpoint, checked against ``shape``
+    (None matches any extent); CheckpointError if missing or misshapen."""
+    arr = entries.get(name)
+    if arr is None:
+        raise CheckpointError(f"checkpoint has no entry {name!r}")
+    if len(arr.shape) != len(shape) or any(
+            want is not None and want != got for want, got in zip(shape, arr.shape)):
+        raise CheckpointError(
+            f"checkpoint entry {name!r} has shape {arr.shape}, expected {shape}")
+    return arr

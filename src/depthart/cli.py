@@ -32,6 +32,7 @@ _cap_threads()
 import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
+from .checkpoint import CheckpointError  # noqa: E402
 from .data import DataError, load_manifest, make_dataset, normalize_depth  # noqa: E402
 from .metrics import (evaluate_rasters, per_scale_curve,  # noqa: E402
                       predict_depth_rasters, write_scale_curve_csv)
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ScheduleError, FileNotFoundError, OSError) as e:
+    except (DataError, ScheduleError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:

@@ -7,6 +7,14 @@ order, which is a topological order of the DAG, so ``backward()`` is a
 single reverse sweep that visits each node exactly once. Outside a tape,
 ops run as plain numpy and build no graph.
 
+``backward()`` consumes the tape: it pops each record before running its
+closure, so every closure and the activations only it kept are freed
+during the sweep, and leaving the ``with Tape()`` block drops whatever
+records remain (a step that raised before ``backward()``). A recorded
+tensor points at its tape but the emptied tape points at nothing, so a
+step's graph is freed by reference counting, without waiting for the
+cyclic garbage collector.
+
 Parameters and activations are float32. Tests may build float64 tensors
 (``dtype=np.float64``) to sharpen finite-difference checks; the kernels
 are dtype-preserving.
@@ -67,6 +75,7 @@ class Tape:
     def __exit__(self, *exc) -> None:
         popped = _TAPE_STACK.tapes.pop()
         assert popped is self
+        self.records.clear()
 
     def record(self, out: "Tensor", backward: Callable[[np.ndarray], None]) -> None:
         out._tape = self
@@ -151,13 +160,18 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse sweep from this scalar through its tape."""
+        """Reverse sweep from this scalar through its tape, consuming it.
+
+        Each record is popped before its closure runs, so the tape is empty
+        afterwards and a second call propagates nothing."""
         if self._tape is None:
             raise RuntimeError("backward() on a tensor that is not on a tape")
         if self.data.size != 1:
             raise RuntimeError("backward() requires a scalar output")
         self.grad = np.ones_like(self.data)
-        for out, fn in reversed(self._tape.records):
+        records = self._tape.records
+        while records:
+            out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
 
@@ -682,11 +696,13 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             w._accumulate_owned(gw.reshape(w.data.shape))
         if x._needs_grad():
             dcols = g2 @ w.data.reshape(cout, -1)  # [B, P, Cin*kh*kw]
-            span = cin * hp * wp
-            idx = (flat.reshape(-1)[None, :] +
-                   (np.arange(bsz) * span)[:, None]).reshape(-1)
-            acc = np.bincount(idx, weights=dcols.reshape(-1), minlength=bsz * span)
-            acc = acc.reshape(bsz, cin, hp, wp).astype(x.data.dtype)
+            # scatter-add one sample at a time: a float64 sum per pixel in
+            # column order, without a batch-wide index or weight copy
+            idx = flat.reshape(-1)
+            acc = np.empty((bsz, cin, hp, wp), dtype=x.data.dtype)
+            for i in range(bsz):
+                acc[i] = np.bincount(idx, weights=dcols[i].reshape(-1),
+                                     minlength=cin * hp * wp).reshape(cin, hp, wp)
             if padding:
                 acc = np.ascontiguousarray(acc[:, :, padding:padding + h, padding:padding + wd])
             x._accumulate_owned(acc)
@@ -733,7 +749,7 @@ def resize_bilinear(x: Tensor, size: tuple[int, int]) -> Tensor:
     if x.data.ndim < 2:
         raise DimensionError("resize_bilinear: input must have spatial axes")
     h, w = x.data.shape[-2], x.data.shape[-1]
-    r = resize_matrix((h, w), (h2, w2)).astype(x.data.dtype)
+    r = resize_matrix((h, w), (h2, w2)).astype(x.data.dtype, copy=False)
     lead = x.data.shape[:-2]
     y = x.data.reshape(-1, h * w) @ r.T
     out = Tensor(y.reshape(lead + (h2, w2)), dtype=x.dtype)

@@ -112,16 +112,19 @@ class VarModel:
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "VarModel":
-        sched = ScaleSchedule(tuple((int(h), int(w)) for h, w in entries["schedule"]))
-        vocab, c = entries["tok_emb"].shape
-        cfg = VarConfig(schedule=sched, vocab=vocab, emb_dim=c,
-                        width=int(entries["hp/width"]),
-                        heads=int(entries["hp/heads"]),
-                        blocks=int(entries["hp/blocks"]),
-                        mlp_ratio=int(entries["hp/mlp_ratio"]))
+        def hp(name):
+            return int(checkpoint.entry(entries, "hp/" + name, ()))
+
+        sched = ScaleSchedule(tuple(
+            (int(h), int(w)) for h, w in checkpoint.entry(entries, "schedule", (None, 2))))
+        vocab, c = checkpoint.entry(entries, "tok_emb", (None, None)).shape
+        cfg = VarConfig(schedule=sched, vocab=vocab, emb_dim=c, width=hp("width"),
+                        heads=hp("heads"), blocks=hp("blocks"),
+                        mlp_ratio=hp("mlp_ratio"))
         model = cls(cfg)
-        for name in model.params:
-            model.params[name] = Tensor(entries[name], requires_grad=True)
+        for name, init in model.params.items():
+            model.params[name] = Tensor(checkpoint.entry(entries, name, init.shape),
+                                        requires_grad=True)
         return model
 
     def save(self, path: str) -> None:

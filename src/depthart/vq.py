@@ -189,12 +189,13 @@ class VqModel:
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "VqModel":
         sched = ScaleSchedule(tuple(
-            (int(h), int(w)) for h, w in entries["schedule"]))
-        cb = entries["codebook"]
-        model = cls(schedule=sched, codebook_size=cb.shape[0],
-                    emb_dim=cb.shape[1], raster=int(entries["hp/raster"]))
-        for name in model.params:
-            model.params[name] = Tensor(entries[name], requires_grad=True)
+            (int(h), int(w)) for h, w in checkpoint.entry(entries, "schedule", (None, 2))))
+        cb = checkpoint.entry(entries, "codebook", (None, None))
+        model = cls(schedule=sched, codebook_size=cb.shape[0], emb_dim=cb.shape[1],
+                    raster=int(checkpoint.entry(entries, "hp/raster", ())))
+        for name, init in model.params.items():
+            model.params[name] = Tensor(checkpoint.entry(entries, name, init.shape),
+                                        requires_grad=True)
         model.codebook = Codebook(cb)
         return model
 

@@ -50,3 +50,41 @@ def test_save_is_atomic_on_overwrite(tmp_path):
     assert np.array_equal(checkpoint.load(path)["a"], np.full(3, 2.0, np.float32))
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+def test_truncated_file_raises_checkpoint_error_at_every_offset(tmp_path):
+    path = tmp_path / "m.dart"
+    checkpoint.save(str(path), {
+        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "hp/raster": np.float32(16.0),
+        "é": np.ones(2, dtype=np.float32),
+    })
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.dart"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load(str(cut))
+
+
+def test_malformed_entries_raise_checkpoint_error(tmp_path):
+    path = tmp_path / "m.dart"
+    checkpoint.save(str(path), {"ab": np.zeros(2, dtype=np.float32)})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:14] + b"\xff\xfe" + raw[16:])  # name is not UTF-8
+    with pytest.raises(checkpoint.CheckpointError, match="UTF-8"):
+        checkpoint.load(str(path))
+    path.write_bytes(raw[:17] + struct.pack("<I", 2 ** 32 - 1) + raw[21:])  # huge dim
+    with pytest.raises(checkpoint.CheckpointError, match="truncated"):
+        checkpoint.load(str(path))
+
+
+def test_entry_rejects_missing_and_misshapen_entries():
+    entries = {"a": np.zeros((2, 3), np.float32)}
+    assert checkpoint.entry(entries, "a", (None, 3)) is entries["a"]
+    with pytest.raises(checkpoint.CheckpointError, match="no entry 'b'"):
+        checkpoint.entry(entries, "b", ())
+    with pytest.raises(checkpoint.CheckpointError, match="shape"):
+        checkpoint.entry(entries, "a", (2, 4))
+    with pytest.raises(checkpoint.CheckpointError, match="shape"):
+        checkpoint.entry(entries, "a", (None,))

@@ -129,6 +129,30 @@ def test_eval_schedule_mismatch_names_both(workspace, tmp_path, capsys):
     assert "(8, 8)" in err and "(2, 2)" in err
 
 
+def test_eval_with_vq_checkpoint_as_model_is_a_data_error(workspace, tmp_path,
+                                                           capsys):
+    vq = str(workspace / "vq" / "vqvae.dart")
+    code = cli.main(["eval", "--model", vq, "--vq", vq,
+                     "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "tok_emb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", [lambda raw: raw[:len(raw) // 2],
+                                     lambda raw: b"NOPE" + raw[4:]],
+                         ids=["truncated", "bad_magic"])
+def test_eval_with_malformed_checkpoint_is_a_data_error(workspace, tmp_path,
+                                                        corrupt):
+    bad = tmp_path / "bad.dart"
+    bad.write_bytes(corrupt((workspace / "tf" / "model.dart").read_bytes()))
+    code = cli.main(["eval", "--model", str(bad),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+
+
 def test_scale_curve_csv_and_svg(workspace, tmp_path):
     out = tmp_path / "curve.csv"
     svg = tmp_path / "curve.svg"

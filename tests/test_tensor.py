@@ -5,6 +5,7 @@ import pytest
 
 from depthart import tensor as T
 
+import oracle
 from gradcheck import fd_gradcheck
 
 rng = np.random.default_rng(1234)
@@ -173,6 +174,37 @@ def test_conv2d_grad(stride, pad):
                  [r(2, 2, 4, 4), r(2, 2, 3, 3), r(2)])
 
 
+# (x shape, w shape, stride, pad): the five VQ convs whose input needs a
+# gradient (HIDDEN=32, emb_dim=16, raster 32, B=8), then odd geometries
+CONV_GEOMETRIES = {
+    "enc2": ((8, 32, 16, 16), (32, 32, 3, 3), 2, 1),
+    "enc3": ((8, 32, 8, 8), (16, 32, 3, 3), 1, 1),
+    "dec1": ((8, 16, 8, 8), (32, 16, 3, 3), 1, 1),
+    "dec2": ((8, 32, 16, 16), (32, 32, 3, 3), 1, 1),
+    "dec3": ((8, 32, 32, 32), (1, 32, 3, 3), 1, 1),
+    "stride2_pad0": ((3, 2, 7, 7), (4, 2, 3, 3), 2, 0),
+    "kernel2_stride3": ((2, 3, 8, 8), (2, 3, 2, 2), 3, 1),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(CONV_GEOMETRIES))
+def test_conv2d_grads_bit_identical_to_batch_scatter(geometry):
+    xs, ws, stride, pad = CONV_GEOMETRIES[geometry]
+    gen = np.random.default_rng(7)
+    x = T.Tensor(gen.standard_normal(xs), requires_grad=True)
+    w = T.Tensor(gen.standard_normal(ws) * 0.1, requires_grad=True)
+    b = T.Tensor(gen.standard_normal(ws[0]), requires_grad=True)
+    with T.Tape():
+        y = T.conv2d(x, w, b, stride=stride, padding=pad)
+        g = gen.standard_normal(y.shape).astype(np.float32)
+        T.sum_all(T.mul(y, T.Tensor(g))).backward()  # dy == g exactly
+    dx, dw, db = oracle.conv2d_grads(x.data, w.data, g, stride, pad)
+    assert x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, dx)
+    assert np.array_equal(w.grad, dw)
+    assert np.array_equal(b.grad, db)
+
+
 # ---------------------------------------------------------------------------
 # layer norm / gelu / softmax
 # ---------------------------------------------------------------------------
@@ -319,6 +351,26 @@ def test_backward_grads_finite_and_shaped():
         assert t.grad is not None
         assert t.grad.shape == t.data.shape
         assert np.all(np.isfinite(t.grad))
+
+
+def test_backward_consumes_the_tape():
+    x = T.Tensor(r(3, 3), requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.sum_all(T.mul(x, x))
+        assert len(tape.records) == 2
+        loss.backward()
+        assert tape.records == []
+    assert np.allclose(x.grad, 2 * x.data)
+
+
+def test_tape_left_without_backward_holds_no_records():
+    x = T.Tensor(r(3, 3), requires_grad=True)
+    with pytest.raises(ZeroDivisionError):
+        with T.Tape() as tape:
+            T.sum_all(T.mul(x, x))
+            assert len(tape.records) == 2
+            raise ZeroDivisionError
+    assert tape.records == []
 
 
 def test_no_tape_no_graph():

@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +263,49 @@ def test_exposure_alignment_pass2_inputs_match_pass1(trained_tiny_vq, tiny_set,
     k = len(vq.schedule)
     assert len(hashes) == k + 1
     assert hashes[k] == hashes[k - 1]
+
+
+def test_steps_free_their_graph_without_the_cyclic_collector(
+        trained_tiny_vq, tiny_set, monkeypatch):
+    """Every activation of a step dies by reference counting once the step
+    returns: the tape must not keep a cycle through its records."""
+    outputs = []
+    gelu = T.gelu
+
+    def spy(x):
+        out = gelu(x)
+        outputs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "gelu", spy)
+    vq = trained_tiny_vq
+    model = fresh_var(vq, seed=15)
+    opt = AdamW(model.params, lr=1e-4)
+    batch = tiny_set.batch(np.arange(4))
+    samples = synth_samples(8, res=16, seed=42)
+    from depthart.data import normalize_depth
+    rasters = np.stack([normalize_depth(s.depth, s.mask) for s in samples])[:, None]
+    steps = {
+        "teacher_forcing_step": lambda: teacher_forcing_step(model, vq, batch, opt),
+        "depthart_step": lambda: depthart_step(model, vq, batch, opt),
+        "train_vqvae": lambda: train_vqvae(
+            rasters, np.ones_like(rasters),
+            VqTrainConfig(steps=2, warmup_steps=1, batch=4, seed=2),
+            model=VqModel(schedule=vq.schedule, codebook_size=12, emb_dim=4,
+                          raster=16, seed=2)),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, step in steps.items():
+            outputs.clear()
+            step()
+            alive = sum(ref() is not None for ref in outputs)
+            assert outputs and alive == 0, \
+                f"{name}: {alive} of {len(outputs)} gelu outputs still alive"
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
