@@ -148,10 +148,12 @@ def cmd_train_var(args) -> int:
 def _load_compatible(model_path: str, vq_path: str):
     model = VarModel.load(model_path)
     vq = VqModel.load(vq_path)
-    if model.config.schedule.sizes != vq.schedule.sizes:
-        raise ScheduleError(
-            f"schedule mismatch: model {model.config.schedule.sizes} "
-            f"vs vq {vq.schedule.sizes}")
+    cfg = model.config
+    for what, mine, theirs in (("schedule", cfg.schedule.sizes, vq.schedule.sizes),
+                               ("vocab", cfg.vocab, vq.codebook.size),
+                               ("emb_dim", cfg.emb_dim, vq.emb_dim)):
+        if mine != theirs:
+            raise ScheduleError(f"{what} mismatch: model {mine} vs vq {theirs}")
     return model, vq
 
 

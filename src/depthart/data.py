@@ -338,13 +338,16 @@ def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
     parts = raw.split(b"\n", 3)
-    if parts[0] != b"P6":
+    if len(parts) != 4 or parts[0] != b"P6":
         raise DataError(f"{path}: not a binary PPM")
-    w, h = (int(x) for x in parts[1].split())
-    maxval = int(parts[2])
+    try:
+        w, h = (int(x) for x in parts[1].split())
+        maxval = int(parts[2])
+    except ValueError:
+        raise DataError(f"{path}: malformed PPM header") from None
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
-    pix = np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3)
+    pix = _payload(path, parts[3], w, h, 3)
     img = pix.reshape(h, w, 3).astype(np.float32) / 255.0
     return np.ascontiguousarray(img.transpose(2, 0, 1))
 
@@ -356,13 +359,25 @@ def write_depth(path: str, depth: np.ndarray) -> None:
         f.write(np.asarray(depth, dtype="<f4").tobytes())
 
 
-def read_depth(path: str) -> np.ndarray:
+def _payload(path: str, raw: bytes, w: int, h: int, itemsize: int) -> np.ndarray:
+    """The pixel bytes of a w x h raster, which must fill ``raw`` exactly."""
+    if w < 0 or h < 0 or len(raw) != w * h * itemsize:
+        raise DataError(f"{path}: {len(raw)} payload bytes for a {w}x{h} raster")
+    return np.frombuffer(raw, np.uint8)
+
+
+def _read_raster(path: str, magic: bytes, dtype) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:4] != b"DPTH":
-        raise DataError(f"{path}: bad depth magic")
+    if raw[:4] != magic or len(raw) < 12:
+        raise DataError(f"{path}: bad or truncated {magic.decode()} header")
     w, h = struct.unpack_from("<II", raw, 4)
-    return np.frombuffer(raw, dtype="<f4", count=h * w, offset=12).reshape(h, w).copy()
+    pix = _payload(path, raw[12:], w, h, np.dtype(dtype).itemsize)
+    return pix.view(dtype).reshape(h, w)
+
+
+def read_depth(path: str) -> np.ndarray:
+    return _read_raster(path, b"DPTH", "<f4").copy()
 
 
 def write_mask(path: str, mask: np.ndarray) -> None:
@@ -373,13 +388,7 @@ def write_mask(path: str, mask: np.ndarray) -> None:
 
 
 def read_mask(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != b"MASK":
-        raise DataError(f"{path}: bad mask magic")
-    w, h = struct.unpack_from("<II", raw, 4)
-    return np.frombuffer(raw, dtype=np.uint8, count=h * w,
-                         offset=12).reshape(h, w).astype(bool)
+    return _read_raster(path, b"MASK", np.uint8).astype(bool)
 
 
 def rle_encode(mask: np.ndarray) -> str:
@@ -429,7 +438,10 @@ def read_planes(path: str, shape: tuple[int, int]) -> list[PlaneAnnotation]:
         raise DataError(f"{path}: dangling plane header")
     planes = []
     for i in range(0, len(lines), 2):
-        nx, ny, nz, d = (float(x) for x in lines[i].split())
+        try:
+            nx, ny, nz, d = (float(x) for x in lines[i].split())
+        except ValueError:
+            raise DataError(f"{path}: malformed plane header {lines[i]!r}") from None
         planes.append(PlaneAnnotation(
             mask=rle_decode(lines[i + 1], shape),
             normal=np.array([nx, ny, nz]), offset=d))

@@ -231,16 +231,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _maybe_record(out, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, dtype=a.dtype)
-
-    def backward(g):
-        if a._needs_grad():
-            a._accumulate_owned(-g)
-
-    return _maybe_record(out, (a,), backward)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s, dtype=a.dtype)
 
@@ -251,34 +241,12 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _maybe_record(out, (a,), backward)
 
 
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data + s, dtype=a.dtype)
-
-    def backward(g):
-        if a._needs_grad():
-            a._accumulate(g)
-
-    return _maybe_record(out, (a,), backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), dtype=a.dtype)
 
     def backward(g):
         if a._needs_grad():
             a._accumulate(g.reshape(a.data.shape))
-
-    return _maybe_record(out, (a,), backward)
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)), dtype=a.dtype)
-    inv = tuple(np.argsort(axes))
-
-    def backward(g):
-        if a._needs_grad():
-            a._accumulate(g.transpose(inv))
 
     return _maybe_record(out, (a,), backward)
 
@@ -341,27 +309,6 @@ def mean_all(a: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 # linear algebra
 # --------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 2-D, or batched with identical leading dims."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError("matmul: operands must be at least 2-D")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(
-            f"matmul: inner extents differ ({a.shape} vs {b.shape})")
-    if a.data.shape[:-2] != b.data.shape[:-2]:
-        raise DimensionError(
-            f"matmul: leading dims differ ({a.shape} vs {b.shape})")
-    out = Tensor(a.data @ b.data, dtype=a.dtype)
-
-    def backward(g):
-        if a._needs_grad():
-            a._accumulate_owned(g @ b.data.swapaxes(-1, -2))
-        if b._needs_grad():
-            b._accumulate_owned(a.data.swapaxes(-1, -2) @ g)
-
-    return _maybe_record(out, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -481,20 +428,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             x._accumulate_owned(gy.reshape(x.data.shape))
 
     return _maybe_record(out, (x, gain, bias), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, dtype=x.dtype)
-
-    def backward(g):
-        if x._needs_grad():
-            dot = (g * p).sum(axis=axis, keepdims=True)
-            x._accumulate_owned(p * (g - dot))
-
-    return _maybe_record(out, (x,), backward)
 
 
 # --------------------------------------------------------------------------

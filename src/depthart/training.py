@@ -25,7 +25,7 @@ from .optim import AdamW, step_lr
 from .tensor import Tensor
 from .var import (VarModel, depth_input_features, embed_sequence, forward,
                   infer_batch)
-from .vq import DivergenceError, TokenMap, VqModel, quantize
+from .vq import DivergenceError, VqModel
 
 REGIMES = ("teacher_forcing", "depthart")
 _REGIME_ALIASES = {"tf": "teacher_forcing", "teacher_forcing": "teacher_forcing",
@@ -156,27 +156,12 @@ def prepare_training_set(vq: VqModel, samples: list[DepthSample],
 # --------------------------------------------------------------------------
 
 
-def depthart_targets(z_maps: list[TokenMap], f_depth, vq: VqModel) -> list[TokenMap]:
-    """Per-scale targets: quantized residuals between the ground-truth
-    features and the accumulated composition of the given predictions.
-    Matches the decomposition recursion bit for bit when z equals the
-    teacher maps."""
-    if len(z_maps) != len(vq.schedule):
-        raise ValueError("depthart_targets: need one z map per scale")
-    f = f_depth.data if isinstance(f_depth, Tensor) else np.asarray(f_depth)
-    acc = np.zeros_like(f)
-    targets: list[TokenMap] = []
-    for k, (h, w) in enumerate(vq.schedule.sizes):
-        delta = f - acc
-        down = T.resize_bilinear(Tensor(delta), (h, w)).data
-        targets.append(quantize(down, vq.codebook, k=k))
-        if k + 1 < len(vq.schedule):
-            acc = acc + vq.eta(z_maps[k]).data
-    return targets
-
-
 def depthart_targets_batch(z_idx: list[np.ndarray], f_depth: np.ndarray,
                            vq: VqModel) -> list[np.ndarray]:
+    """Per-scale targets [B, n_k]: quantized residuals between the
+    ground-truth features [B, C, h_K, w_K] and the accumulated composition
+    of the predictions ``z_idx``. Equals ``vq.decompose_batch(f_depth)``
+    bit for bit when the predictions are that decomposition."""
     acc = np.zeros_like(f_depth)
     targets = []
     for k, (h, w) in enumerate(vq.schedule.sizes):

@@ -25,7 +25,7 @@ import numpy as np
 from . import checkpoint
 from . import tensor as T
 from .tensor import Tensor
-from .vq import ScaleSchedule, ScheduleError, TokenMap, VqModel
+from .vq import ScaleSchedule, ScheduleError, VqModel
 
 NEG_INF = float("-inf")
 
@@ -242,32 +242,6 @@ def embed_sequence(model: VarModel, img_tokens: np.ndarray,
     return T.add_table(x, T.add(scale_rows, pos_rows))
 
 
-def build_inputs(prev_depth_maps: list[TokenMap], image_maps: list[TokenMap],
-                 model: VarModel, vq: VqModel) -> Tensor:
-    """Single-sample sequence embedding for scales 1..len(prev)+1."""
-    k_max = len(prev_depth_maps) + 1
-    if k_max > len(model.config.schedule):
-        raise ScheduleError("build_inputs: more previous maps than scales")
-    img = flatten_maps(image_maps, model.config.schedule)[None, :]
-    prev = [m.indices.reshape(1, -1) for m in prev_depth_maps]
-    feats = depth_input_features(model, vq, prev, k_max)
-    seq = embed_sequence(model, img, feats)
-    return T.reshape(seq, seq.shape[1:])
-
-
-def flatten_maps(maps: list[TokenMap], schedule: ScaleSchedule) -> np.ndarray:
-    if len(maps) != len(schedule):
-        raise ScheduleError(
-            f"expected {len(schedule)} token maps, got {len(maps)}")
-    flat = []
-    for k, m in enumerate(maps):
-        if (m.h, m.w) != schedule.sizes[k]:
-            raise ScheduleError(
-                f"map {k} is {(m.h, m.w)}, schedule says {schedule.sizes[k]}")
-        flat.append(m.indices.reshape(-1))
-    return np.concatenate(flat).astype(np.int64)
-
-
 # --------------------------------------------------------------------------
 # forward and inference
 # --------------------------------------------------------------------------
@@ -275,18 +249,15 @@ def flatten_maps(maps: list[TokenMap], schedule: ScaleSchedule) -> np.ndarray:
 
 def forward(model: VarModel, inputs: Tensor, mask: np.ndarray,
             cache: list[T.KVCache] | None = None) -> Tensor:
-    """Logits [B, N, V] for the depth positions among the input rows.
+    """Logits [B, N, V] for the depth positions among the input rows [B, L, D].
 
-    Without ``cache`` the inputs are a whole sequence and ``mask`` its
+    Without ``cache`` the inputs are whole sequences and ``mask`` their
     [L, L] ``attention_mask``. With ``cache`` (one ``T.KVCache`` per
     block, inference only) they are the rows after the cached ones, and
     ``mask`` is their rows of ``attention_mask(K)`` cut to the columns
     they may see; the cache gains the rows.
     """
     x = inputs
-    single = x.data.ndim == 2
-    if single:
-        x = T.reshape(x, (1,) + x.data.shape)
     if mask.shape[0] != x.data.shape[1]:
         raise ScheduleError(
             f"mask length {mask.shape[0]} != sequence length {x.data.shape[1]}")
@@ -307,10 +278,7 @@ def forward(model: VarModel, inputs: Tensor, mask: np.ndarray,
     x = T.layer_norm(x, p["ln_f_g"], p["ln_f_b"])
     n_img = model.n_image_tokens()
     depth_part = T.slice_axis(x, 1, max(n_img - first, 0), length)
-    logits = T.linear(depth_part, p["head_w"], p["head_b"])
-    if single:
-        logits = T.reshape(logits, logits.shape[1:])
-    return logits
+    return T.linear(depth_part, p["head_w"], p["head_b"])
 
 
 def infer_batch(model: VarModel, vq: VqModel,
@@ -339,15 +307,3 @@ def infer_batch(model: VarModel, vq: VqModel,
         preds.append(logits.data.argmax(axis=2).astype(np.int32))
         start = stop
     return preds
-
-
-def infer(model: VarModel, image_maps: list[TokenMap],
-          vq: VqModel) -> list[TokenMap]:
-    """Greedy decoding of all K depth token maps for one sample."""
-    img = flatten_maps(image_maps, model.config.schedule)[None, :]
-    preds = infer_batch(model, vq, img)
-    out = []
-    for k, flat in enumerate(preds):
-        h, w = model.config.schedule.sizes[k]
-        out.append(TokenMap(k=k, indices=flat[0].reshape(h, w)))
-    return out

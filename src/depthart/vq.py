@@ -1,7 +1,7 @@
 """Multi-scale residual vector-quantized autoencoder.
 
-A small conv encoder maps a 1-channel raster to a [C, h, w] feature map,
-which is decomposed into K token maps of increasing resolution: at each
+A small conv encoder maps 1-channel rasters to [B, C, h, w] features,
+which are decomposed into K token maps of increasing resolution: at each
 scale the residual between the features and the accumulated composition
 so far is downsampled, quantized against a shared codebook, and the
 quantized map's contribution (embedding lookup, bilinear upsample, shared
@@ -73,22 +73,6 @@ class ScaleSchedule:
 DEFAULT_SCHEDULE = ScaleSchedule(((1, 1), (2, 2), (4, 4), (8, 8)))
 
 
-@dataclass
-class TokenMap:
-    """Grid of codebook indices at one scale."""
-
-    k: int
-    indices: np.ndarray  # int32 [h, w]
-
-    @property
-    def h(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def w(self) -> int:
-        return self.indices.shape[1]
-
-
 class Codebook:
     """V embedding vectors of dimension C with nearest-neighbor lookup."""
 
@@ -101,10 +85,6 @@ class Codebook:
     def size(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
     def nearest(self, flat: np.ndarray) -> np.ndarray:
         """Index of the L2-nearest entry per row; ties pick the lowest index."""
         f = np.asarray(flat, dtype=np.float32)
@@ -112,23 +92,6 @@ class Codebook:
             - 2.0 * (f @ self.vectors.T) \
             + (self.vectors * self.vectors).sum(axis=1)[None, :]
         return d.argmin(axis=1).astype(np.int32)
-
-    def min_pairwise_distance(self) -> float:
-        v = self.vectors.astype(np.float64)
-        d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
-        np.fill_diagonal(d2, np.inf)
-        return float(np.sqrt(d2.min()))
-
-
-def quantize(features, codebook: Codebook, k: int = -1) -> TokenMap:
-    """Nearest-codebook token map of a [C, h, w] feature grid."""
-    f = features.data if isinstance(features, Tensor) else np.asarray(features)
-    if f.ndim != 3 or f.shape[0] != codebook.dim:
-        raise T.DimensionError(
-            f"quantize: expected [C={codebook.dim}, h, w], got {f.shape}")
-    c, h, w = f.shape
-    idx = codebook.nearest(f.reshape(c, h * w).T)
-    return TokenMap(k=k, indices=idx.reshape(h, w))
 
 
 # --------------------------------------------------------------------------
@@ -208,73 +171,30 @@ class VqModel:
 
     # -- conv stacks ---------------------------------------------------------
 
-    def encode(self, raster) -> Tensor:
-        """Raster [1,H,W] or [B,1,H,W] in [-1,1] to features at the latent
+    def encode(self, rasters: Tensor) -> Tensor:
+        """Rasters [B,1,H,W] in [-1,1] to features at the latent
         resolution. Two stride-2 stages then a projection to C channels."""
-        x, single = _ensure_batch(raster, expect_channels=1)
+        x = _check_batch(rasters, 1)
         p = self.params
         h = T.gelu(T.conv2d(x, p["enc/w1"], p["enc/b1"], stride=2, padding=1))
         h = T.gelu(T.conv2d(h, p["enc/w2"], p["enc/b2"], stride=2, padding=1))
-        f = T.conv2d(h, p["enc/w3"], p["enc/b3"], stride=1, padding=1)
-        return _maybe_unbatch(f, single)
+        return T.conv2d(h, p["enc/w3"], p["enc/b3"], stride=1, padding=1)
 
-    def decode(self, features) -> Tensor:
-        x, single = _ensure_batch(features, expect_channels=self.emb_dim)
+    def decode(self, features: Tensor) -> Tensor:
+        """Features [B,C,h_K,w_K] to rasters [B,1,H,W]."""
+        x = _check_batch(features, self.emb_dim)
         p = self.params
         h = T.gelu(T.conv2d(x, p["dec/w1"], p["dec/b1"], stride=1, padding=1))
         h = T.resize_bilinear(h, (self.raster // 2, self.raster // 2))
         h = T.gelu(T.conv2d(h, p["dec/w2"], p["dec/b2"], stride=1, padding=1))
         h = T.resize_bilinear(h, (self.raster, self.raster))
-        out = T.conv2d(h, p["dec/w3"], p["dec/b3"], stride=1, padding=1)
-        return _maybe_unbatch(out, single)
+        return T.conv2d(h, p["dec/w3"], p["dec/b3"], stride=1, padding=1)
 
-    # -- quantization and composition ----------------------------------------
-
-    def quantize(self, features, k: int = -1) -> TokenMap:
-        return quantize(features, self.codebook, k=k)
-
-    def eta_features(self, feats: Tensor, apply_conv: bool = True) -> Tensor:
-        """Upsample a [.., C, h, w] feature tensor to the latent resolution
-        and apply the shared composition conv."""
-        x, single = _ensure_batch(feats, expect_channels=self.emb_dim)
-        up = T.resize_bilinear(x, self.schedule.latent)
-        if apply_conv:
-            up = T.conv2d(up, self.params["eta/w"], None, stride=1, padding=1)
-        return _maybe_unbatch(up, single)
-
-    def eta(self, token_map: TokenMap, apply_conv: bool = True) -> Tensor:
-        """Composition operator: embeddings -> bilinear resize -> shared conv."""
-        emb = self.codebook.vectors[token_map.indices]  # [h, w, C]
-        feats = Tensor(np.ascontiguousarray(emb.transpose(2, 0, 1)))
-        return self.eta_features(feats, apply_conv=apply_conv)
-
-    def decompose(self, features) -> list[TokenMap]:
-        """Iterative residual quantization over the schedule (coarse to fine)."""
-        f = features.data if isinstance(features, Tensor) else np.asarray(features)
-        _check_latent(f, self)
-        maps: list[TokenMap] = []
-        acc = np.zeros_like(f)
-        for k, (h, w) in enumerate(self.schedule.sizes):
-            resid = f - acc
-            down = T.resize_bilinear(Tensor(resid), (h, w)).data
-            m = quantize(down, self.codebook, k=k)
-            maps.append(m)
-            acc = acc + self.eta(m).data
-        return maps
-
-    def compose(self, maps: Sequence[TokenMap]) -> Tensor:
-        """Sum of per-scale contributions, in schedule order."""
-        if len(maps) > len(self.schedule):
-            raise ScheduleError(
-                f"compose: {len(maps)} maps for a {len(self.schedule)}-scale schedule")
-        acc = np.zeros((self.emb_dim,) + self.schedule.latent, np.float32)
-        for m in maps:
-            expect = self.schedule.sizes[m.k]
-            if (m.h, m.w) != expect:
-                raise ScheduleError(
-                    f"compose: map at scale {m.k} is {(m.h, m.w)}, schedule says {expect}")
-            acc = acc + self.eta(m).data
-        return Tensor(acc)
+    def eta_features(self, feats: Tensor) -> Tensor:
+        """Composition operator on embedded features: upsample [B, C, h, w]
+        to the latent resolution and apply the shared composition conv."""
+        up = T.resize_bilinear(_check_batch(feats, self.emb_dim), self.schedule.latent)
+        return T.conv2d(up, self.params["eta/w"], None, stride=1, padding=1)
 
     # -- batched no-grad helpers (hot paths) -----------------------------------
 
@@ -298,7 +218,8 @@ class VqModel:
         return self.eta_features(Tensor(np.ascontiguousarray(emb))).data
 
     def decompose_batch(self, feats: np.ndarray) -> list[np.ndarray]:
-        """Batched decompose; returns per-scale int32 index arrays [B, n_k]."""
+        """Iterative residual quantization of [B, C, h_K, w_K] features over
+        the schedule, coarse to fine; returns per-scale int32 [B, n_k]."""
         acc = np.zeros_like(feats)
         out = []
         for k, (h, w) in enumerate(self.schedule.sizes):
@@ -309,6 +230,7 @@ class VqModel:
         return out
 
     def compose_batch(self, idx_list: Sequence[np.ndarray]) -> np.ndarray:
+        """Sum of the per-scale contributions, in schedule order."""
         first = idx_list[0]
         acc = np.zeros((first.shape[0], self.emb_dim) + self.schedule.latent,
                        np.float32)
@@ -323,29 +245,10 @@ class VqModel:
         return self.encode_batch((lum * 2.0 - 1.0)[:, None, :, :].astype(np.float32))
 
 
-def _ensure_batch(x, expect_channels: int) -> tuple[Tensor, bool]:
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-    if t.data.ndim == 3:
-        t = T.reshape(t, (1,) + t.data.shape)
-        single = True
-    elif t.data.ndim == 4:
-        single = False
-    else:
-        raise T.DimensionError(f"expected 3-D or 4-D input, got {t.data.shape}")
-    if t.data.shape[1] != expect_channels:
-        raise T.DimensionError(
-            f"expected {expect_channels} channels, got {t.data.shape[1]}")
-    return t, single
-
-
-def _maybe_unbatch(t: Tensor, single: bool) -> Tensor:
-    return T.reshape(t, t.data.shape[1:]) if single else t
-
-
-def _check_latent(f: np.ndarray, model: VqModel) -> None:
-    want = (model.emb_dim,) + model.schedule.latent
-    if f.shape != want:
-        raise T.DimensionError(f"expected features {want}, got {f.shape}")
+def _check_batch(x: Tensor, channels: int) -> Tensor:
+    if x.data.ndim != 4 or x.data.shape[1] != channels:
+        raise T.DimensionError(f"expected [B, {channels}, h, w], got {x.data.shape}")
+    return x
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from depthart import tensor as T
+
 
 def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
                  stride: int, pad: int):
@@ -34,3 +36,27 @@ def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     acc = acc.reshape(bsz, cin, hp, wp).astype(x.dtype)
     dx = acc[:, :, pad:pad + h, pad:pad + wd]
     return dx, dw, db
+
+
+def depthart_targets(z: list[np.ndarray], f: np.ndarray, vq) -> list[np.ndarray]:
+    """Dynamic targets [h_k, w_k] of one sample with features ``f`` [C, h_K,
+    w_K] and predicted maps ``z`` (per scale, int [h_k, w_k]): scale k
+    quantizes f minus the composition of z_0..z_{k-1}, each embedded,
+    resized to the latent grid and passed through the eta conv."""
+    acc = np.zeros_like(f)
+    targets = []
+    for k, (h, w) in enumerate(vq.schedule.sizes):
+        down = T.resize_bilinear(T.Tensor(f - acc), (h, w)).data
+        targets.append(vq.codebook.nearest(down.reshape(vq.emb_dim, -1).T).reshape(h, w))
+        emb = vq.codebook.vectors[z[k]].transpose(2, 0, 1)
+        up = T.resize_bilinear(T.Tensor(emb[None]), vq.schedule.latent)
+        acc = acc + T.conv2d(up, vq.params["eta/w"], None, 1, 1).data[0]
+    return targets
+
+
+def min_pairwise_distance(vectors: np.ndarray) -> float:
+    """Smallest L2 distance between two distinct rows, in float64."""
+    v = vectors.astype(np.float64)
+    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min()))

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -127,6 +128,35 @@ def test_eval_schedule_mismatch_names_both(workspace, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "(8, 8)" in err and "(2, 2)" in err
+
+
+@pytest.mark.parametrize("field,value", [("vocab", 128), ("emb_dim", 8)])
+def test_eval_vocab_or_emb_dim_mismatch_names_both(workspace, tmp_path, capsys,
+                                                    field, value):
+    from depthart.var import VarConfig
+    from depthart.vq import DEFAULT_SCHEDULE
+    model = VarModel(VarConfig(**{"schedule": DEFAULT_SCHEDULE, field: value}))
+    model.save(str(tmp_path / "other.dart"))
+    code = cli.main(["eval", "--model", str(tmp_path / "other.dart"),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    vq = VqModel.load(str(workspace / "vq" / "vqvae.dart"))
+    theirs = vq.codebook.size if field == "vocab" else vq.emb_dim
+    assert f"{field} mismatch: model {value} vs vq {theirs}" in err
+
+
+def test_eval_with_truncated_depth_file_is_a_data_error(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    dpth = data / "eval_00000.dpth"
+    dpth.write_bytes(dpth.read_bytes()[:-100])
+    code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--data", str(data), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
 
 
 def test_eval_with_vq_checkpoint_as_model_is_a_data_error(workspace, tmp_path,

@@ -210,6 +210,38 @@ def test_sample_round_trip(tmp_path):
         assert a.offset == pytest.approx(b.offset, abs=1e-12)
 
 
+def small_sample():
+    """A 5 x 7 sample with one plane, small enough to truncate byte by byte."""
+    r = np.random.default_rng(3)
+    mask = r.random((5, 7)) < 0.7
+    return DepthSample(image=r.random((3, 5, 7)).astype(np.float32),
+                       depth=r.uniform(1.0, 5.0, (5, 7)).astype(np.float32),
+                       mask=mask, intrinsics=(7.0, 7.0, 3.0, 2.0),
+                       planes=[data.PlaneAnnotation(mask=mask, normal=np.array([0.0, 1.0, 0.0]),
+                                                    offset=-1.25)])
+
+
+@pytest.mark.parametrize("kind", ["depth", "mask", "image"])
+def test_truncated_sample_file_raises_data_error_at_every_offset(tmp_path, kind):
+    rel = data.save_sample(str(tmp_path), "s", small_sample())
+    path = tmp_path / rel[kind]
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(data.DataError):
+            data.load_sample(str(tmp_path), rel)
+
+
+def test_malformed_plane_header_raises_data_error(tmp_path):
+    rel = data.save_sample(str(tmp_path), "s", small_sample())
+    path = tmp_path / rel["planes"]
+    header, rle = path.read_text().splitlines()
+    for bad in (header.replace("1.0", "x"), header.rsplit(" ", 1)[0]):
+        path.write_text(f"{bad}\n{rle}\n")
+        with pytest.raises(data.DataError, match="plane header"):
+            data.load_sample(str(tmp_path), rel)
+
+
 def test_load_manifest_split_filter(tmp_path):
     make_dataset(3, 2, seed=4, out_dir=str(tmp_path))
     assert len(load_manifest(str(tmp_path), "train")) == 3

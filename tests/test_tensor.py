@@ -16,45 +16,6 @@ def r(*shape):
 
 
 # ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def test_matmul_identity():
-    a = T.Tensor([[1.0, 0.0], [0.0, 1.0]])
-    b = T.Tensor([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(T.matmul(a, b).data, b.data)
-
-
-def test_matmul_scalar_case():
-    out = T.matmul(T.Tensor([[2.0]]), T.Tensor([[3.0]]))
-    assert out.data[0, 0] == pytest.approx(6.0)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(T.DimensionError):
-        T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
-
-
-def test_matmul_grad_of_sum_is_column_sums():
-    # d(sum(a@b))/da[i,k] = sum_j b[k,j]: every row of dA equals b's row sums
-    a = T.Tensor(r(4, 5), requires_grad=True, dtype=np.float64)
-    b = T.Tensor(r(5, 3), dtype=np.float64)
-    with T.Tape():
-        out = T.sum_all(T.matmul(a, b))
-        out.backward()
-    expected = np.broadcast_to(b.data.sum(axis=1), (4, 5))
-    assert np.allclose(a.grad, expected, rtol=1e-12)
-    fd_gradcheck(lambda x, y: T.matmul(x, y), [r(4, 5), r(5, 3)])
-
-
-def test_matmul_batched():
-    a, b = r(3, 4, 5), r(3, 5, 2)
-    out = T.matmul(T.Tensor(a, dtype=np.float64), T.Tensor(b, dtype=np.float64))
-    assert np.allclose(out.data, a @ b)
-    fd_gradcheck(lambda x, y: T.matmul(x, y), [a, b])
-
-
-# ---------------------------------------------------------------------------
 # softmax cross entropy
 # ---------------------------------------------------------------------------
 
@@ -206,7 +167,7 @@ def test_conv2d_grads_bit_identical_to_batch_scatter(geometry):
 
 
 # ---------------------------------------------------------------------------
-# layer norm / gelu / softmax
+# layer norm / gelu
 # ---------------------------------------------------------------------------
 
 def test_layer_norm_statistics():
@@ -233,15 +194,6 @@ def test_gelu_taped_equals_untaped():
     assert taped.tobytes() == T.gelu(x).data.tobytes()
 
 
-def test_softmax_rows_sum_to_one():
-    p = T.softmax(T.Tensor(r(5, 7)))
-    assert np.allclose(p.data.sum(axis=-1), 1.0, atol=1e-5)
-
-
-def test_softmax_grad():
-    fd_gradcheck(lambda x: T.softmax(x), [r(3, 4)])
-
-
 # ---------------------------------------------------------------------------
 # structural ops and elementwise
 # ---------------------------------------------------------------------------
@@ -250,14 +202,11 @@ def test_elementwise_grads():
     fd_gradcheck(lambda a, b: T.add(a, b), [r(3, 4), r(3, 4)])
     fd_gradcheck(lambda a, b: T.sub(a, b), [r(2, 5), r(2, 5)])
     fd_gradcheck(lambda a, b: T.mul(a, b), [r(4, 4), r(4, 4)])
-    fd_gradcheck(lambda a: T.neg(a), [r(6)])
     fd_gradcheck(lambda a: T.scale(a, -1.7), [r(3, 3)])
-    fd_gradcheck(lambda a: T.add_scalar(a, 0.3), [r(2, 2)])
 
 
 def test_structural_grads():
     fd_gradcheck(lambda a: T.reshape(a, (6, 2)), [r(3, 4)])
-    fd_gradcheck(lambda a: T.transpose(a, (1, 0, 2)), [r(2, 3, 4)])
     fd_gradcheck(lambda a, b: T.concat([a, b], axis=1), [r(2, 3), r(2, 2)])
     fd_gradcheck(lambda a: T.slice_axis(a, 1, 1, 3), [r(2, 5)])
     fd_gradcheck(lambda a: T.mean_all(a), [r(3, 3)])
@@ -345,7 +294,7 @@ def test_backward_grads_finite_and_shaped():
     x = T.Tensor(r(4, 3), requires_grad=True)
     w = T.Tensor(r(3, 2), requires_grad=True)
     with T.Tape():
-        out = T.mean_all(T.gelu(T.matmul(x, w)))
+        out = T.mean_all(T.gelu(T.linear(x, w)))
         out.backward()
     for t in (x, w):
         assert t.grad is not None
@@ -383,12 +332,14 @@ def test_no_tape_no_graph():
 
 def test_forward_determinism_bit_identical():
     a, b = r(8, 8), r(8, 8)
+    qkv = np.concatenate([a, b, a], axis=1)[None]
+    mask = block_causal_mask([3, 5])
     ops = [
-        lambda: T.matmul(T.Tensor(a), T.Tensor(b)).data,
+        lambda: T.linear(T.Tensor(a), T.Tensor(b)).data,
         lambda: T.gelu(T.Tensor(a)).data,
         lambda: T.layer_norm(T.Tensor(a), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))).data,
         lambda: T.resize_bilinear(T.Tensor(a), (5, 5)).data,
-        lambda: T.softmax(T.Tensor(a)).data,
+        lambda: T.multihead_attention(T.Tensor(qkv), 2, mask).data,
     ]
     for op in ops:
         assert op().tobytes() == op().tobytes()

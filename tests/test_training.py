@@ -8,14 +8,14 @@ import pytest
 from depthart import tensor as T, training, var as var_mod
 from depthart.optim import AdamW, step_lr
 from depthart.tensor import Tensor
-from depthart.training import (Batch, ConfigError, TrainConfig,
-                               depthart_step, depthart_targets,
+from depthart.training import (ConfigError, TrainConfig, depthart_step,
                                depthart_targets_batch, fit,
                                prepare_training_set, teacher_forcing_step)
-from depthart.var import VarConfig, VarModel, flatten_maps
-from depthart.vq import (DivergenceError, ScaleSchedule, TokenMap, VqModel,
+from depthart.var import VarConfig, VarModel
+from depthart.vq import (DivergenceError, ScaleSchedule, VqModel,
                          VqTrainConfig, train_vqvae)
 
+import oracle
 from synth import synth_samples
 
 rng = np.random.default_rng(3)
@@ -104,62 +104,59 @@ def test_adamw_decoupled_decay():
 # refinement targets
 # ---------------------------------------------------------------------------
 
+def per_sample(z, b, schedule):
+    """Sample b of the batched maps ``z``, as per-scale [h_k, w_k] grids."""
+    return [zk[b].reshape(hw) for zk, hw in zip(z, schedule.sizes)]
+
+
 def test_reduction_property_targets_equal_teacher(trained_tiny_vq):
     vq = trained_tiny_vq
-    for seed in range(10):
-        f = np.random.default_rng(seed).standard_normal(
-            (vq.emb_dim,) + vq.schedule.latent).astype(np.float32)
-        teacher = vq.decompose(f)
-        targets = depthart_targets(teacher, f, vq)
-        for t, x in zip(targets, teacher):
-            assert np.array_equal(t.indices, x.indices)
+    f = np.stack([np.random.default_rng(seed).standard_normal(
+        (vq.emb_dim,) + vq.schedule.latent) for seed in range(10)]).astype(np.float32)
+    teacher = vq.decompose_batch(f)
+    targets = depthart_targets_batch(teacher, f, vq)
+    for t, x in zip(targets, teacher):
+        assert np.array_equal(t, x)
 
 
 def test_targets_single_scale_ignores_z():
     vq = VqModel(schedule=ScaleSchedule(((4, 4),)), codebook_size=8,
                  emb_dim=3, raster=16, seed=2)
-    f = rng.standard_normal((3, 4, 4)).astype(np.float32)
-    za = [TokenMap(k=0, indices=np.zeros((4, 4), np.int32))]
-    zb = [TokenMap(k=0, indices=np.full((4, 4), 5, np.int32))]
-    ta = depthart_targets(za, f, vq)
-    tb = depthart_targets(zb, f, vq)
-    assert np.array_equal(ta[0].indices, tb[0].indices)
-    assert np.array_equal(ta[0].indices, vq.quantize(
-        T.resize_bilinear(Tensor(f), (4, 4)).data, k=0).indices)
+    f = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
+    ta = depthart_targets_batch([np.zeros((1, 16), np.int32)], f, vq)
+    tb = depthart_targets_batch([np.full((1, 16), 5, np.int32)], f, vq)
+    assert np.array_equal(ta[0], tb[0])
+    assert np.array_equal(ta[0], vq.nearest_batch(
+        T.resize_bilinear(Tensor(f), (4, 4)).data, (4, 4)))
 
 
 def test_targets_match_straightline_oracle(trained_tiny_vq):
     vq = trained_tiny_vq
     r = np.random.default_rng(8)
-    f = r.standard_normal((vq.emb_dim,) + vq.schedule.latent).astype(np.float32)
-    z = [TokenMap(k=k, indices=r.integers(0, vq.codebook.size, hw).astype(np.int32))
-         for k, hw in enumerate(vq.schedule.sizes)]
-    got = depthart_targets(z, f, vq)
-    # independent straight-line recursion
-    acc = np.zeros_like(f)
-    for k, (h, w) in enumerate(vq.schedule.sizes):
-        delta = f - acc
-        down = T.resize_bilinear(Tensor(delta), (h, w)).data
-        flat = down.reshape(vq.emb_dim, -1).T
-        want = vq.codebook.nearest(flat).reshape(h, w)
-        assert np.array_equal(got[k].indices, want)
-        emb = vq.codebook.vectors[z[k].indices].transpose(2, 0, 1)
-        up = T.resize_bilinear(Tensor(emb[None]), vq.schedule.latent)
-        acc = acc + T.conv2d(up, vq.params["eta/w"], None, 1, 1).data[0]
+    f = r.standard_normal((3, vq.emb_dim) + vq.schedule.latent).astype(np.float32)
+    z = [r.integers(0, vq.codebook.size, (3, n)) for n in vq.schedule.tokens_per_scale()]
+    got = depthart_targets_batch(z, f, vq)
+    for b in range(3):
+        want = oracle.depthart_targets(per_sample(z, b, vq.schedule), f[b], vq)
+        for k, w in enumerate(want):
+            assert np.array_equal(got[k][b], w.reshape(-1))
 
 
 def test_targets_batch_matches_single(trained_tiny_vq, tiny_set):
+    # row b of a batch equals the batch of one holding sample b, and both
+    # equal the straight-line recursion
     vq = trained_tiny_vq
     z = [t.copy() for t in tiny_set.teacher]
     z[1] = (z[1] + 3) % vq.codebook.size
     batched = depthart_targets_batch(z, tiny_set.f_depth, vq)
     for b in range(4):
-        z_maps = [TokenMap(k=k, indices=z[k][b].reshape(vq.schedule.sizes[k]).astype(np.int32))
-                  for k in range(len(vq.schedule))]
-        singles = depthart_targets(z_maps, tiny_set.f_depth[b], vq)
-        for k, tm in enumerate(singles):
-            assert np.array_equal(batched[k][b].reshape(tm.indices.shape),
-                                  tm.indices)
+        singles = depthart_targets_batch([zk[b:b + 1] for zk in z],
+                                         tiny_set.f_depth[b:b + 1], vq)
+        want = oracle.depthart_targets(per_sample(z, b, vq.schedule),
+                                       tiny_set.f_depth[b], vq)
+        for k, t in enumerate(singles):
+            assert np.array_equal(batched[k][b], t[0])
+            assert np.array_equal(t[0], want[k].reshape(-1))
 
 
 def test_target_validity(trained_tiny_vq, tiny_set):
@@ -428,7 +425,7 @@ def test_vqvae_training_improves_and_uses_codebook(trained_tiny_vq):
     for idx in trained_tiny_vq.decompose_batch(feats):
         used.update(np.unique(idx).tolist())
     assert len(used) >= trained_tiny_vq.codebook.size // 2
-    assert trained_tiny_vq.codebook.min_pairwise_distance() > 0
+    assert oracle.min_pairwise_distance(trained_tiny_vq.codebook.vectors) > 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,18 +4,29 @@ import numpy as np
 import pytest
 
 from depthart import tensor as T, var
-from depthart.tensor import Tensor
-from depthart.var import (VarModel, build_inputs, embed_sequence,
-                          depth_input_features, flatten_maps, forward, infer)
-from depthart.vq import ScheduleError, TokenMap
+from depthart.var import (VarModel, embed_sequence, depth_input_features,
+                          forward, infer_batch)
+from depthart.vq import ScheduleError
 
 rng = np.random.default_rng(21)
 
 
 def random_maps(schedule, vocab, seed=0):
+    """One sample's token maps, flattened per scale: int64 [h_k * w_k]."""
     r = np.random.default_rng(seed)
-    return [TokenMap(k=k, indices=r.integers(0, vocab, size=hw).astype(np.int32))
-            for k, hw in enumerate(schedule.sizes)]
+    return [r.integers(0, vocab, size=n) for n in schedule.tokens_per_scale()]
+
+
+def build_inputs(prev_maps, image_maps, model, vq):
+    """Sequence embedding [1, L, D] of one sample for scales 1..len(prev)+1."""
+    feats = depth_input_features(model, vq, [m[None] for m in prev_maps],
+                                 len(prev_maps) + 1)
+    return embed_sequence(model, np.concatenate(image_maps)[None], feats)
+
+
+def infer_one(model, vq, image_maps):
+    """Greedy decoding of one sample: per-scale [h_k * w_k]."""
+    return [z[0] for z in infer_batch(model, vq, np.concatenate(image_maps)[None])]
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +59,11 @@ def test_build_inputs_scale1_is_start_embedding(tiny_var, tiny_vq):
     img = random_maps(tiny_vq.schedule, 12, seed=1)
     seq = build_inputs([], img, tiny_var, tiny_vq)
     n_img = tiny_var.n_image_tokens()
-    assert seq.shape == (n_img + 1, tiny_var.config.width)
+    assert seq.shape == (1, n_img + 1, tiny_var.config.width)
     p = tiny_var.params
     expected = p["start_emb"].data[0] + (p["scale_emb"].data[0]
                                          + p["pos_emb/0"].data[0])
-    assert np.array_equal(seq.data[n_img], expected)
+    assert np.array_equal(seq.data[0, n_img], expected)
 
 
 def test_build_inputs_deterministic(tiny_var, tiny_vq):
@@ -67,32 +78,16 @@ def test_build_inputs_scale_k_ignores_scale_k_tokens(tiny_var, tiny_vq):
     # the input rows for scale k are built from scales < k only
     img = random_maps(tiny_vq.schedule, 12, seed=4)
     prev_a = random_maps(tiny_vq.schedule, 12, seed=5)[:2]
-    prev_b = [TokenMap(k=m.k, indices=m.indices.copy()) for m in prev_a]
-    prev_b[1].indices = (prev_b[1].indices + 3) % 12   # change scale-2 tokens
-    seq_a = build_inputs(prev_a, img, tiny_var, tiny_vq)
-    seq_b = build_inputs(prev_b, img, tiny_var, tiny_vq)
+    prev_b = [prev_a[0], (prev_a[1] + 3) % 12]   # change scale-2 tokens
+    seq_a = build_inputs(prev_a, img, tiny_var, tiny_vq).data[0]
+    seq_b = build_inputs(prev_b, img, tiny_var, tiny_vq).data[0]
     n_img = tiny_var.n_image_tokens()
     tokens = tiny_var.config.schedule.tokens_per_scale()
     # rows: scale 1 (start) and scale 2 inputs (built from scale-1 tokens)
     upto_scale2 = n_img + tokens[0] + tokens[1]
-    assert seq_a.data[:upto_scale2].tobytes() == seq_b.data[:upto_scale2].tobytes()
+    assert seq_a[:upto_scale2].tobytes() == seq_b[:upto_scale2].tobytes()
     # scale-3 input rows do differ
-    assert seq_a.data[upto_scale2:].tobytes() != seq_b.data[upto_scale2:].tobytes()
-
-
-def test_build_inputs_too_many_prev(tiny_var, tiny_vq):
-    img = random_maps(tiny_vq.schedule, 12, seed=6)
-    prev = random_maps(tiny_vq.schedule, 12, seed=7)
-    with pytest.raises(ScheduleError):
-        build_inputs(prev, img, tiny_var, tiny_vq)
-
-
-def test_flatten_maps_validates_schedule(tiny_var):
-    sched = tiny_var.config.schedule
-    maps = random_maps(sched, 12, seed=8)
-    maps[1] = TokenMap(k=1, indices=np.zeros((3, 3), np.int32))
-    with pytest.raises(ScheduleError):
-        flatten_maps(maps, sched)
+    assert seq_a[upto_scale2:].tobytes() != seq_b[upto_scale2:].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +95,18 @@ def test_flatten_maps_validates_schedule(tiny_var):
 # ---------------------------------------------------------------------------
 
 def full_forward(model, vq, img_maps, prev_maps):
+    """Logits [N, V] of one sample's depth positions for scales 1..len(prev)+1."""
     seq = build_inputs(prev_maps, img_maps, model, vq)
     k_max = len(prev_maps) + 1
-    return forward(model, seq, model.attention_mask(k_max))
+    return forward(model, seq, model.attention_mask(k_max)).data[0]
 
 
 def test_forward_softmax_rows_sum_to_one(tiny_var, tiny_vq):
     img = random_maps(tiny_vq.schedule, 12, seed=9)
     prev = random_maps(tiny_vq.schedule, 12, seed=10)[:2]
     logits = full_forward(tiny_var, tiny_vq, img, prev)
-    p = T.softmax(Tensor(logits.data)).data
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-5)
 
 
@@ -117,24 +114,23 @@ def test_forward_causality_bit_identical(tiny_var, tiny_vq):
     # perturbing depth tokens at scale k+1 leaves scale-k logits untouched
     img = random_maps(tiny_vq.schedule, 12, seed=11)
     prev_a = random_maps(tiny_vq.schedule, 12, seed=12)[:2]
-    prev_b = [TokenMap(k=m.k, indices=m.indices.copy()) for m in prev_a]
-    prev_b[1].indices = np.zeros_like(prev_b[1].indices)  # zero scale-2 tokens
+    prev_b = [prev_a[0], np.zeros_like(prev_a[1])]  # zero scale-2 tokens
     la = full_forward(tiny_var, tiny_vq, img, prev_a)
     lb = full_forward(tiny_var, tiny_vq, img, prev_b)
     tokens = tiny_var.config.schedule.tokens_per_scale()
     upto = tokens[0] + tokens[1]  # logits for scales 1 and 2
-    assert la.data[:upto].tobytes() == lb.data[:upto].tobytes()
-    assert la.data[upto:].tobytes() != lb.data[upto:].tobytes()
+    assert la[:upto].tobytes() == lb[:upto].tobytes()
+    assert la[upto:].tobytes() != lb[upto:].tobytes()
 
 
 def test_forward_image_tokens_reach_all_logits(tiny_var, tiny_vq):
     img_a = random_maps(tiny_vq.schedule, 12, seed=13)
-    img_b = [TokenMap(k=m.k, indices=m.indices.copy()) for m in img_a]
-    img_b[2].indices[3, 3] = (img_b[2].indices[3, 3] + 1) % 12
+    img_b = [m.copy() for m in img_a]
+    img_b[2][15] = (img_b[2][15] + 1) % 12  # scale 3, row 3, column 3
     prev = random_maps(tiny_vq.schedule, 12, seed=14)[:2]
     la = full_forward(tiny_var, tiny_vq, img_a, prev)
     lb = full_forward(tiny_var, tiny_vq, img_b, prev)
-    diff = np.abs(la.data - lb.data).max(axis=-1)
+    diff = np.abs(la - lb).max(axis=-1)
     assert (diff > 0).mean() > 0.9  # virtually every depth position moved
 
 
@@ -148,10 +144,11 @@ def test_forward_mask_length_check(tiny_var, tiny_vq):
 def test_gradient_reaches_every_parameter(tiny_var, tiny_vq):
     img = random_maps(tiny_vq.schedule, 12, seed=16)
     teacher = random_maps(tiny_vq.schedule, 12, seed=17)
-    targets = flatten_maps(teacher, tiny_vq.schedule)
     with T.Tape():
-        logits = full_forward(tiny_var, tiny_vq, img, teacher[:2])
-        loss = T.softmax_cross_entropy(logits, targets)
+        seq = build_inputs(teacher[:2], img, tiny_var, tiny_vq)
+        logits = forward(tiny_var, seq, tiny_var.attention_mask(3))
+        loss = T.softmax_cross_entropy(T.reshape(logits, (-1, 12)),
+                                       np.concatenate(teacher))
         loss.backward()
     for name, param in tiny_var.params.items():
         assert param.grad is not None, f"no grad for {name}"
@@ -166,13 +163,13 @@ def test_gradient_reaches_every_parameter(tiny_var, tiny_vq):
 def test_infer_shapes_and_determinism(tiny_var, tiny_vq, count_calls):
     img = random_maps(tiny_vq.schedule, 12, seed=18)
     calls = count_calls(var, "forward")
-    preds_a = infer(tiny_var, img, tiny_vq)
+    preds_a = infer_one(tiny_var, tiny_vq, img)
     assert len(calls) == len(tiny_vq.schedule)  # K forward passes
-    preds_b = infer(tiny_var, img, tiny_vq)
+    preds_b = infer_one(tiny_var, tiny_vq, img)
     for k, (a, b) in enumerate(zip(preds_a, preds_b)):
-        assert (a.h, a.w) == tiny_vq.schedule.sizes[k]
-        assert np.array_equal(a.indices, b.indices)
-        assert a.indices.min() >= 0 and a.indices.max() < 12
+        assert a.shape == (tiny_vq.schedule.tokens_per_scale()[k],)
+        assert np.array_equal(a, b)
+        assert a.min() >= 0 and a.max() < 12
 
 
 def test_cached_forward_matches_masked_forward(tiny_var, tiny_vq):
@@ -182,13 +179,13 @@ def test_cached_forward_matches_masked_forward(tiny_var, tiny_vq):
     prev = random_maps(tiny_vq.schedule, 12, seed=32)[:2]
     seq = build_inputs(prev, img, tiny_var, tiny_vq)
     mask = tiny_var.attention_mask(3)
-    full = forward(tiny_var, seq, mask).data
+    full = forward(tiny_var, seq, mask).data[0]
     cache = [T.KVCache() for _ in range(tiny_var.config.blocks)]
     parts = []
     start, stop = 0, tiny_var.n_image_tokens()
     for n in tiny_var.config.schedule.tokens_per_scale():
         seen, stop = stop, stop + n
-        rows = T.Tensor(seq.data[None, start:stop])
+        rows = T.Tensor(seq.data[:, start:stop])
         parts.append(forward(tiny_var, rows, mask[start:stop, :seen], cache).data[0])
         start = stop
     cached = np.concatenate(parts)
@@ -199,33 +196,30 @@ def test_cached_forward_matches_masked_forward(tiny_var, tiny_vq):
 def test_incremental_decode_matches_full_forward(tiny_var, tiny_vq):
     # the KV-cached inference path must agree with the reference forward
     img = random_maps(tiny_vq.schedule, 12, seed=30)
-    preds = infer(tiny_var, img, tiny_vq)
+    preds = infer_one(tiny_var, tiny_vq, img)
     for k_max in range(1, len(tiny_vq.schedule) + 1):
         logits = full_forward(tiny_var, tiny_vq, img, preds[:k_max - 1])
         lo, hi = tiny_var.depth_slices(k_max)[k_max - 1]
-        block = logits.data[lo:hi]
-        assert np.array_equal(block.argmax(axis=-1).astype(np.int32),
-                              preds[k_max - 1].indices.reshape(-1))
-        # the logits themselves agree to float32 reduction tolerance
-        hidden_ref = block
-        assert np.all(np.isfinite(hidden_ref))
+        assert np.array_equal(logits[lo:hi].argmax(axis=-1).astype(np.int32),
+                              preds[k_max - 1])
 
 
 def test_infer_batch_matches_single(tiny_var, tiny_vq):
-    imgs = [random_maps(tiny_vq.schedule, 12, seed=s) for s in (19, 20)]
-    flat = np.stack([flatten_maps(m, tiny_vq.schedule) for m in imgs])
-    batched = var.infer_batch(tiny_var, tiny_vq, flat)
-    for b, maps in enumerate(imgs):
-        singles = infer(tiny_var, maps, tiny_vq)
-        for k, tm in enumerate(singles):
-            assert np.array_equal(batched[k][b], tm.indices.reshape(-1))
+    # row b of a batch equals the batch of one holding sample b
+    flat = np.stack([np.concatenate(random_maps(tiny_vq.schedule, 12, seed=s))
+                     for s in (19, 20)])
+    batched = infer_batch(tiny_var, tiny_vq, flat)
+    for b in range(2):
+        singles = infer_batch(tiny_var, tiny_vq, flat[b:b + 1])
+        for k, z in enumerate(singles):
+            assert np.array_equal(batched[k][b], z[0])
 
 
 def test_inference_thread_ignores_other_threads_tape(tiny_var, tiny_vq):
     # a tape records only its own thread's ops, so a second thread can run
     # inference (which refuses to run under a tape) while the first trains
-    img = np.stack([flatten_maps(random_maps(tiny_vq.schedule, 12, seed=s),
-                                 tiny_vq.schedule) for s in (40, 41)])
+    img = np.stack([np.concatenate(random_maps(tiny_vq.schedule, 12, seed=s))
+                    for s in (40, 41)])
     errors = []
 
     def worker():
@@ -251,7 +245,7 @@ def test_var_checkpoint_round_trip(tiny_var, tiny_vq, tmp_path):
     back = VarModel.load(p)
     assert back.config.schedule.sizes == tiny_var.config.schedule.sizes
     img = random_maps(tiny_vq.schedule, 12, seed=22)
-    a = infer(tiny_var, img, tiny_vq)
-    b = infer(back, img, tiny_vq)
+    a = infer_one(tiny_var, tiny_vq, img)
+    b = infer_one(back, tiny_vq, img)
     for x, y in zip(a, b):
-        assert np.array_equal(x.indices, y.indices)
+        assert np.array_equal(x, y)

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from depthart import tensor as T
 from depthart.tensor import Tensor
-from depthart.vq import (Codebook, ScaleSchedule, ScheduleError, TokenMap,
-                         VqModel, quantize)
+from depthart.vq import Codebook, ScaleSchedule, ScheduleError, VqModel
+
+import oracle
 
 rng = np.random.default_rng(7)
 
@@ -21,14 +22,13 @@ def identity_conv_model(**kw):
 
 
 # ---------------------------------------------------------------------------
-# quantize
+# quantize (Codebook.nearest)
 # ---------------------------------------------------------------------------
 
 def test_quantize_codebook_entry_maps_to_itself():
     cb = Codebook(rng.standard_normal((16, 4)).astype(np.float32))
-    f = np.broadcast_to(cb.vectors[7][:, None, None], (4, 3, 3)).copy()
-    m = quantize(f, cb)
-    assert np.all(m.indices == 7)
+    f = np.tile(cb.vectors[7], (9, 1))
+    assert np.all(cb.nearest(f) == 7)
 
 
 def test_quantize_tie_breaks_to_lowest_index():
@@ -39,25 +39,17 @@ def test_quantize_tie_breaks_to_lowest_index():
     for i in [0, 1, 3, 4, 6, 7]:
         vecs[i] = [100.0 + i, 100.0]
     cb = Codebook(vecs)
-    f = np.zeros((2, 1, 1), np.float32)  # equidistant from entries 2 and 5
-    assert quantize(f, cb).indices[0, 0] == 2
+    f = np.zeros((1, 2), np.float32)  # equidistant from entries 2 and 5
+    assert cb.nearest(f)[0] == 2
 
 
 def test_quantize_matches_bruteforce_scan():
     cb = Codebook(rng.standard_normal((16, 5)).astype(np.float32))
-    f = rng.standard_normal((5, 3, 3)).astype(np.float32)
-    m = quantize(f, cb)
-    for i in range(3):
-        for j in range(3):
-            d = ((cb.vectors.astype(np.float64)
-                  - f[:, i, j].astype(np.float64)) ** 2).sum(axis=1)
-            assert m.indices[i, j] == int(d.argmin())
-
-
-def test_quantize_channel_mismatch():
-    cb = Codebook(np.zeros((4, 3), np.float32))
-    with pytest.raises(T.DimensionError):
-        quantize(np.zeros((2, 2, 2), np.float32), cb)
+    f = rng.standard_normal((9, 5)).astype(np.float32)
+    idx = cb.nearest(f)
+    for i in range(9):
+        d = ((cb.vectors.astype(np.float64) - f[i].astype(np.float64)) ** 2).sum(axis=1)
+        assert idx[i] == int(d.argmin())
 
 
 @settings(max_examples=25, deadline=None)
@@ -66,9 +58,8 @@ def test_quantize_idempotent_on_embeddings(seed):
     # nearest-neighbor lookup of a codebook vector returns its own index
     r = np.random.default_rng(seed)
     cb = Codebook(r.standard_normal((12, 3)).astype(np.float32))
-    idx = r.integers(0, 12, size=(4, 4))
-    f = cb.vectors[idx].transpose(2, 0, 1)
-    assert np.array_equal(quantize(f, cb).indices, idx)
+    idx = r.integers(0, 12, size=16)
+    assert np.array_equal(cb.nearest(cb.vectors[idx]), idx)
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +70,10 @@ def test_eta_at_final_scale_identity_conv_is_embedding():
     m = identity_conv_model()
     k = len(m.schedule) - 1
     h, w = m.schedule.sizes[k]
-    tm = TokenMap(k=k, indices=rng.integers(0, 16, size=(h, w)).astype(np.int32))
-    out = m.eta(tm)
-    expected = m.codebook.vectors[tm.indices].transpose(2, 0, 1)
-    assert np.allclose(out.data, expected, atol=1e-6)
-
-
-def test_eta_constant_map_constant_before_conv():
-    m = tiny_model()
-    tm = TokenMap(k=0, indices=np.full((1, 1), 3, np.int32))
-    out = m.eta(tm, apply_conv=False)
-    expected = m.codebook.vectors[3]
-    assert np.allclose(out.data, expected[:, None, None], atol=1e-6)
+    idx = rng.integers(0, 16, size=(2, h * w))
+    out = m.eta_batch(idx, k)
+    expected = m.codebook.vectors[idx].reshape(2, h, w, -1).transpose(0, 3, 1, 2)
+    assert np.allclose(out, expected, atol=1e-6)
 
 
 def test_eta_matches_resize_then_conv_oracle():
@@ -99,12 +82,12 @@ def test_eta_matches_resize_then_conv_oracle():
     m.params["eta/w"] = Tensor(
         rng.standard_normal(m.params["eta/w"].shape).astype(np.float32) * 0.2,
         requires_grad=True)
-    tm = TokenMap(k=1, indices=rng.integers(0, 16, size=(2, 2)).astype(np.int32))
-    got = m.eta(tm).data
+    idx = rng.integers(0, 16, size=(1, 4))
+    got = m.eta_batch(idx, 1)
     # oracle composed from tensor-module primitives
-    emb = Tensor(m.codebook.vectors[tm.indices].transpose(2, 0, 1))
-    up = T.resize_bilinear(T.reshape(emb, (1,) + emb.shape), m.schedule.latent)
-    want = T.conv2d(up, m.params["eta/w"], None, stride=1, padding=1).data[0]
+    emb = Tensor(m.codebook.vectors[idx.reshape(2, 2)].transpose(2, 0, 1)[None])
+    up = T.resize_bilinear(emb, m.schedule.latent)
+    want = T.conv2d(up, m.params["eta/w"], None, stride=1, padding=1).data
     assert np.allclose(got, want, atol=1e-6)
 
 
@@ -133,19 +116,19 @@ def oracle_decompose(f, model):
 
 def test_decompose_single_scale_is_quantize():
     m = tiny_model(scales=((4, 4),))
-    f = rng.standard_normal((2, 4, 4)).astype(np.float32)
-    maps = m.decompose(f)
+    f = rng.standard_normal((2, 2, 4, 4)).astype(np.float32)
+    maps = m.decompose_batch(f)
     assert len(maps) == 1
-    assert np.array_equal(maps[0].indices, m.quantize(f, k=0).indices)
+    assert np.array_equal(maps[0], m.nearest_batch(f, (4, 4)))
 
 
 def test_decompose_exact_embedding_zero_residual():
     m = identity_conv_model(scales=((4, 4),))
-    idx = rng.integers(0, 16, size=(4, 4)).astype(np.int32)
-    f = m.codebook.vectors[idx].transpose(2, 0, 1)
-    maps = m.decompose(f)
-    assert np.array_equal(maps[0].indices, idx)
-    resid = f - m.compose(maps).data
+    idx = rng.integers(0, 16, size=(1, 16)).astype(np.int32)
+    f = m.codebook.vectors[idx].reshape(1, 4, 4, 2).transpose(0, 3, 1, 2).copy()
+    maps = m.decompose_batch(f)
+    assert np.array_equal(maps[0], idx)
+    resid = f - m.compose_batch(maps)
     assert np.abs(resid).max() < 1e-6
 
 
@@ -154,79 +137,57 @@ def test_decompose_matches_straightline_oracle():
     m.params["eta/w"] = Tensor(
         rng.standard_normal(m.params["eta/w"].shape).astype(np.float32) * 0.3,
         requires_grad=True)
-    f = rng.standard_normal((2, 4, 4)).astype(np.float32)
-    maps = m.decompose(f)
-    o_maps, o_resids, _, _ = oracle_decompose(f, m)
-    for got, want in zip(maps, o_maps):
-        assert np.array_equal(got.indices, want)
-    # per-scale residual norms agree with the straight-line recursion
-    acc = np.zeros_like(f)
-    for k, tm in enumerate(maps):
-        r = f - acc
-        assert np.linalg.norm(r) == pytest.approx(
-            np.linalg.norm(o_resids[k]), rel=1e-6)
-        acc = acc + m.eta(tm).data
+    f = rng.standard_normal((2, 2, 4, 4)).astype(np.float32)
+    maps = m.decompose_batch(f)
+    for b in range(2):
+        o_maps, o_resids, _, _ = oracle_decompose(f[b], m)
+        for got, want in zip(maps, o_maps):
+            assert np.array_equal(got[b], want.reshape(-1))
+        # per-scale residual norms agree with the straight-line recursion
+        acc = np.zeros_like(f[b])
+        for k, idx in enumerate(maps):
+            r = f[b] - acc
+            assert np.linalg.norm(r) == pytest.approx(
+                np.linalg.norm(o_resids[k]), rel=1e-6)
+            acc = acc + m.eta_batch(idx[b:b + 1], k)[0]
 
 
 def test_compose_single_scale_equals_eta():
     m = tiny_model()
-    tm = TokenMap(k=0, indices=np.array([[5]], np.int32))
-    assert np.allclose(m.compose([tm]).data, m.eta(tm).data)
+    idx = np.array([[5]], np.int32)
+    assert np.allclose(m.compose_batch([idx]), m.eta_batch(idx, 0))
 
 
 def test_compose_order_independent():
+    # compose_batch adds the per-scale contributions in schedule order;
+    # adding the same contributions in reverse order agrees up to float32
+    # rounding
     m = tiny_model(seed=2)
-    f = rng.standard_normal((2, 4, 4)).astype(np.float32)
-    maps = m.decompose(f)
-    a = m.compose(maps).data
-    b = m.compose(maps[::-1]).data  # summation order fixed inside compose
-    # compose sums in schedule order regardless of argument order is NOT
-    # claimed; what must hold is that addition of the same contributions
-    # in a fixed order is reproducible and the sum is order-insensitive
-    # to within exact float addition of identical terms here.
+    f = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
+    maps = m.decompose_batch(f)
+    a = m.compose_batch(maps)
+    b = sum(m.eta_batch(idx, k) for k, idx in reversed(list(enumerate(maps))))
     assert np.allclose(a, b, atol=1e-6)
-
-
-def test_compose_schedule_mismatch():
-    m = tiny_model()
-    bad = TokenMap(k=1, indices=np.zeros((3, 3), np.int32))
-    with pytest.raises(ScheduleError):
-        m.compose([bad])
 
 
 def test_telescoping_identity():
     m = tiny_model(seed=11)
-    for trial in range(20):
-        f = np.random.default_rng(trial).standard_normal((2, 4, 4)).astype(np.float32)
-        maps = m.decompose(f)
-        composed = m.compose(maps).data
-        _, _, o_acc, o_final = oracle_decompose(f, m)
-        assert np.abs(composed - o_acc).max() < 1e-5
-        assert np.abs((f - composed) - o_final).max() < 1e-5
-
-
-def test_compose_linearity_pre_conv():
-    # scaling one scale's embedding contribution scales its share exactly
-    m = identity_conv_model(seed=4)
-    f = rng.standard_normal((2, 4, 4)).astype(np.float32)
-    maps = m.decompose(f)
-    base = sum(m.eta(tm, apply_conv=False).data for tm in maps)
-    target = maps[1]
-    alpha = 2.5
-    scaled_contrib = m.eta(target, apply_conv=False).data
-    perturbed = base + (alpha - 1.0) * scaled_contrib
-    rebuilt = sum(m.eta(tm, apply_conv=False).data
-                  for tm in maps if tm.k != 1) + alpha * scaled_contrib
-    assert np.allclose(perturbed, rebuilt, atol=1e-6)
+    f = np.stack([np.random.default_rng(trial).standard_normal((2, 4, 4))
+                  for trial in range(20)]).astype(np.float32)
+    composed = m.compose_batch(m.decompose_batch(f))
+    for b in range(20):
+        _, _, o_acc, o_final = oracle_decompose(f[b], m)
+        assert np.abs(composed[b] - o_acc).max() < 1e-5
+        assert np.abs((f[b] - composed[b]) - o_final).max() < 1e-5
 
 
 def test_decompose_deterministic():
     m = tiny_model(seed=9)
-    f = rng.standard_normal((2, 4, 4)).astype(np.float32)
-    a = m.decompose(f)
-    b = m.decompose(f)
+    f = rng.standard_normal((2, 2, 4, 4)).astype(np.float32)
+    a = m.decompose_batch(f)
+    b = m.decompose_batch(f)
     for x, y in zip(a, b):
-        assert np.array_equal(x.indices, y.indices)
+        assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -235,36 +196,37 @@ def test_decompose_deterministic():
 
 def test_encode_output_shape():
     m = VqModel(seed=1)
-    raster = rng.standard_normal((1, 32, 32)).astype(np.float32)
-    f = m.encode(raster)
-    assert f.shape == (16, 8, 8)
+    raster = rng.standard_normal((1, 1, 32, 32)).astype(np.float32)
+    f = m.encode(Tensor(raster))
+    assert f.shape == (1, 16, 8, 8)
+    with pytest.raises(T.DimensionError):
+        m.encode(Tensor(raster[0]))
 
 
 def test_untrained_round_trip_is_finite():
     m = VqModel(seed=1)
-    raster = rng.standard_normal((1, 32, 32)).astype(np.float32)
-    out = m.decode(m.compose(m.decompose(m.encode(raster))))
-    assert out.shape == (1, 32, 32)
-    assert np.all(np.isfinite(out.data))
+    raster = rng.standard_normal((1, 1, 32, 32)).astype(np.float32)
+    out = m.decode_batch(m.compose_batch(m.decompose_batch(m.encode_batch(raster))))
+    assert out.shape == (1, 1, 32, 32)
+    assert np.all(np.isfinite(out))
 
 
 def test_batched_helpers_match_per_sample():
+    # row b of a batch equals the batch of one holding sample b
     m = tiny_model(seed=6, raster=16)
     f = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
     batched = m.decompose_batch(f)
-    for b in range(3):
-        singles = m.decompose(f[b])
-        for k, tm in enumerate(singles):
-            assert np.array_equal(batched[k][b], tm.indices.reshape(-1))
     comp = m.compose_batch(batched)
     for b in range(3):
-        singles = m.decompose(f[b])
-        assert np.allclose(comp[b], m.compose(singles).data, atol=1e-6)
+        singles = m.decompose_batch(f[b:b + 1])
+        for k, idx in enumerate(singles):
+            assert np.array_equal(batched[k][b], idx[0])
+        assert np.allclose(comp[b], m.compose_batch(singles)[0], atol=1e-6)
 
 
 def test_codebook_pairwise_distinct_after_init():
     m = VqModel(seed=0)
-    assert m.codebook.min_pairwise_distance() > 0
+    assert oracle.min_pairwise_distance(m.codebook.vectors) > 0
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -274,9 +236,9 @@ def test_checkpoint_round_trip(tmp_path):
     back = VqModel.load(p)
     assert back.schedule.sizes == m.schedule.sizes
     assert np.array_equal(back.codebook.vectors, m.codebook.vectors)
-    f = rng.standard_normal((2, 4, 4)).astype(np.float32)
-    for a, b in zip(m.decompose(f), back.decompose(f)):
-        assert np.array_equal(a.indices, b.indices)
+    f = rng.standard_normal((2, 2, 4, 4)).astype(np.float32)
+    for a, b in zip(m.decompose_batch(f), back.decompose_batch(f)):
+        assert np.array_equal(a, b)
 
 
 def test_schedule_validation():
