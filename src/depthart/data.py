@@ -11,9 +11,10 @@ File formats (all integers little-endian):
   image   binary PPM (P6, 8-bit)
   depth   "DPTH" magic, u32 width, u32 height, f32 payload
   mask    "MASK" magic, u32 width, u32 height, u8 payload
-  planes  UTF-8; per plane a line "nx ny nz d" (camera frame) followed by
-          one line of run-length counts over the row-major mask,
-          alternating zero-runs and one-runs, starting with zeros
+  planes  UTF-8; a first line with the plane count, then per plane a line
+          "nx ny nz d" (camera frame) followed by one line of run-length
+          counts over the row-major mask, alternating zero-runs and
+          one-runs, starting with zeros
   manifest  UTF-8 lines "split<TAB>image<TAB>depth<TAB>mask<TAB>planes"
 """
 
@@ -422,22 +423,26 @@ def rle_decode(text: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def write_planes(path: str, planes: list[PlaneAnnotation]) -> None:
-    lines = []
+    lines = [str(len(planes))]
     for p in planes:
         n = [float(x) for x in p.normal]
         lines.append(f"{n[0]!r} {n[1]!r} {n[2]!r} {float(p.offset)!r}")
         lines.append(rle_encode(p.mask))
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+        f.write("\n".join(lines) + "\n")
 
 
 def read_planes(path: str, shape: tuple[int, int]) -> list[PlaneAnnotation]:
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    if len(lines) % 2:
-        raise DataError(f"{path}: dangling plane header")
+    try:
+        count = int(lines[0])
+    except (IndexError, ValueError):
+        raise DataError(f"{path}: missing or malformed plane count") from None
+    if count < 0 or len(lines) != 1 + 2 * count:
+        raise DataError(f"{path}: {len(lines) - 1} lines for {count} planes")
     planes = []
-    for i in range(0, len(lines), 2):
+    for i in range(1, len(lines), 2):
         try:
             nx, ny, nz, d = (float(x) for x in lines[i].split())
         except ValueError:
@@ -463,12 +468,15 @@ def save_sample(out_dir: str, stem: str, sample: DepthSample) -> dict[str, str]:
 
 
 def load_sample(base_dir: str, rel: dict[str, str]) -> DepthSample:
+    image = read_ppm(os.path.join(base_dir, rel["image"]))
     depth = read_depth(os.path.join(base_dir, rel["depth"]))
+    mask = read_mask(os.path.join(base_dir, rel["mask"]))
+    if not image.shape[1:] == depth.shape == mask.shape:
+        raise DataError(f"{os.path.join(base_dir, rel['depth'])}: image "
+                        f"{image.shape[1:]}, depth {depth.shape} and mask "
+                        f"{mask.shape} sizes differ")
     return DepthSample(
-        image=read_ppm(os.path.join(base_dir, rel["image"])),
-        depth=depth,
-        mask=read_mask(os.path.join(base_dir, rel["mask"])),
-        intrinsics=(FX, FY, CX, CY),
+        image=image, depth=depth, mask=mask, intrinsics=(FX, FY, CX, CY),
         planes=read_planes(os.path.join(base_dir, rel["planes"]), depth.shape),
     )
 

@@ -488,10 +488,14 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 class KVCache:
     """Keys and values [B, H, L, dh] of the L rows one attention layer has
-    seen, for incremental decoding."""
+    seen, for incremental decoding. Under a tape it also keeps each round's
+    packed ``qkv`` Tensor with the position of its first row, so that later
+    rounds can send key/value gradients back to the rows they attended to."""
 
-    k: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
+    def __init__(self) -> None:
+        self.k: Optional[np.ndarray] = None
+        self.v: Optional[np.ndarray] = None
+        self.rounds: list[tuple[Tensor, int]] = []
 
     def __len__(self) -> int:
         return 0 if self.k is None else self.k.shape[2]
@@ -504,28 +508,33 @@ def multihead_attention(qkv: Tensor, heads: int, mask: np.ndarray,
     Splits heads, runs scaled dot-product attention with the additive
     ``[L, L]`` mask, and merges heads back to ``[B, L, D]`` - one tape
     record for the whole block, which keeps the training loop off the
-    Python floor. With ``cache`` (inference only) the rows follow those
-    in the cache, are appended to it, and attend to the first
-    ``mask.shape[1]`` keys of the cache and themselves.
+    Python floor. With ``cache`` the rows follow those in the cache, are
+    appended to it, and attend to the first ``mask.shape[1]`` keys of the
+    cache and themselves. Recorded on a tape, the backward pass sends the
+    query gradient to ``qkv`` and the key/value gradient of every visible
+    key to the ``qkv`` rows it came from, earlier rounds' rows included.
     """
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads) != 0:
         raise DimensionError("multihead_attention: expected [B, L, 3D]")
     b, length, threed = qkv.data.shape
     d = threed // 3
     dh = d // heads
+    visible = mask.shape[1]
     arr = qkv.data.reshape(b, length, 3, heads, dh)
     q = np.ascontiguousarray(arr[:, :, 0].transpose(0, 2, 1, 3))
     k = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
     v = np.ascontiguousarray(arr[:, :, 2].transpose(0, 2, 1, 3))
+    sources = [(qkv, 0)]  # (packed rows, position of their first row)
     if cache is not None:
-        if active_tape() is not None:
-            raise RuntimeError("multihead_attention: a KV cache is for "
-                               "inference only, not under a tape")
+        first = len(cache)
         if cache.k is not None:
             k = np.concatenate([cache.k, k], axis=2)
             v = np.concatenate([cache.v, v], axis=2)
         cache.k, cache.v = k, v
-        k, v = k[:, :, :mask.shape[1]], v[:, :, :mask.shape[1]]
+        if active_tape() is not None and qkv._needs_grad():
+            cache.rounds.append((qkv, first))
+        sources = list(cache.rounds)
+        k, v = k[:, :, :visible], v[:, :, :visible]
     inv_sqrt = 1.0 / math.sqrt(dh)
     p = q @ k.swapaxes(-1, -2)  # scores, turned into probabilities in place
     p *= inv_sqrt
@@ -536,24 +545,29 @@ def multihead_attention(qkv: Tensor, heads: int, mask: np.ndarray,
     heads_out = p @ v  # [B, H, L, dh]
     out = Tensor(heads_out.transpose(0, 2, 1, 3).reshape(b, length, d),
                  dtype=qkv.dtype)
-    if cache is not None:
-        return out
 
     def backward(g):
-        if not qkv._needs_grad():
-            return
         gh = np.ascontiguousarray(
             g.reshape(b, length, heads, dh).transpose(0, 2, 1, 3))
         dp = gh @ v.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         ds *= inv_sqrt
-        dqkv = np.empty((b, length, 3, heads, dh), dtype=g.dtype)
-        dqkv[:, :, 0] = (ds @ k).transpose(0, 2, 1, 3)
-        dqkv[:, :, 1] = (ds.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)
-        dqkv[:, :, 2] = (p.swapaxes(-1, -2) @ gh).transpose(0, 2, 1, 3)
-        qkv._accumulate_owned(dqkv.reshape(b, length, threed))
+        dk = ds.swapaxes(-1, -2) @ q   # [B, H, visible, dh]
+        dv = p.swapaxes(-1, -2) @ gh
+        for src, lo in sources:
+            if not src._needs_grad():
+                continue
+            n = src.data.shape[1]
+            seen = max(min(lo + n, visible) - lo, 0)  # rows of src among the keys
+            filled = src is qkv and seen == n  # every q, k and v row written below
+            dsrc = (np.empty if filled else np.zeros)((b, n, 3, heads, dh), dtype=g.dtype)
+            if src is qkv:
+                dsrc[:, :, 0] = (ds @ k).transpose(0, 2, 1, 3)
+            dsrc[:, :seen, 1] = dk[:, :, lo:lo + seen].transpose(0, 2, 1, 3)
+            dsrc[:, :seen, 2] = dv[:, :, lo:lo + seen].transpose(0, 2, 1, 3)
+            src._accumulate_owned(dsrc.reshape(b, n, threed))
 
-    return _maybe_record(out, (qkv,), backward)
+    return _maybe_record(out, [src for src, _ in sources], backward)
 
 
 # --------------------------------------------------------------------------

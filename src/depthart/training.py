@@ -1,18 +1,18 @@
 """The two training regimes for the token-map transformer.
 
 Teacher forcing feeds ground-truth token maps as autoregressive inputs
-and targets. The refinement regime instead runs greedy inference first,
-feeds the model its own predictions, and supervises each scale with the
-quantized residual between the encoded ground-truth depth features and
-the accumulated composition of those predictions - recomputed at every
-step, so the targets track the model as it learns. Predictions are
-constants: no gradient flows through the argmax.
+and targets, in one masked forward. The refinement regime instead runs
+greedy inference on the tape, feeding the model its own predictions,
+and supervises each scale's logits with the quantized residual between
+the encoded ground-truth depth features and the accumulated composition
+of those predictions - recomputed at every step, so the targets track
+the model as it learns. Predictions are constants: no gradient flows
+through the argmax.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 import time
 from dataclasses import dataclass
@@ -190,10 +190,6 @@ def _scale_loss(model: VarModel, logits: Tensor,
     return total
 
 
-def _sequence_hash(seq: np.ndarray) -> str:
-    return hashlib.sha256(seq.tobytes()).hexdigest()
-
-
 def teacher_forcing_step(model: VarModel, vq: VqModel, batch: Batch,
                          opt: AdamW, lr: float | None = None) -> float:
     """One optimizer step with ground-truth maps as inputs and targets."""
@@ -212,25 +208,22 @@ def teacher_forcing_step(model: VarModel, vq: VqModel, batch: Batch,
 def depthart_step(model: VarModel, vq: VqModel, batch: Batch,
                   opt: AdamW, lr: float | None = None,
                   diagnostics: dict | None = None) -> float:
-    """One refinement step: greedy inference, dynamic targets, one
-    gradient pass over the model's own inputs."""
-    k_total = len(vq.schedule)
-    # pass 1, no gradient: collect predictions and build targets
-    z_idx = infer_batch(model, vq, batch.image_tokens)
-    targets = depthart_targets_batch(z_idx, batch.f_depth, vq)
-    # pass 2, with gradient: same inputs the inference consumed
-    feats = depth_input_features(model, vq, z_idx[:k_total - 1], k_total)
+    """One refinement step on one tape: greedy inference records its
+    rounds, dynamic targets are built from its predictions, and the loss
+    is taken on the logits the inference produced. The mask is
+    prefix-closed, so those are the logits of a full masked forward over
+    the predictions; the predictions themselves are argmax constants."""
     with T.Tape():
-        seq = embed_sequence(model, batch.image_tokens, feats)
-        logits = forward(model, seq, model.attention_mask(k_total))
-        loss = _scale_loss(model, logits, targets)
+        round_logits: list[Tensor] = []
+        z_idx = infer_batch(model, vq, batch.image_tokens, round_logits)
+        targets = depthart_targets_batch(z_idx, batch.f_depth, vq)
+        loss = _scale_loss(model, T.concat(round_logits, axis=1), targets)
         _abort_if_nan(loss)
         loss.backward()
     opt.step(lr)
     if diagnostics is not None:
         diagnostics["targets"] = [t.copy() for t in targets]
         diagnostics["predictions"] = [z.copy() for z in z_idx]
-        diagnostics["input_hash"] = _sequence_hash(seq.data)
     return loss.item()
 
 

@@ -13,7 +13,9 @@ the same ``forward`` as training, one scale per call, on the new rows
 only: each call gets those rows of the attention mask and a per-block
 key/value cache of all earlier rows. This is exact because the mask is
 prefix-closed: every row a position may see comes before its own scale,
-so it is already in the cache when the position is decoded.
+so it is already in the cache when the position is decoded. Under a
+tape the cached rounds are recorded like a full forward, so the
+refinement regime takes its loss on the logits its own decode produced.
 """
 
 from __future__ import annotations
@@ -187,6 +189,13 @@ class VarModel:
 # --------------------------------------------------------------------------
 
 
+def _scale_features(acc: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
+    """A composition [B, C, h_K, w_K] resized to one scale, as rows [B, h*w, C]."""
+    b, c = acc.shape[:2]
+    down = T.resize_bilinear(Tensor(acc), hw).data
+    return np.ascontiguousarray(down.reshape(b, c, hw[0] * hw[1]).transpose(0, 2, 1))
+
+
 def depth_input_features(model: VarModel, vq: VqModel,
                          prev_indices: list[np.ndarray],
                          k_max: int) -> list[np.ndarray | None]:
@@ -204,42 +213,45 @@ def depth_input_features(model: VarModel, vq: VqModel,
     acc = np.zeros((batch, vq.emb_dim) + vq.schedule.latent, np.float32)
     feats: list[np.ndarray | None] = []
     for j in range(k_max):
-        if j == 0:
-            feats.append(None)
-        else:
-            h, w = sizes[j]
-            down = T.resize_bilinear(Tensor(acc), (h, w)).data
-            feats.append(np.ascontiguousarray(
-                down.reshape(batch, vq.emb_dim, h * w).transpose(0, 2, 1)))
+        feats.append(None if j == 0 else _scale_features(acc, sizes[j]))
         if j < len(prev_indices):
             acc = acc + vq.eta_batch(prev_indices[j], j)
     return feats
+
+
+def _image_rows(model: VarModel, img_tokens: np.ndarray) -> Tensor:
+    p = model.params
+    img = T.embedding_lookup(p["tok_emb"], img_tokens.astype(np.int64))
+    return T.linear(img, p["img_proj_w"], p["img_proj_b"])
+
+
+def _depth_rows(model: VarModel, feats: np.ndarray | None, batch: int) -> Tensor:
+    """Input rows of one depth scale: the start embedding for scale 1
+    (``feats`` is None), else the projected features."""
+    p = model.params
+    if feats is None:
+        return T.embedding_lookup(p["start_emb"], np.zeros((batch, 1), np.int64))
+    return T.linear(Tensor(feats), p["depth_proj_w"], p["depth_proj_b"])
+
+
+def _position_table(model: VarModel, k_max: int) -> Tensor:
+    """Scale plus position embedding [L, D] of every sequence row."""
+    p = model.params
+    scale_rows = T.embedding_lookup(p["scale_emb"], model._static_ids(k_max))
+    pos_parts = [p[f"pos_emb/{k}"] for k in range(len(model.config.schedule))]
+    pos_parts += [p[f"pos_emb/{k}"] for k in range(k_max)]
+    return T.add(scale_rows, T.concat(pos_parts, axis=0))
 
 
 def embed_sequence(model: VarModel, img_tokens: np.ndarray,
                    depth_feats: list[np.ndarray | None]) -> Tensor:
     """Batched sequence embedding [B, L, D] from image token ids and the
     per-scale depth input features."""
-    p = model.params
-    k_max = len(depth_feats)
     b = img_tokens.shape[0]
-    img = T.embedding_lookup(p["tok_emb"], img_tokens.astype(np.int64))
-    parts = [T.linear(img, p["img_proj_w"], p["img_proj_b"])]
-    for j, feats in enumerate(depth_feats):
-        if j == 0:
-            start = T.embedding_lookup(p["start_emb"],
-                                       np.zeros((b, 1), np.int64))
-            parts.append(start)
-        else:
-            parts.append(T.linear(Tensor(feats), p["depth_proj_w"],
-                                  p["depth_proj_b"]))
-    x = T.concat(parts, axis=1)
-    ids = model._static_ids(k_max)
-    scale_rows = T.embedding_lookup(p["scale_emb"], ids)
-    pos_parts = [p[f"pos_emb/{k}"] for k in range(len(model.config.schedule))]
-    pos_parts += [p[f"pos_emb/{k}"] for k in range(k_max)]
-    pos_rows = T.concat(pos_parts, axis=0)
-    return T.add_table(x, T.add(scale_rows, pos_rows))
+    parts = [_image_rows(model, img_tokens)]
+    parts += [_depth_rows(model, feats, b) for feats in depth_feats]
+    return T.add_table(T.concat(parts, axis=1),
+                       _position_table(model, len(depth_feats)))
 
 
 # --------------------------------------------------------------------------
@@ -253,9 +265,9 @@ def forward(model: VarModel, inputs: Tensor, mask: np.ndarray,
 
     Without ``cache`` the inputs are whole sequences and ``mask`` their
     [L, L] ``attention_mask``. With ``cache`` (one ``T.KVCache`` per
-    block, inference only) they are the rows after the cached ones, and
-    ``mask`` is their rows of ``attention_mask(K)`` cut to the columns
-    they may see; the cache gains the rows.
+    block) they are the rows after the cached ones, and ``mask`` is their
+    rows of ``attention_mask(K)`` cut to the columns they may see; the
+    cache gains the rows. Either way the call records on an active tape.
     """
     x = inputs
     if mask.shape[0] != x.data.shape[1]:
@@ -281,29 +293,49 @@ def forward(model: VarModel, inputs: Tensor, mask: np.ndarray,
     return T.linear(depth_part, p["head_w"], p["head_b"])
 
 
-def infer_batch(model: VarModel, vq: VqModel,
-                img_tokens: np.ndarray) -> list[np.ndarray]:
+def _greedy(logits: np.ndarray) -> np.ndarray:
+    """Argmax token per position of logits [B, n, V]; ties pick the lowest."""
+    return logits.argmax(axis=2).astype(np.int32)
+
+
+def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
+                logits: list[Tensor] | None = None) -> list[np.ndarray]:
     """Greedy next-scale decoding for a batch; returns per-scale [B, n_k].
 
     One cached ``forward`` per scale: first the image prefix and the start
     row, then each depth scale against all earlier rows, which is exact
-    because the mask is prefix-closed. The sequence embedding is rebuilt
-    per round by the same code the training passes use, so the inputs
-    consumed here are bitwise what a full forward would consume.
+    because the mask is prefix-closed. Each round embeds only its new rows,
+    with the helpers of ``embed_sequence``, from a composition that gains
+    one ``eta_batch`` per decoded scale; so the rows are bitwise those a
+    full forward over the predictions would consume.
+
+    Under a tape the rounds are recorded, and ``logits``, when given,
+    receives each round's [B, n_k, V] logits Tensor: joined, they are the
+    logits of one masked forward over the predictions, ready for a loss.
     """
     schedule = model.config.schedule
+    k_total = len(schedule)
     sizes = schedule.tokens_per_scale()
-    mask = model.attention_mask(len(schedule))
+    mask = model.attention_mask(k_total)
+    table = _position_table(model, k_total)
     cache = [T.KVCache() for _ in range(model.config.blocks)]
+    batch = img_tokens.shape[0]
+    acc = np.zeros((batch, vq.emb_dim) + vq.schedule.latent, np.float32)
     preds: list[np.ndarray] = []
     start = 0  # first sequence row not yet in the cache
-    for k in range(len(schedule)):
-        feats = depth_input_features(model, vq, preds, k + 1)
-        seq = embed_sequence(model, img_tokens, feats)
-        stop = seq.shape[1]
+    for k in range(k_total):
+        feats = _scale_features(acc, schedule.sizes[k]) if k else None
+        rows = _depth_rows(model, feats, batch)
+        if k == 0:
+            rows = T.concat([_image_rows(model, img_tokens), rows], axis=1)
+        stop = start + rows.shape[1]
         seen = stop - sizes[k]  # image prefix and depth scales < k
-        logits = forward(model, T.slice_axis(seq, 1, start, stop),
-                         mask[start:stop, :seen], cache)
-        preds.append(logits.data.argmax(axis=2).astype(np.int32))
+        out = forward(model, T.add_table(rows, T.slice_axis(table, 0, start, stop)),
+                      mask[start:stop, :seen], cache)
+        preds.append(_greedy(out.data))
+        if logits is not None:
+            logits.append(out)
+        if k + 1 < k_total:
+            acc = acc + vq.eta_batch(preds[k], k)
         start = stop
     return preds

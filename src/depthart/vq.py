@@ -211,11 +211,14 @@ class VqModel:
         return self.codebook.nearest(flat).reshape(b, hw[0] * hw[1])
 
     def eta_batch(self, indices: np.ndarray, k: int) -> np.ndarray:
-        """eta over a batch of flattened index maps [B, h_k*w_k]."""
+        """eta over a batch of flattened index maps [B, h_k*w_k]. Runs on
+        constants only, so it records nothing on an active tape."""
         h, w = self.schedule.sizes[k]
         emb = self.codebook.vectors[indices.reshape(-1)].reshape(
             indices.shape[0], h, w, self.emb_dim).transpose(0, 3, 1, 2)
-        return self.eta_features(Tensor(np.ascontiguousarray(emb))).data
+        up = T.resize_bilinear(Tensor(np.ascontiguousarray(emb)), self.schedule.latent)
+        return T.conv2d(up, Tensor(self.params["eta/w"].data), None,
+                        stride=1, padding=1).data
 
     def decompose_batch(self, feats: np.ndarray) -> list[np.ndarray]:
         """Iterative residual quantization of [B, C, h_K, w_K] features over

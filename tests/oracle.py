@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from depthart import tensor as T
+from depthart import tensor as T, training, var
 
 
 def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
@@ -60,3 +60,23 @@ def min_pairwise_distance(vectors: np.ndarray) -> float:
     d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
     np.fill_diagonal(d2, np.inf)
     return float(np.sqrt(d2.min()))
+
+
+def depthart_two_pass(model, vq, batch):
+    """(loss, grads) of a refinement step computed in two passes: untaped
+    greedy inference for the predictions, then one full masked taped
+    forward over the inputs they define. ``grads`` maps each parameter
+    name to its gradient; nothing is updated."""
+    k_total = len(vq.schedule)
+    z_idx = var.infer_batch(model, vq, batch.image_tokens)
+    targets = training.depthart_targets_batch(z_idx, batch.f_depth, vq)
+    feats = var.depth_input_features(model, vq, z_idx[:k_total - 1], k_total)
+    with T.Tape():
+        seq = var.embed_sequence(model, batch.image_tokens, feats)
+        logits = var.forward(model, seq, model.attention_mask(k_total))
+        loss = training._scale_loss(model, logits, targets)
+        loss.backward()
+    grads = {name: p.grad for name, p in model.params.items()}
+    for p in model.params.values():
+        p.grad = None
+    return loss.item(), grads

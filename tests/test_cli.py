@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from depthart import cli
+from depthart.data import write_mask
 from depthart.metrics import MetricsReport
 from depthart.var import VarModel
 from depthart.vq import VqModel
@@ -156,6 +157,17 @@ def test_eval_with_truncated_depth_file_is_a_data_error(workspace, tmp_path):
     code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
                      "--vq", str(workspace / "vq" / "vqvae.dart"),
                      "--data", str(data), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+
+
+def test_eval_with_sample_files_of_different_sizes_is_a_data_error(workspace,
+                                                                  tmp_path):
+    data_dir = tmp_path / "data"
+    shutil.copytree(workspace / "data", data_dir)
+    write_mask(str(data_dir / "eval_00000.mask"), np.ones((16, 16), bool))
+    code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--data", str(data_dir), "--out", str(tmp_path / "x.csv")])
     assert code == 3
 
 

@@ -235,11 +235,37 @@ def test_truncated_sample_file_raises_data_error_at_every_offset(tmp_path, kind)
 def test_malformed_plane_header_raises_data_error(tmp_path):
     rel = data.save_sample(str(tmp_path), "s", small_sample())
     path = tmp_path / rel["planes"]
-    header, rle = path.read_text().splitlines()
+    count, header, rle = path.read_text().splitlines()
     for bad in (header.replace("1.0", "x"), header.rsplit(" ", 1)[0]):
-        path.write_text(f"{bad}\n{rle}\n")
+        path.write_text(f"{count}\n{bad}\n{rle}\n")
         with pytest.raises(data.DataError, match="plane header"):
             data.load_sample(str(tmp_path), rel)
+
+
+def test_truncated_planes_file_raises_data_error(tmp_path):
+    sample = render_scene(SceneSpec.from_seed(7))
+    assert len(sample.planes) == 2
+    rel = data.save_sample(str(tmp_path), "s", sample)
+    path = tmp_path / rel["planes"]
+    lines = path.read_text().splitlines()
+    assert lines[0] == "2" and len(lines) == 5
+    for kept in (lines[:3], lines[:4], lines[1:], ["x"] + lines[1:], []):
+        path.write_text("".join(line + "\n" for line in kept))
+        with pytest.raises(data.DataError, match="plane"):
+            data.load_sample(str(tmp_path), rel)
+
+
+@pytest.mark.parametrize("kind", ["depth", "mask", "image"])
+def test_sample_files_of_different_sizes_raise_data_error(tmp_path, kind):
+    rel = data.save_sample(str(tmp_path), "s", small_sample())
+    other = small_sample()
+    writers = {"depth": (data.write_depth, other.depth[:, :6]),
+               "mask": (data.write_mask, other.mask[:4]),
+               "image": (data.write_ppm, other.image[:, :, :6])}
+    write, raster = writers[kind]
+    write(str(tmp_path / rel[kind]), raster)
+    with pytest.raises(data.DataError, match="sizes differ"):
+        data.load_sample(str(tmp_path), rel)
 
 
 def test_load_manifest_split_filter(tmp_path):

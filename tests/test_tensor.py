@@ -261,10 +261,37 @@ def test_cached_attention_matches_masked():
     assert np.allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
 
-def test_cached_attention_under_tape_raises():
-    qkv = T.Tensor(r(1, 2, 3 * 4))
-    with T.Tape(), pytest.raises(RuntimeError):
-        T.multihead_attention(qkv, 2, np.zeros((2, 2)), T.KVCache())
+def cached_rounds(qkv, heads, mask, bounds):
+    """Attention of ``qkv`` run round by round through a KV cache, each
+    round on a taped slice of the rows, joined back to [B, L, D]."""
+    cache = T.KVCache()
+    parts = [T.multihead_attention(T.slice_axis(qkv, 1, lo, hi), heads,
+                                   mask[lo:hi, :hi], cache)
+             for lo, hi in bounds]
+    return T.concat(parts, axis=1)
+
+
+def test_cached_attention_under_tape_matches_masked_grad():
+    # rounds as in decoding: a prefix that sees itself, then blocks that see
+    # only earlier rows, so gradients must reach earlier rounds' keys/values
+    ids = np.repeat(np.arange(4), [3, 2, 1, 4])
+    mask = np.where((ids[None, :] < ids[:, None]) | (ids[None, :] == 0),
+                    0.0, -np.inf)
+    bounds = ((0, 3), (3, 5), (5, 6), (6, 10))
+    data = r(2, 10, 3 * 6).astype(np.float32)
+    w = r(2, 10, 6).astype(np.float32)
+    grads = []
+    for run in (lambda x: T.multihead_attention(x, 3, mask),
+                lambda x: cached_rounds(x, 3, mask, bounds)):
+        qkv = T.Tensor(data, requires_grad=True)
+        with T.Tape():
+            T.sum_all(T.mul(run(qkv), T.Tensor(w))).backward()
+        grads.append(qkv.grad)
+    assert np.abs(grads[0][:, :, 6:]).max() > 0  # keys and values get gradient
+    assert np.allclose(grads[1], grads[0], rtol=1e-5, atol=1e-5)
+    small = ((0, 2), (2, 3), (3, 5))
+    fd_gradcheck(lambda x: cached_rounds(x, 2, block_causal_mask([2, 1, 2]), small),
+                 [r(2, 5, 3 * 4)])
 
 
 # ---------------------------------------------------------------------------

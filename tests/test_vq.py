@@ -91,6 +91,16 @@ def test_eta_matches_resize_then_conv_oracle():
     assert np.allclose(got, want, atol=1e-6)
 
 
+def test_eta_and_decompose_record_nothing_on_a_tape():
+    # the decode calls them between taped rounds: eta/w must get no gradient
+    m = tiny_model(seed=4)
+    feats = rng.standard_normal((2, m.emb_dim) + m.schedule.latent).astype(np.float32)
+    with T.Tape() as tape:
+        maps = m.decompose_batch(feats)
+        m.eta_batch(maps[1], 1)
+        assert tape.records == []
+
+
 # ---------------------------------------------------------------------------
 # decompose / compose
 # ---------------------------------------------------------------------------
