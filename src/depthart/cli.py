@@ -1,9 +1,10 @@
 """One binary for the whole pipeline.
 
-Subcommands: gen-data, train-vqvae, train-var, eval, scale-curve.
+Subcommands: gen-data, train-vqvae, train-var, eval, scale-curve, rank.
 Trainers read a key=value config file; flags win over file values. Every
-run writes a JSON run manifest next to its outputs. Exit codes: 0 ok,
-2 usage error, 3 data error, 4 numeric divergence.
+command that writes outputs writes a JSON run manifest next to them;
+``rank`` only prints. Exit codes: 0 ok, 2 usage error, 3 data error,
+4 numeric divergence.
 
 DEPTHART_THREADS caps the numeric backend's thread pool; it must be set
 before the first numpy import, which this module guarantees for console
@@ -34,8 +35,9 @@ import numpy as np  # noqa: E402
 from . import __version__  # noqa: E402
 from .checkpoint import CheckpointError  # noqa: E402
 from .data import DataError, load_manifest, make_dataset, normalize_depth  # noqa: E402
-from .metrics import (evaluate_rasters, per_scale_curve,  # noqa: E402
-                      predict_depth_rasters, write_scale_curve_csv)
+from .metrics import (METRIC_COLUMNS, MetricError, MetricsReport,  # noqa: E402
+                      evaluate_rasters, per_scale_curve, predict_depth_rasters,
+                      rank_models, write_scale_curve_csv)
 from .training import (ConfigError, TrainConfig, fit, read_config,  # noqa: E402
                        write_loss_curve)
 from .var import VarConfig, VarModel  # noqa: E402
@@ -194,6 +196,35 @@ def cmd_scale_curve(args) -> int:
     return EXIT_OK
 
 
+def cmd_rank(args) -> int:
+    reports = []
+    for path in args.reports:
+        with open(path, "r", encoding="utf-8") as f:
+            try:
+                reports.append(MetricsReport.from_csv(f.read()))
+            except MetricError as e:
+                raise MetricError(f"{path}: {e}") from None
+    rank_models(reports)
+    print(_rank_table(reports), end="")
+    return EXIT_OK
+
+
+def _rank_table(reports) -> str:
+    """The paper's results table: one line per model, the four metrics of
+    each dataset (PE-fla in cm, PE-ori in degrees), then the Rank column,
+    the model's mean ascending rank over all metric cells."""
+    header = ["model"] + [f"{row.dataset}:{col}" for row in reports[0].rows
+                          for col in METRIC_COLUMNS] + ["rank"]
+    lines = [header]
+    for rep in reports:
+        lines.append([rep.model] + [f"{getattr(row, col):.4f}" for row in rep.rows
+                                    for col in METRIC_COLUMNS] + [f"{rep.rank:.2f}"])
+    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+    return "".join("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
+                             for i, (cell, w) in enumerate(zip(line, widths))) + "\n"
+                   for line in lines)
+
+
 def _write_svg_curve(path: str, curve, floor: float) -> None:
     w, h, pad = 480, 320, 40
     ks = [k for k, _ in curve]
@@ -272,6 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--svg")
     sc.add_argument("--split", default="eval")
     sc.set_defaults(fn=cmd_scale_curve)
+
+    rk = sub.add_parser("rank", help="rank models by their eval CSVs")
+    rk.add_argument("reports", nargs="+", metavar="eval.csv")
+    rk.set_defaults(fn=cmd_rank)
     return p
 
 
@@ -286,7 +321,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ScheduleError, CheckpointError, OSError) as e:
+    except (DataError, ScheduleError, CheckpointError, MetricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:

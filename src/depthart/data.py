@@ -175,8 +175,10 @@ def _intersect_box(eye, dirs, lo, hi):
 
 
 def render_scene(spec: SceneSpec, max_retries: int = 8) -> DepthSample:
-    """Ray-cast the scene; regenerates with a perturbed seed if the view is
-    degenerate (almost nothing visible)."""
+    """Ray-cast the scene. If the view is degenerate (almost nothing
+    visible), a seed's own scene (``SceneSpec.from_seed``) is regenerated
+    with a perturbed seed; any other spec raises ``DataError``, since a
+    replacement would not be the scene the caller built."""
     for attempt in range(max_retries):
         use = spec if attempt == 0 else SceneSpec.from_seed(
             spec.seed + 1_000_003 * attempt)
@@ -185,6 +187,11 @@ def render_scene(spec: SceneSpec, max_retries: int = 8) -> DepthSample:
         has_plane = any(p.mask.sum() >= MIN_PLANE_PIXELS for p in sample.planes)
         if valid_frac >= MIN_VALID_FRACTION and has_plane:
             return sample
+        if attempt == 0 and spec != SceneSpec.from_seed(spec.seed):
+            raise DataError(
+                f"scene with seed {spec.seed}: unusable view (valid fraction "
+                f"{valid_frac:.3f}, needs {MIN_VALID_FRACTION} and a plane of "
+                f"{MIN_PLANE_PIXELS} pixels)")
     raise DataError(f"seed {spec.seed}: no usable view after {max_retries} tries")
 
 

@@ -167,11 +167,18 @@ class MetricsReport:
         if not rows or rows[0] != ["model", "dataset", "absrel", "delta1_err",
                                    "pe_fla", "pe_ori", "scale"]:
             raise MetricError("metrics CSV: unexpected header")
-        report = cls(model=rows[1][0] if len(rows) > 1 else "")
-        for r in rows[1:]:
-            report.rows.append(DatasetRow(
-                dataset=r[1], absrel=float(r[2]), delta1_err=float(r[3]),
-                pe_fla=float(r[4]), pe_ori=float(r[5]), scale=float(r[6])))
+        if len(rows) < 2:
+            raise MetricError("metrics CSV: no rows")
+        report = cls(model=rows[1][0] if rows[1] else "")
+        for line, r in enumerate(rows[1:], start=2):
+            if len(r) != 7 or r[0] != report.model:
+                raise MetricError(f"metrics CSV line {line}: expected 7 fields "
+                                  f"of model {report.model!r}, got {r!r}")
+            try:
+                values = [float(x) for x in r[2:]]
+            except ValueError as e:
+                raise MetricError(f"metrics CSV line {line}: {e}") from None
+            report.rows.append(DatasetRow(r[1], *values))
         return report
 
 

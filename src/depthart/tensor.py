@@ -20,10 +20,13 @@ Parameters and activations are float32. Tests may build float64 tensors
 are dtype-preserving.
 
 No implicit broadcasting: elementwise ops require exact shape equality.
-The few places that need a broadcast (bias add, positional-table add,
-attention masking) are explicit named ops with hand-written backward
-passes. Each thread has its own stack of active tapes, so a tape records
-only the ops of the thread that opened it, and other threads may run
+The few places that need a broadcast (bias add, positional-table add)
+are explicit named ops with hand-written backward passes. Attention takes
+no additive mask: it gets each query row's count of visible keys and
+never scores the keys beyond it.
+
+Each thread has its own stack of active tapes, so a tape records only
+the ops of the thread that opened it, and other threads may run
 inference while one trains. A tape and the tensors recorded on it belong
 to that thread.
 """
@@ -488,9 +491,11 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 class KVCache:
     """Keys and values [B, H, L, dh] of the L rows one attention layer has
-    seen, for incremental decoding. Under a tape it also keeps each round's
-    packed ``qkv`` Tensor with the position of its first row, so that later
-    rounds can send key/value gradients back to the rows they attended to."""
+    seen, for incremental decoding. A call appends every row of its ``qkv``,
+    including rows it asks no query for. Under a tape it also keeps each
+    round's packed ``qkv`` Tensor with the position of its first row, so
+    that later rounds can send key/value gradients back to the rows they
+    attended to."""
 
     def __init__(self) -> None:
         self.k: Optional[np.ndarray] = None
@@ -501,32 +506,40 @@ class KVCache:
         return 0 if self.k is None else self.k.shape[2]
 
 
-def multihead_attention(qkv: Tensor, heads: int, mask: np.ndarray,
+def multihead_attention(qkv: Tensor, heads: int, visible: np.ndarray,
                         cache: Optional[KVCache] = None) -> Tensor:
-    """Fused masked attention over a packed ``[B, L, 3D]`` projection.
+    """Fused attention over a packed ``[B, L, 3D]`` projection, where query
+    row i sees only the first ``visible[i]`` keys.
 
-    Splits heads, runs scaled dot-product attention with the additive
-    ``[L, L]`` mask, and merges heads back to ``[B, L, D]`` - one tape
-    record for the whole block, which keeps the training loop off the
-    Python floor. With ``cache`` the rows follow those in the cache, are
-    appended to it, and attend to the first ``mask.shape[1]`` keys of the
-    cache and themselves. Recorded on a tape, the backward pass sends the
-    query gradient to ``qkv`` and the key/value gradient of every visible
-    key to the ``qkv`` rows it came from, earlier rounds' rows included.
+    The queries are the last ``len(visible)`` rows of ``qkv``, and the
+    output is ``[B, len(visible), D]``. The keys are the rows of ``cache``,
+    when given, followed by every row of ``qkv``; the cache gains those
+    rows. Each run of query rows with equal counts scores, normalizes and
+    averages its own key prefix, so no score is computed for a key a row
+    may not see. The whole block is one tape record, which keeps the
+    training loop off the Python floor. Recorded on a tape, the backward
+    pass sends the query gradient to the query rows of ``qkv`` and the
+    key/value gradient of every visible key to the ``qkv`` rows it came
+    from, earlier rounds' rows included.
     """
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads) != 0:
         raise DimensionError("multihead_attention: expected [B, L, 3D]")
     b, length, threed = qkv.data.shape
     d = threed // 3
     dh = d // heads
-    visible = mask.shape[1]
+    nq = len(visible)
+    first = 0 if cache is None else len(cache)  # position of qkv's first row
+    seen = int(visible.max()) if nq else 0  # keys any query sees
+    if nq > length or (nq and (visible.min() < 1 or seen > first + length)):
+        raise DimensionError(
+            f"multihead_attention: {nq} queries over {length} rows need "
+            f"counts in [1, {first + length}]")
     arr = qkv.data.reshape(b, length, 3, heads, dh)
-    q = np.ascontiguousarray(arr[:, :, 0].transpose(0, 2, 1, 3))
+    q = np.ascontiguousarray(arr[:, length - nq:, 0].transpose(0, 2, 1, 3))
     k = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
     v = np.ascontiguousarray(arr[:, :, 2].transpose(0, 2, 1, 3))
     sources = [(qkv, 0)]  # (packed rows, position of their first row)
     if cache is not None:
-        first = len(cache)
         if cache.k is not None:
             k = np.concatenate([cache.k, k], axis=2)
             v = np.concatenate([cache.v, v], axis=2)
@@ -534,37 +547,52 @@ def multihead_attention(qkv: Tensor, heads: int, mask: np.ndarray,
         if active_tape() is not None and qkv._needs_grad():
             cache.rounds.append((qkv, first))
         sources = list(cache.rounds)
-        k, v = k[:, :, :visible], v[:, :, :visible]
+    edges = [0, *(np.flatnonzero(np.diff(visible)) + 1).tolist(), nq] if nq else []
+    runs = list(zip(edges[:-1], edges[1:]))  # query rows [lo, hi) of equal count
     inv_sqrt = 1.0 / math.sqrt(dh)
-    p = q @ k.swapaxes(-1, -2)  # scores, turned into probabilities in place
-    p *= inv_sqrt
-    p += mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    heads_out = p @ v  # [B, H, L, dh]
-    out = Tensor(heads_out.transpose(0, 2, 1, 3).reshape(b, length, d),
-                 dtype=qkv.dtype)
+    heads_out = np.empty((b, nq, heads, dh), dtype=qkv.dtype)
+    probs = []
+    for lo, hi in runs:
+        n = int(visible[lo])
+        p = q[:, :, lo:hi] @ k[:, :, :n].swapaxes(-1, -2)  # scores, then in place
+        p *= inv_sqrt                                      # probabilities
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        heads_out[:, lo:hi] = (p @ v[:, :, :n]).transpose(0, 2, 1, 3)
+        probs.append(p)
+    out = Tensor(heads_out.reshape(b, nq, d), dtype=qkv.dtype)
 
     def backward(g):
         gh = np.ascontiguousarray(
-            g.reshape(b, length, heads, dh).transpose(0, 2, 1, 3))
-        dp = gh @ v.swapaxes(-1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        ds *= inv_sqrt
-        dk = ds.swapaxes(-1, -2) @ q   # [B, H, visible, dh]
-        dv = p.swapaxes(-1, -2) @ gh
+            g.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
+        dq = np.empty((b, nq, heads, dh), dtype=g.dtype)
+        dk = np.zeros((b, heads, seen, dh), dtype=g.dtype)
+        dv = np.zeros_like(dk)
+        for (lo, hi), p in zip(runs, probs):
+            n = p.shape[-1]
+            ds = gh[:, :, lo:hi] @ v[:, :, :n].swapaxes(-1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= inv_sqrt
+            dq[:, lo:hi] = (ds @ k[:, :, :n]).transpose(0, 2, 1, 3)
+            # for a one-row run these are outer products, which numpy's
+            # matmul computes without BLAS, about 20x slower than multiply
+            mm = np.multiply if hi - lo == 1 else np.matmul
+            dk[:, :, :n] += mm(ds.swapaxes(-1, -2), q[:, :, lo:hi])
+            dv[:, :, :n] += mm(p.swapaxes(-1, -2), gh[:, :, lo:hi])
         for src, lo in sources:
             if not src._needs_grad():
                 continue
             n = src.data.shape[1]
-            seen = max(min(lo + n, visible) - lo, 0)  # rows of src among the keys
-            filled = src is qkv and seen == n  # every q, k and v row written below
+            keys = max(min(lo + n, seen) - lo, 0)  # rows of src among the keys
+            # every q, k and v row is written below
+            filled = src is qkv and keys == n and nq == n
             dsrc = (np.empty if filled else np.zeros)((b, n, 3, heads, dh), dtype=g.dtype)
             if src is qkv:
-                dsrc[:, :, 0] = (ds @ k).transpose(0, 2, 1, 3)
-            dsrc[:, :seen, 1] = dk[:, :, lo:lo + seen].transpose(0, 2, 1, 3)
-            dsrc[:, :seen, 2] = dv[:, :, lo:lo + seen].transpose(0, 2, 1, 3)
+                dsrc[:, n - nq:, 0] = dq
+            dsrc[:, :keys, 1] = dk[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
+            dsrc[:, :keys, 2] = dv[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
             src._accumulate_owned(dsrc.reshape(b, n, threed))
 
     return _maybe_record(out, [src for src, _ in sources], backward)

@@ -6,16 +6,20 @@ for depth scale k is the accumulated composition of the previous depth
 predictions, downsampled to scale k and linearly projected; scale 1 uses
 a learned start embedding. Attention for a depth position at scale k
 reaches the whole image prefix and depth scales strictly below k, so the
-scale-k logits are a function of (image tokens, z_{<k}) only.
+scale-k logits are a function of (image tokens, z_{<k}) only. Every row
+sees a prefix of the sequence, so the mask is one count per row: row i
+attends to keys [0, visible[i]). The head reads only the depth rows, so
+the last block computes attention output, MLP and final norm for those
+rows alone.
 
 Decoding is greedy argmax per position, lowest index on ties. It runs
 the same ``forward`` as training, one scale per call, on the new rows
-only: each call gets those rows of the attention mask and a per-block
-key/value cache of all earlier rows. This is exact because the mask is
-prefix-closed: every row a position may see comes before its own scale,
-so it is already in the cache when the position is decoded. Under a
-tape the cached rounds are recorded like a full forward, so the
-refinement regime takes its loss on the logits its own decode produced.
+only: each call gets those rows' counts and a per-block key/value cache
+of all earlier rows. This is exact because the mask is prefix-closed:
+every row a position may see comes before its own scale, so it is
+already in the cache when the position is decoded. Under a tape the
+cached rounds are recorded like a full forward, so the refinement regime
+takes its loss on the logits its own decode produced.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from . import checkpoint
 from . import tensor as T
 from .tensor import Tensor
 from .vq import ScaleSchedule, ScheduleError, VqModel
-
-NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -151,23 +153,21 @@ class VarModel:
         return out
 
     def attention_mask(self, k_max: int) -> np.ndarray:
-        """Additive [L, L] mask for a sequence holding k_max depth scales."""
+        """Visible-key counts [L] of a sequence holding k_max depth scales:
+        row i attends to keys [0, visible[i]). Image rows see the whole
+        image; depth scale k sees the image and depth scales < k."""
         hit = self._mask_cache.get(k_max)
         if hit is not None:
             return hit
         tokens = self.config.schedule.tokens_per_scale()
         n_img = sum(tokens)
-        length = n_img + sum(tokens[:k_max])
-        mask = np.full((length, length), NEG_INF, np.float32)
-        mask[:n_img, :n_img] = 0.0  # image attends to all of image
-        off = n_img
+        counts = [n_img] * n_img
         for k in range(k_max):
-            rows = slice(off, off + tokens[k])
-            mask[rows, :n_img] = 0.0                   # full image prefix
-            mask[rows, n_img:off] = 0.0                # depth scales < k
-            off += tokens[k]
-        self._mask_cache[k_max] = mask
-        return mask
+            counts += [n_img + sum(tokens[:k])] * tokens[k]
+        visible = np.asarray(counts, np.int64)
+        visible.flags.writeable = False  # shared by every caller
+        self._mask_cache[k_max] = visible
+        return visible
 
     def _static_ids(self, k_max: int) -> np.ndarray:
         hit = self._ids_cache.get(k_max)
@@ -259,38 +259,44 @@ def embed_sequence(model: VarModel, img_tokens: np.ndarray,
 # --------------------------------------------------------------------------
 
 
-def forward(model: VarModel, inputs: Tensor, mask: np.ndarray,
+def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
             cache: list[T.KVCache] | None = None) -> Tensor:
     """Logits [B, N, V] for the depth positions among the input rows [B, L, D].
 
-    Without ``cache`` the inputs are whole sequences and ``mask`` their
-    [L, L] ``attention_mask``. With ``cache`` (one ``T.KVCache`` per
-    block) they are the rows after the cached ones, and ``mask`` is their
-    rows of ``attention_mask(K)`` cut to the columns they may see; the
-    cache gains the rows. Either way the call records on an active tape.
+    ``visible`` holds the input rows' visible-key counts. Without ``cache``
+    the inputs are whole sequences and ``visible`` their
+    ``attention_mask``. With ``cache`` (one ``T.KVCache`` per block) they
+    are the rows after the cached ones, and ``visible`` is their slice of
+    ``attention_mask(K)``; the cache gains the rows. The last block builds
+    keys and values for every row but runs everything after them on the
+    depth rows only, since the head reads nothing else. Either way the
+    call records on an active tape.
     """
     x = inputs
-    if mask.shape[0] != x.data.shape[1]:
+    length = x.data.shape[1]
+    if len(visible) != length:
         raise ScheduleError(
-            f"mask length {mask.shape[0]} != sequence length {x.data.shape[1]}")
+            f"mask length {len(visible)} != sequence length {length}")
     p = model.params
     cfg = model.config
-    length = x.data.shape[1]
     first = 0 if cache is None else len(cache[0])  # position of row 0
+    n_lead = min(max(model.n_image_tokens() - first, 0), length)  # image rows
     for blk in range(cfg.blocks):
         pre = f"block{blk}/"
+        last = blk == cfg.blocks - 1
         h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
         qkv = T.linear(h, p[pre + "qkv_w"], p[pre + "qkv_b"])
-        att = T.multihead_attention(qkv, cfg.heads, mask,
+        att = T.multihead_attention(qkv, cfg.heads,
+                                    visible[n_lead:] if last else visible,
                                     None if cache is None else cache[blk])
+        if last:
+            x = T.slice_axis(x, 1, n_lead, length)
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
         h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
         h2 = T.gelu(T.linear(h2, p[pre + "mlp_w1"], p[pre + "mlp_b1"]))
         x = T.add(x, T.linear(h2, p[pre + "mlp_w2"], p[pre + "mlp_b2"]))
     x = T.layer_norm(x, p["ln_f_g"], p["ln_f_b"])
-    n_img = model.n_image_tokens()
-    depth_part = T.slice_axis(x, 1, max(n_img - first, 0), length)
-    return T.linear(depth_part, p["head_w"], p["head_b"])
+    return T.linear(x, p["head_w"], p["head_b"])
 
 
 def _greedy(logits: np.ndarray) -> np.ndarray:
@@ -302,12 +308,14 @@ def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
                 logits: list[Tensor] | None = None) -> list[np.ndarray]:
     """Greedy next-scale decoding for a batch; returns per-scale [B, n_k].
 
-    One cached ``forward`` per scale: first the image prefix and the start
-    row, then each depth scale against all earlier rows, which is exact
-    because the mask is prefix-closed. Each round embeds only its new rows,
-    with the helpers of ``embed_sequence``, from a composition that gains
-    one ``eta_batch`` per decoded scale; so the rows are bitwise those a
-    full forward over the predictions would consume.
+    One cached ``forward`` per scale with the new rows' slice of
+    ``attention_mask(K)``: first the image prefix and the start row, whose
+    last block then runs on the start row alone, then each depth scale
+    against all earlier rows, which is exact because the mask is
+    prefix-closed. Each round embeds only its new rows, with the helpers
+    of ``embed_sequence``, from a composition that gains one ``eta_batch``
+    per decoded scale; so the rows are bitwise those a full forward over
+    the predictions would consume.
 
     Under a tape the rounds are recorded, and ``logits``, when given,
     receives each round's [B, n_k, V] logits Tensor: joined, they are the
@@ -315,8 +323,7 @@ def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
     """
     schedule = model.config.schedule
     k_total = len(schedule)
-    sizes = schedule.tokens_per_scale()
-    mask = model.attention_mask(k_total)
+    visible = model.attention_mask(k_total)
     table = _position_table(model, k_total)
     cache = [T.KVCache() for _ in range(model.config.blocks)]
     batch = img_tokens.shape[0]
@@ -329,9 +336,8 @@ def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
         if k == 0:
             rows = T.concat([_image_rows(model, img_tokens), rows], axis=1)
         stop = start + rows.shape[1]
-        seen = stop - sizes[k]  # image prefix and depth scales < k
         out = forward(model, T.add_table(rows, T.slice_axis(table, 0, start, stop)),
-                      mask[start:stop, :seen], cache)
+                      visible[start:stop], cache)
         preds.append(_greedy(out.data))
         if logits is not None:
             logits.append(out)

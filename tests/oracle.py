@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from depthart import tensor as T, training, var
@@ -80,3 +82,81 @@ def depthart_two_pass(model, vq, batch):
     for p in model.params.values():
         p.grad = None
     return loss.item(), grads
+
+
+def dense_attention(qkv, heads, visible, cache=None):
+    """``T.multihead_attention`` as one dense masked softmax: the counts are
+    expanded to an additive ``[len(visible), keys]`` mask of 0 and -inf,
+    every query row scores every key, and the mask is added before the
+    softmax. Records on an active tape, with the same gradient routing."""
+    b, length, threed = qkv.data.shape
+    d = threed // 3
+    dh = d // heads
+    visible = np.asarray(visible)
+    nq = len(visible)
+    arr = qkv.data.reshape(b, length, 3, heads, dh)
+    q = np.ascontiguousarray(arr[:, length - nq:, 0].transpose(0, 2, 1, 3))
+    k = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
+    v = np.ascontiguousarray(arr[:, :, 2].transpose(0, 2, 1, 3))
+    sources = [(qkv, 0)]
+    if cache is not None:
+        first = len(cache)
+        if cache.k is not None:
+            k = np.concatenate([cache.k, k], axis=2)
+            v = np.concatenate([cache.v, v], axis=2)
+        cache.k, cache.v = k, v
+        if T.active_tape() is not None and qkv._needs_grad():
+            cache.rounds.append((qkv, first))
+        sources = list(cache.rounds)
+    n_keys = k.shape[2]
+    mask = np.where(np.arange(n_keys)[None, :] < visible[:, None], 0.0, -np.inf)
+    inv_sqrt = 1.0 / math.sqrt(dh)
+    p = q @ k.swapaxes(-1, -2)
+    p *= inv_sqrt
+    p += mask.astype(p.dtype)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    heads_out = p @ v
+    out = T.Tensor(heads_out.transpose(0, 2, 1, 3).reshape(b, nq, d), dtype=qkv.dtype)
+
+    def backward(g):
+        gh = np.ascontiguousarray(g.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
+        dp = gh @ v.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= inv_sqrt
+        dk = ds.swapaxes(-1, -2) @ q
+        dv = p.swapaxes(-1, -2) @ gh
+        for src, lo in sources:
+            if not src._needs_grad():
+                continue
+            n = src.data.shape[1]
+            dsrc = np.zeros((b, n, 3, heads, dh), dtype=g.dtype)
+            if src is qkv:
+                dsrc[:, n - nq:, 0] = (ds @ k).transpose(0, 2, 1, 3)
+            dsrc[:, :, 1] = dk[:, :, lo:lo + n].transpose(0, 2, 1, 3)
+            dsrc[:, :, 2] = dv[:, :, lo:lo + n].transpose(0, 2, 1, 3)
+            src._accumulate_owned(dsrc.reshape(b, n, threed))
+
+    return T._maybe_record(out, [src for src, _ in sources], backward)
+
+
+def forward_all_rows(model, inputs, visible):
+    """Logits of ``var.forward`` on a whole sequence computed the long way:
+    every block, the last one included, runs all rows through
+    ``dense_attention``, and the depth rows are sliced out after the final
+    layer norm."""
+    p = model.params
+    x = inputs
+    for blk in range(model.config.blocks):
+        pre = f"block{blk}/"
+        h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
+        qkv = T.linear(h, p[pre + "qkv_w"], p[pre + "qkv_b"])
+        att = dense_attention(qkv, model.config.heads, visible)
+        x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
+        h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
+        h2 = T.gelu(T.linear(h2, p[pre + "mlp_w1"], p[pre + "mlp_b1"]))
+        x = T.add(x, T.linear(h2, p[pre + "mlp_w2"], p[pre + "mlp_b2"]))
+    x = T.layer_norm(x, p["ln_f_g"], p["ln_f_b"])
+    depth = T.slice_axis(x, 1, model.n_image_tokens(), x.shape[1])
+    return T.linear(depth, p["head_w"], p["head_b"])

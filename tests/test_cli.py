@@ -252,3 +252,45 @@ def test_kill_leaves_loadable_checkpoint(workspace, tmp_path):
         proc.wait(timeout=30)
     model = VarModel.load(str(ckpt))
     assert model.config.schedule.sizes == ((1, 1), (2, 2), (4, 4), (8, 8))
+
+
+def write_report(path, model, rows):
+    """An eval CSV of ``model`` with (dataset, absrel, delta1_err, pe_fla,
+    pe_ori) rows."""
+    from depthart.metrics import DatasetRow
+    report = MetricsReport(model, [DatasetRow(*r, scale=1.0) for r in rows])
+    path.write_text(report.to_csv())
+    return str(path)
+
+
+def test_rank_prints_table_with_rank_column(tmp_path, capsys):
+    a = write_report(tmp_path / "a.csv", "m1", [("d1", 0.1, 0.3, 2.0, 5.0),
+                                               ("d2", 0.2, 0.4, 3.0, 6.0)])
+    b = write_report(tmp_path / "b.csv", "m2", [("d1", 0.2, 0.2, 1.0, 9.0),
+                                               ("d2", 0.1, 0.3, 2.0, 7.0)])
+    c = write_report(tmp_path / "c.csv", "m3", [("d1", 0.3, 0.5, 4.0, 9.5),
+                                               ("d2", 0.3, 0.5, 4.0, 9.5)])
+    assert cli.main(["rank", a, b, c]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["model", "d1:absrel", "d1:delta1_err", "d1:pe_fla",
+                                "d1:pe_ori", "d2:absrel", "d2:delta1_err",
+                                "d2:pe_fla", "d2:pe_ori", "rank"]
+    # m1: 1,2,2,1 on d1 and 2,2,2,1 on d2 -> 13/8; m2: 2,1,1,2 and
+    # 1,1,1,2 -> 11/8; m3 is last in all eight cells
+    assert [(cells[0], cells[-1]) for cells in map(str.split, lines[1:])] == \
+        [("m1", "1.62"), ("m2", "1.38"), ("m3", "3.00")]
+    assert lines[1].split()[1:5] == ["0.1000", "0.3000", "2.0000", "5.0000"]
+
+
+@pytest.mark.parametrize("text", [
+    "model,dataset,absrel\nm1,d1,0.1\n",                                   # header
+    "model,dataset,absrel,delta1_err,pe_fla,pe_ori,scale\n",                 # no rows
+    "model,dataset,absrel,delta1_err,pe_fla,pe_ori,scale\nm1,d1,0.1,0.2\n",  # short
+    "model,dataset,absrel,delta1_err,pe_fla,pe_ori,scale\nm1,d1,x,1,1,1,1\n",
+])
+def test_rank_with_malformed_csv_is_a_data_error(tmp_path, capsys, text):
+    good = write_report(tmp_path / "good.csv", "m1", [("d1", 0.1, 0.3, 2.0, 5.0)])
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert cli.main(["rank", good, str(bad)]) == 3
+    assert "bad.csv" in capsys.readouterr().err

@@ -79,6 +79,38 @@ def test_sphere_center_depth_analytic():
     assert abs(sample.depth[v, u] - (z - r)) < half_pixel_slack
 
 
+def test_explicit_spec_with_unusable_view_raises(count_calls):
+    # a hand-built camera looking at the sky sees nothing; the caller's
+    # scene must not be swapped for a random re-seeded one
+    spec = SceneSpec(seed=0, n_primitives=1, objects=(),
+                     floor_albedo=(0.5, 0.5, 0.5),
+                     eye=(0.0, 2.0, 0.0), target=(0.0, 10.0, -4.0),
+                     light=(0.0, 1.0, 0.0))
+    calls = count_calls(data, "_render_once")
+    with pytest.raises(data.DataError, match="unusable view"):
+        render_scene(spec)
+    assert len(calls) == 1
+
+
+def test_seeded_spec_with_unusable_view_is_retried(monkeypatch):
+    # a seed's own scene is still regenerated from a perturbed seed
+    rendered = []
+    real = data._render_once
+
+    def blank_first(spec):
+        sample = real(spec)
+        if not rendered:
+            sample.mask[:] = False
+        rendered.append(spec)
+        return sample
+
+    monkeypatch.setattr(data, "_render_once", blank_first)
+    spec = SceneSpec.from_seed(42)
+    sample = render_scene(spec)
+    assert rendered == [spec, SceneSpec.from_seed(42 + 1_000_003)]
+    assert sample.mask.mean() >= data.MIN_VALID_FRACTION
+
+
 def test_plane_annotations_consistent_with_depth():
     for seed in [3, 17, 101, 999]:
         sample = render_scene(SceneSpec.from_seed(seed))

@@ -14,10 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "depthart"
 
-# Public names that only tests call. Both compute the paper's Rank column
-# over several models' reports, which no CLI command produces yet.
-TEST_ONLY = {"metrics.rank_models", "metrics.MetricsReport.from_csv"}
-
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
@@ -95,4 +91,4 @@ def test_no_public_definition_is_test_only():
                for p in sorted(PACKAGE.glob("*.py"))}
     callers = list(modules.values()) + [
         p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert unreferenced(modules, callers) == sorted(TEST_ONLY)
+    assert unreferenced(modules, callers) == []

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from depthart import tensor as T, var
-from depthart.var import (VarModel, embed_sequence, depth_input_features,
-                          forward, infer_batch)
-from depthart.vq import ScheduleError
+from depthart.var import (VarConfig, VarModel, embed_sequence,
+                          depth_input_features, forward, infer_batch)
+from depthart.vq import ScheduleError, VqModel
+
+import oracle
 
 rng = np.random.default_rng(21)
 
@@ -38,16 +40,16 @@ def test_mask_structure(tiny_var):
     tokens = sched.tokens_per_scale()
     n_img = sum(tokens)
     k_max = len(sched)
-    mask = tiny_var.attention_mask(k_max)
-    # image rows: only image columns visible
-    assert np.all(mask[:n_img, :n_img] == 0)
-    assert np.all(np.isneginf(mask[:n_img, n_img:]))
+    visible = tiny_var.attention_mask(k_max)
+    assert visible.shape == (n_img + sum(tokens),)
+    # image rows: exactly the image columns visible
+    assert np.all(visible[:n_img] == n_img)
     off = n_img
     for k in range(k_max):
         rows = slice(off, off + tokens[k])
-        assert np.all(mask[rows, :n_img] == 0)
-        assert np.all(mask[rows, n_img:off] == 0)          # scales < k
-        assert np.all(np.isneginf(mask[rows, off:]))       # scales >= k
+        # full image prefix and depth scales < k; scales >= k hidden
+        assert np.all(visible[rows] == n_img + sum(tokens[:k]))
+        assert np.all(visible[rows] == off)
         off += tokens[k]
 
 
@@ -156,6 +158,58 @@ def test_gradient_reaches_every_parameter(tiny_var, tiny_vq):
         param.grad = None
 
 
+def teacher_logits_and_grads(fwd, model, vq, batch, seed):
+    """Logits of ``fwd`` on a teacher-forced batch and every parameter's
+    gradient of their mean token cross entropy."""
+    gen = np.random.default_rng(seed)
+    vocab, k_max = model.config.vocab, len(vq.schedule)
+    img = gen.integers(0, vocab, size=(batch, model.n_image_tokens()))
+    teacher = [gen.integers(0, vocab, size=(batch, n))
+               for n in vq.schedule.tokens_per_scale()]
+    feats = depth_input_features(model, vq, teacher[:k_max - 1], k_max)
+    with T.Tape():
+        seq = embed_sequence(model, img, feats)
+        logits = fwd(model, seq, model.attention_mask(k_max))
+        T.softmax_cross_entropy(T.reshape(logits, (-1, vocab)),
+                                np.concatenate(teacher, axis=1).reshape(-1)).backward()
+    grads = {name: p.grad for name, p in model.params.items()}
+    for p in model.params.values():
+        p.grad = None
+    return logits.data, grads
+
+
+def test_forward_matches_all_rows_oracle():
+    # the default model at B=3 against a forward whose last block runs every
+    # row and whose attention is one dense masked softmax: logits within
+    # 1e-6, and each parameter gradient within 1e-5 of that gradient's
+    # largest magnitude (measured worst: 3.9e-7 and 1.1e-6)
+    vq = VqModel(seed=3)
+    model = VarModel(VarConfig(schedule=vq.schedule, vocab=vq.codebook.size,
+                               emb_dim=vq.emb_dim), seed=1,
+                     codebook_init=vq.codebook.vectors)
+    logits, grads = teacher_logits_and_grads(forward, model, vq, 3, seed=50)
+    ref_logits, ref_grads = teacher_logits_and_grads(oracle.forward_all_rows,
+                                                     model, vq, 3, seed=50)
+    assert logits.shape == ref_logits.shape == (3, 85, vq.codebook.size)
+    assert np.abs(logits - ref_logits).max() <= 1e-6
+    for name, ref in ref_grads.items():
+        assert np.abs(grads[name] - ref).max() <= 1e-5 * np.abs(ref).max(), name
+
+
+def test_last_block_runs_only_depth_rows(tiny_var, tiny_vq, count_calls):
+    img = random_maps(tiny_vq.schedule, 12, seed=23)
+    prev = random_maps(tiny_vq.schedule, 12, seed=24)[:2]
+    seq = build_inputs(prev, img, tiny_var, tiny_vq)
+    calls = count_calls(T, "gelu")
+    forward(tiny_var, seq, tiny_var.attention_mask(3))
+    cfg = tiny_var.config
+    hidden = cfg.mlp_ratio * cfg.width
+    n_depth = sum(tiny_vq.schedule.tokens_per_scale())
+    length = tiny_var.n_image_tokens() + n_depth
+    assert [c[0].shape for c in calls] == \
+        [(1, length, hidden)] * (cfg.blocks - 1) + [(1, n_depth, hidden)]
+
+
 # ---------------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------------
@@ -174,19 +228,19 @@ def test_infer_shapes_and_determinism(tiny_var, tiny_vq, count_calls):
 
 def test_cached_forward_matches_masked_forward(tiny_var, tiny_vq):
     # the rows of each scale, run against a cache of all earlier rows with
-    # their mask rows cut to the visible columns, give the full pass's logits
+    # their slice of the visible-key counts, give the full pass's logits
     img = random_maps(tiny_vq.schedule, 12, seed=31)
     prev = random_maps(tiny_vq.schedule, 12, seed=32)[:2]
     seq = build_inputs(prev, img, tiny_var, tiny_vq)
-    mask = tiny_var.attention_mask(3)
-    full = forward(tiny_var, seq, mask).data[0]
+    visible = tiny_var.attention_mask(3)
+    full = forward(tiny_var, seq, visible).data[0]
     cache = [T.KVCache() for _ in range(tiny_var.config.blocks)]
     parts = []
     start, stop = 0, tiny_var.n_image_tokens()
     for n in tiny_var.config.schedule.tokens_per_scale():
-        seen, stop = stop, stop + n
+        stop = stop + n
         rows = T.Tensor(seq.data[:, start:stop])
-        parts.append(forward(tiny_var, rows, mask[start:stop, :seen], cache).data[0])
+        parts.append(forward(tiny_var, rows, visible[start:stop], cache).data[0])
         start = stop
     cached = np.concatenate(parts)
     assert np.allclose(cached, full, atol=1e-5)
