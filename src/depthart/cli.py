@@ -103,10 +103,8 @@ VQ_CONFIG_KEYS = ("lr", "batch", "steps", "seed", "data_dir", "out_dir")
 def cmd_train_vqvae(args) -> int:
     t0 = time.monotonic()
     raw = read_config(args.config, VQ_CONFIG_KEYS, _overrides(args))
-    steps = int(raw["steps"])
-    cfg = VqTrainConfig(steps=steps, warmup_steps=max(1, steps // 10),
-                        batch=int(raw["batch"]), lr=float(raw["lr"]),
-                        seed=int(raw["seed"]))
+    cfg = VqTrainConfig(steps=raw["steps"], warmup_steps=max(1, raw["steps"] // 10),
+                        batch=raw["batch"], lr=raw["lr"], seed=raw["seed"])
     samples = load_manifest(raw["data_dir"], "train")
     rasters = np.stack([normalize_depth(s.depth, s.mask) for s in samples])[:, None]
     masks = np.stack([s.mask for s in samples])[:, None].astype(np.float32)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DepthSample, backproject, denormalize_depth, depth_p98, normalize_depth
+from .data import DepthSample, backproject, normalize_depth
 
 METRIC_COLUMNS = ("absrel", "delta1_err", "pe_fla", "pe_ori")
 
@@ -260,12 +260,6 @@ def evaluate_rasters(pred_depths: list[np.ndarray],
 # --------------------------------------------------------------------------
 
 
-def _image_tokens(vq, samples):
-    images = np.stack([s.image for s in samples])
-    feats = vq.encode_image_batch(images)
-    return np.concatenate(vq.decompose_batch(feats), axis=1).astype(np.int64)
-
-
 def _aligned_absrel(pred: np.ndarray, sample: DepthSample) -> float:
     """Align-then-AbsRel with a unit-scale fallback for degenerate
     predictions (no positive pixel under the mask)."""
@@ -277,27 +271,35 @@ def _aligned_absrel(pred: np.ndarray, sample: DepthSample) -> float:
     return absrel(aligned, sample.depth, sample.mask)
 
 
+def _relative_depth(decoded: np.ndarray) -> list[np.ndarray]:
+    """Decoded rasters [B, 1, H, W] in the normalized [-1, 1] range as
+    per-sample relative depth (x + 1) / 2, in units of the unknown
+    98th-percentile depth."""
+    return list((decoded[:, 0] + 1.0) * 0.5)
+
+
 def predict_depth_rasters(model, vq, samples: list[DepthSample],
                           chunk: int = 32) -> list[np.ndarray]:
     """Greedy inference end to end: image -> token maps -> composed
-    features -> decoded raster -> metric depth (using each sample's own
-    98th-percentile for un-normalization)."""
+    features -> decoded raster -> relative depth. Reads only the images,
+    never the depth or mask. The result is known up to one global factor,
+    which ``align_scale`` removes, so the ``scale`` an evaluation reports
+    is in metres per unit of relative depth."""
     from .var import infer_batch
 
     preds: list[np.ndarray] = []
     for lo in range(0, len(samples), chunk):
         part = samples[lo:lo + chunk]
-        z = infer_batch(model, vq, _image_tokens(vq, part))
-        dec = vq.decode_batch(vq.compose_batch(z))[:, 0]
-        for i, s in enumerate(part):
-            preds.append(denormalize_depth(dec[i], depth_p98(s.depth, s.mask)))
+        z = infer_batch(model, vq, vq.image_tokens(np.stack([s.image for s in part])))
+        preds += _relative_depth(vq.decode_batch(vq.compose_batch(z)))
     return preds
 
 
 def per_scale_curve(model, vq, samples: list[DepthSample],
                     chunk: int = 32) -> tuple[list[tuple[int, float]], float]:
-    """AbsRel of the decoded cumulative composition after each scale, plus
-    the autoencoder's end-to-end floor."""
+    """AbsRel of the decoded composition after each scale of the greedy
+    prediction, plus the autoencoder's end-to-end floor (the decoded
+    decomposition of the ground truth). Both decode to relative depth."""
     from .var import infer_batch
 
     k_total = len(vq.schedule)
@@ -306,19 +308,14 @@ def per_scale_curve(model, vq, samples: list[DepthSample],
     n = len(samples)
     for lo in range(0, n, chunk):
         part = samples[lo:lo + chunk]
-        z = infer_batch(model, vq, _image_tokens(vq, part))
-        acc = np.zeros((len(part), vq.emb_dim) + vq.schedule.latent, np.float32)
-        for k in range(k_total):
-            acc = acc + vq.eta_batch(z[k], k)
-            dec = vq.decode_batch(acc)[:, 0]
-            for i, s in enumerate(part):
-                pred = denormalize_depth(dec[i], depth_p98(s.depth, s.mask))
+        z = infer_batch(model, vq, vq.image_tokens(np.stack([s.image for s in part])))
+        for k, acc in enumerate(vq.compositions(z)):
+            for pred, s in zip(_relative_depth(vq.decode_batch(acc)), part):
                 sums[k] += _aligned_absrel(pred, s)
         norm = np.stack([normalize_depth(s.depth, s.mask) for s in part])[:, None]
         feats = vq.encode_batch(norm)
-        rec = vq.decode_batch(vq.compose_batch(vq.decompose_batch(feats)))[:, 0]
-        for i, s in enumerate(part):
-            pred = denormalize_depth(rec[i], depth_p98(s.depth, s.mask))
+        rec = vq.decode_batch(vq.compose_batch(vq.decompose_batch(feats)))
+        for pred, s in zip(_relative_depth(rec), part):
             floor_sum += _aligned_absrel(pred, s)
     curve = [(k + 1, float(sums[k] / n)) for k in range(k_total)]
     return curve, floor_sum / n

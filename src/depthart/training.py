@@ -1,13 +1,14 @@
 """The two training regimes for the token-map transformer.
 
-Teacher forcing feeds ground-truth token maps as autoregressive inputs
-and targets, in one masked forward. The refinement regime instead runs
-greedy inference on the tape, feeding the model its own predictions,
-and supervises each scale's logits with the quantized residual between
-the encoded ground-truth depth features and the accumulated composition
-of those predictions - recomputed at every step, so the targets track
-the model as it learns. Predictions are constants: no gradient flows
-through the argmax.
+Both supervise scale k with ``vq.decompose_batch(f, maps)``: the
+ground-truth depth features f quantized, scale by scale, against the
+composition of the maps below k. Teacher forcing takes the
+decomposition's own picks as the maps, computed once per dataset, and
+feeds them as inputs too, in one masked forward. The refinement regime
+(DepthART) runs greedy inference on the tape, feeding the model its own
+predictions, and takes those predictions as the maps, so its targets are
+recomputed at every step and track the model as it learns. Predictions
+are constants: no gradient flows through the argmax.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .optim import AdamW, step_lr
 from .tensor import Tensor
 from .var import (VarModel, depth_input_features, embed_sequence, forward,
                   infer_batch)
-from .vq import DivergenceError, VqModel
+from .vq import VqModel, check_finite
 
 REGIMES = ("teacher_forcing", "depthart")
 _REGIME_ALIASES = {"tf": "teacher_forcing", "teacher_forcing": "teacher_forcing",
@@ -36,10 +37,35 @@ class ConfigError(ValueError):
     """Run configuration is missing or malformed."""
 
 
+# The type of every key either trainer's config file may set, and the
+# keys whose values must be positive.
+_CONFIG_TYPES = {"regime": str, "lr": float, "wd": float, "batch": int,
+                 "steps": int, "decay_period": int, "decay_gamma": float,
+                 "seed": int, "data_dir": str, "out_dir": str}
+_POSITIVE = ("lr", "wd", "batch", "steps", "decay_period", "decay_gamma")
+
+
+def _config_value(key: str, value):
+    """``value`` converted to the type of config key ``key``. Raises
+    ConfigError naming the key if it does not convert or is out of range."""
+    kind = _CONFIG_TYPES[key]
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, "
+                          f"got {value!r}") from None
+    if key in _POSITIVE and not out > 0:
+        raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
+    if key == "seed" and out < 0:  # numpy seeds are non-negative
+        raise ConfigError(f"config key 'seed' must not be negative, got {value!r}")
+    return out
+
+
 def read_config(path: str, keys: tuple[str, ...],
-                overrides: dict | None = None) -> dict[str, str]:
+                overrides: dict | None = None) -> dict:
     """Read a key=value file (``#`` starts a comment), let ``overrides``
-    win, and check that exactly ``keys`` are set."""
+    win, check that exactly ``keys`` are set, and convert each value to
+    its key's type."""
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
@@ -58,7 +84,7 @@ def read_config(path: str, keys: tuple[str, ...],
     unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    return {key: _config_value(key, raw[key]) for key in keys}
 
 
 @dataclass
@@ -78,76 +104,52 @@ class TrainConfig:
                 "decay_gamma", "seed", "data_dir", "out_dir")
 
     def __post_init__(self):
+        for name in self.REQUIRED:
+            setattr(self, name, _config_value(name, getattr(self, name)))
         if self.regime not in _REGIME_ALIASES:
             raise ConfigError(f"unknown regime {self.regime!r}")
         self.regime = _REGIME_ALIASES[self.regime]
-        for name in ("lr", "wd", "batch", "steps", "decay_period", "decay_gamma"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"config key {name!r} must be positive")
 
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "TrainConfig":
-        raw = read_config(path, cls.REQUIRED, overrides)
-        return cls(
-            regime=raw["regime"],
-            lr=float(raw["lr"]), wd=float(raw["wd"]),
-            batch=int(raw["batch"]), steps=int(raw["steps"]),
-            decay_period=int(raw["decay_period"]),
-            decay_gamma=float(raw["decay_gamma"]),
-            seed=int(raw["seed"]),
-            data_dir=raw["data_dir"], out_dir=raw["out_dir"],
-        )
-
-
-@dataclass
-class Batch:
-    """One training batch with everything both regimes may need."""
-
-    image_tokens: np.ndarray            # [B, n_img] int
-    f_depth: np.ndarray                 # [B, C, h_K, w_K] continuous features
-    teacher: list[np.ndarray]           # per scale [B, n_k] int
-    mask: np.ndarray                    # [B, H, W] raster validity
+        return cls(**read_config(path, cls.REQUIRED, overrides))
 
 
 @dataclass
 class TrainingSet:
-    image_tokens: np.ndarray
-    f_depth: np.ndarray
-    teacher: list[np.ndarray]
-    masks: np.ndarray
+    """Encoded samples, or one batch of them: what both regimes read."""
+
+    image_tokens: np.ndarray            # [N, n_img] int64
+    f_depth: np.ndarray                 # [N, C, h_K, w_K] continuous features
+    teacher: list[np.ndarray]           # per scale [N, n_k] int64
 
     def __len__(self) -> int:
         return self.image_tokens.shape[0]
 
-    def batch(self, idx: np.ndarray) -> Batch:
-        return Batch(image_tokens=self.image_tokens[idx],
-                     f_depth=self.f_depth[idx],
-                     teacher=[t[idx] for t in self.teacher],
-                     mask=self.masks[idx])
+    def batch(self, idx: np.ndarray) -> "TrainingSet":
+        return TrainingSet(image_tokens=self.image_tokens[idx],
+                           f_depth=self.f_depth[idx],
+                           teacher=[t[idx] for t in self.teacher])
 
 
 def prepare_training_set(vq: VqModel, samples: list[DepthSample],
                          chunk: int = 64) -> TrainingSet:
     """Encode a dataset once: image token maps, continuous ground-truth
     depth features, and the teacher decomposition."""
-    img_tok, fds, masks = [], [], []
+    img_tok, fds = [], []
     teacher: list[list[np.ndarray]] = [[] for _ in vq.schedule.sizes]
     for lo in range(0, len(samples), chunk):
         part = samples[lo:lo + chunk]
-        images = np.stack([s.image for s in part])
-        depths = np.stack([normalize_depth(s.depth, s.mask) for s in part])
-        img_feats = vq.encode_image_batch(images)
-        img_tok.append(np.concatenate(vq.decompose_batch(img_feats), axis=1))
-        f_d = vq.encode_batch(depths[:, None, :, :])
+        img_tok.append(vq.image_tokens(np.stack([s.image for s in part])))
+        f_d = vq.encode_batch(np.stack(
+            [normalize_depth(s.depth, s.mask) for s in part])[:, None])
         fds.append(f_d)
         for k, idx in enumerate(vq.decompose_batch(f_d)):
             teacher[k].append(idx)
-        masks.append(np.stack([s.mask for s in part]))
     return TrainingSet(
-        image_tokens=np.concatenate(img_tok).astype(np.int64),
+        image_tokens=np.concatenate(img_tok),
         f_depth=np.concatenate(fds),
         teacher=[np.concatenate(t).astype(np.int64) for t in teacher],
-        masks=np.concatenate(masks),
     )
 
 
@@ -158,18 +160,11 @@ def prepare_training_set(vq: VqModel, samples: list[DepthSample],
 
 def depthart_targets_batch(z_idx: list[np.ndarray], f_depth: np.ndarray,
                            vq: VqModel) -> list[np.ndarray]:
-    """Per-scale targets [B, n_k]: quantized residuals between the
-    ground-truth features [B, C, h_K, w_K] and the accumulated composition
-    of the predictions ``z_idx``. Equals ``vq.decompose_batch(f_depth)``
-    bit for bit when the predictions are that decomposition."""
-    acc = np.zeros_like(f_depth)
-    targets = []
-    for k, (h, w) in enumerate(vq.schedule.sizes):
-        down = T.resize_bilinear(Tensor(f_depth - acc), (h, w)).data
-        targets.append(vq.nearest_batch(down, (h, w)).astype(np.int64))
-        if k + 1 < len(vq.schedule):
-            acc = acc + vq.eta_batch(z_idx[k], k)
-    return targets
+    """Per-scale int64 targets [B, n_k]: the decomposition of the
+    ground-truth features [B, C, h_K, w_K] taken against the predictions
+    ``z_idx``. Equals the teacher decomposition when the predictions are
+    that decomposition."""
+    return [t.astype(np.int64) for t in vq.decompose_batch(f_depth, z_idx)]
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +185,7 @@ def _scale_loss(model: VarModel, logits: Tensor,
     return total
 
 
-def teacher_forcing_step(model: VarModel, vq: VqModel, batch: Batch,
+def teacher_forcing_step(model: VarModel, vq: VqModel, batch: TrainingSet,
                          opt: AdamW, lr: float | None = None) -> float:
     """One optimizer step with ground-truth maps as inputs and targets."""
     k_total = len(vq.schedule)
@@ -199,15 +194,14 @@ def teacher_forcing_step(model: VarModel, vq: VqModel, batch: Batch,
         seq = embed_sequence(model, batch.image_tokens, feats)
         logits = forward(model, seq, model.attention_mask(k_total))
         loss = _scale_loss(model, logits, batch.teacher)
-        _abort_if_nan(loss)
+        check_finite(loss)
         loss.backward()
     opt.step(lr)
     return loss.item()
 
 
-def depthart_step(model: VarModel, vq: VqModel, batch: Batch,
-                  opt: AdamW, lr: float | None = None,
-                  diagnostics: dict | None = None) -> float:
+def depthart_step(model: VarModel, vq: VqModel, batch: TrainingSet,
+                  opt: AdamW, lr: float | None = None) -> float:
     """One refinement step on one tape: greedy inference records its
     rounds, dynamic targets are built from its predictions, and the loss
     is taken on the logits the inference produced. The mask is
@@ -218,18 +212,10 @@ def depthart_step(model: VarModel, vq: VqModel, batch: Batch,
         z_idx = infer_batch(model, vq, batch.image_tokens, round_logits)
         targets = depthart_targets_batch(z_idx, batch.f_depth, vq)
         loss = _scale_loss(model, T.concat(round_logits, axis=1), targets)
-        _abort_if_nan(loss)
+        check_finite(loss)
         loss.backward()
     opt.step(lr)
-    if diagnostics is not None:
-        diagnostics["targets"] = [t.copy() for t in targets]
-        diagnostics["predictions"] = [z.copy() for z in z_idx]
     return loss.item()
-
-
-def _abort_if_nan(loss: Tensor) -> None:
-    if not np.isfinite(loss.data).all():
-        raise DivergenceError("training loss became non-finite")
 
 
 # --------------------------------------------------------------------------

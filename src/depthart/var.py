@@ -2,15 +2,15 @@
 
 The sequence is [image tokens, scales 1..K][depth tokens, scales 1..k].
 Image positions form a bidirectional conditioning prefix. The input row
-for depth scale k is the accumulated composition of the previous depth
-predictions, downsampled to scale k and linearly projected; scale 1 uses
-a learned start embedding. Attention for a depth position at scale k
-reaches the whole image prefix and depth scales strictly below k, so the
-scale-k logits are a function of (image tokens, z_{<k}) only. Every row
-sees a prefix of the sequence, so the mask is one count per row: row i
-attends to keys [0, visible[i]). The head reads only the depth rows, so
-the last block computes attention output, MLP and final norm for those
-rows alone.
+for depth scale k is the VQ's composition of the previous depth maps
+(``VqModel.compositions``), downsampled to scale k and linearly
+projected; scale 1 uses a learned start embedding. Attention for a depth
+position at scale k reaches the whole image prefix and depth scales
+strictly below k, so the scale-k logits are a function of (image tokens,
+z_{<k}) only. Every row sees a prefix of the sequence, so the mask is one
+count per row: row i attends to keys [0, visible[i]). The head reads only
+the depth rows, so the last block computes attention output, MLP and
+final norm for those rows alone.
 
 Decoding is greedy argmax per position, lowest index on ties. It runs
 the same ``forward`` as training, one scale per call, on the new rows
@@ -203,20 +203,15 @@ def depth_input_features(model: VarModel, vq: VqModel,
 
     ``prev_indices``: flattened predicted/teacher maps [B, n_k] for scales
     below k_max. Scale 1 has no features (start embedding); scale j gets
-    the accumulated composition of scales < j, resized to s_j. Computed
+    ``vq.compositions`` of the maps below j, resized to s_j. Computed
     outside the tape: predictions are constants for the transformer.
     """
     if len(prev_indices) < k_max - 1:
         raise ScheduleError("depth_input_features: not enough previous maps")
     sizes = model.config.schedule.sizes
-    batch = prev_indices[0].shape[0] if prev_indices else 1
-    acc = np.zeros((batch, vq.emb_dim) + vq.schedule.latent, np.float32)
-    feats: list[np.ndarray | None] = []
-    for j in range(k_max):
-        feats.append(None if j == 0 else _scale_features(acc, sizes[j]))
-        if j < len(prev_indices):
-            acc = acc + vq.eta_batch(prev_indices[j], j)
-    return feats
+    comps = vq.compositions(prev_indices[:k_max - 1])
+    return [None] + [_scale_features(acc, sizes[j])
+                     for j, acc in enumerate(comps, start=1)]
 
 
 def _image_rows(model: VarModel, img_tokens: np.ndarray) -> Tensor:
@@ -314,8 +309,10 @@ def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
     against all earlier rows, which is exact because the mask is
     prefix-closed. Each round embeds only its new rows, with the helpers
     of ``embed_sequence``, from a composition that gains one ``eta_batch``
-    per decoded scale; so the rows are bitwise those a full forward over
-    the predictions would consume.
+    per decoded scale. That add is the one composition kept outside
+    ``VqModel.compositions``, since each round's map is the argmax of the
+    round before; it adds in the same order, so the rows are bitwise those
+    a full forward over the predictions would consume.
 
     Under a tape the rounds are recorded, and ``logits``, when given,
     receives each round's [B, n_k, V] logits Tensor: joined, they are the

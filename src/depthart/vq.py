@@ -2,11 +2,17 @@
 
 A small conv encoder maps 1-channel rasters to [B, C, h, w] features,
 which are decomposed into K token maps of increasing resolution: at each
-scale the residual between the features and the accumulated composition
-so far is downsampled, quantized against a shared codebook, and the
-quantized map's contribution (embedding lookup, bilinear upsample, shared
-3x3 conv) is added back. The decoder mirrors the encoder and reconstructs
-the raster from the composed sum.
+scale the residual between the features and the composition of the maps
+below it is downsampled and quantized against a shared codebook. A map's
+contribution (embedding lookup, bilinear upsample, shared 3x3 conv) is
+added to the composition in schedule order. The decoder mirrors the
+encoder and reconstructs the raster from the composed sum.
+
+This module is the only one that knows how scales compose. The maps
+composed below scale k are the decomposition's own picks (teacher
+forcing's targets) or maps given by the caller (DepthART's dynamic
+targets, taken against the model's own predictions), so both regimes'
+targets are ``decompose_batch(f, maps)``.
 
 Codebook training follows the established recipe: straight-through
 estimator for the encoder gradient, commitment term, and EMA codebook
@@ -220,32 +226,47 @@ class VqModel:
         return T.conv2d(up, Tensor(self.params["eta/w"].data), None,
                         stride=1, padding=1).data
 
-    def decompose_batch(self, feats: np.ndarray) -> list[np.ndarray]:
-        """Iterative residual quantization of [B, C, h_K, w_K] features over
-        the schedule, coarse to fine; returns per-scale int32 [B, n_k]."""
+    def decompose_batch(self, feats: np.ndarray,
+                        inputs: Optional[Sequence[np.ndarray]] = None
+                        ) -> list[np.ndarray]:
+        """Residual quantization of [B, C, h_K, w_K] features over the
+        schedule, coarse to fine; returns per-scale int32 [B, n_k].
+
+        Scale k quantizes the features minus the composition of the maps
+        below k, resized to s_k. Those maps are the decomposition's own
+        picks, or ``inputs`` (per scale [B, n_k]) when given; with
+        ``inputs`` equal to the own picks the result is the same."""
         acc = np.zeros_like(feats)
         out = []
         for k, (h, w) in enumerate(self.schedule.sizes):
             down = T.resize_bilinear(Tensor(feats - acc), (h, w)).data
-            idx = self.nearest_batch(down, (h, w))
-            out.append(idx)
-            acc = acc + self.eta_batch(idx, k)
+            out.append(self.nearest_batch(down, (h, w)))
+            if k + 1 < len(self.schedule):
+                acc = acc + self.eta_batch(out[k] if inputs is None else inputs[k], k)
         return out
 
-    def compose_batch(self, idx_list: Sequence[np.ndarray]) -> np.ndarray:
-        """Sum of the per-scale contributions, in schedule order."""
-        first = idx_list[0]
-        acc = np.zeros((first.shape[0], self.emb_dim) + self.schedule.latent,
-                       np.float32)
-        for k, idx in enumerate(idx_list):
-            acc = acc + self.eta_batch(idx, k)
-        return acc
+    def compositions(self, maps: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The composition [B, C, h_K, w_K] after each scale of per-scale
+        maps [B, n_k]: element k sums the contributions of maps 0..k, added
+        in schedule order."""
+        out: list[np.ndarray] = []
+        for k, idx in enumerate(maps):
+            prev = out[-1] if out else np.zeros(
+                (idx.shape[0], self.emb_dim) + self.schedule.latent, np.float32)
+            out.append(prev + self.eta_batch(idx, k))
+        return out
 
-    def encode_image_batch(self, images: np.ndarray) -> np.ndarray:
-        """Conditioning path: RGB [B,3,H,W] in [0,1] -> luminance in [-1,1]
-        -> the same encoder used for depth rasters."""
+    def compose_batch(self, maps: Sequence[np.ndarray]) -> np.ndarray:
+        """Sum of the per-scale contributions, in schedule order."""
+        return self.compositions(maps)[-1]
+
+    def image_tokens(self, images: np.ndarray) -> np.ndarray:
+        """Conditioning tokens [B, n_img] int64 of RGB images [B, 3, H, W] in
+        [0, 1]: luminance in [-1, 1], the depth encoder, then the scale
+        decomposition, concatenated coarse to fine."""
         lum = (0.299 * images[:, 0] + 0.587 * images[:, 1] + 0.114 * images[:, 2])
-        return self.encode_batch((lum * 2.0 - 1.0)[:, None, :, :].astype(np.float32))
+        feats = self.encode_batch((lum * 2.0 - 1.0)[:, None, :, :].astype(np.float32))
+        return np.concatenate(self.decompose_batch(feats), axis=1).astype(np.int64)
 
 
 def _check_batch(x: Tensor, channels: int) -> Tensor:
@@ -266,22 +287,27 @@ class VqTrainConfig:
     batch: int = 8
     lr: float = 2e-3
     seed: int = 0
-    commitment: float = 0.25
-    ema_decay: float = 0.99
-    kmeans_samples: int = 512
-    kmeans_iters: int = 20
 
 
-def _kmeans(points: np.ndarray, k: int, iters: int, rng) -> np.ndarray:
+COMMITMENT = 0.25      # weight of the commitment term, averaged over scales
+EMA_DECAY = 0.99       # codebook EMA decay
+KMEANS_SAMPLES = 512   # rasters whose encoder outputs seed the k-means init
+KMEANS_ITERS = 20
+
+
+def check_finite(loss: Tensor) -> None:
+    """Raise DivergenceError unless every value of ``loss`` is finite."""
+    if not np.isfinite(loss.data).all():
+        raise DivergenceError("training loss became non-finite")
+
+
+def _kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
     """Plain Lloyd's iterations; empty clusters respawn on random points."""
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
-    for _ in range(iters):
-        d = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1) \
-            if n * k * points.shape[1] < 4_000_000 else None
-        if d is None:
-            d = (points * points).sum(1, keepdims=True) \
-                - 2 * points @ centers.T + (centers * centers).sum(1)[None, :]
+    for _ in range(KMEANS_ITERS):
+        d = (points * points).sum(1, keepdims=True) \
+            - 2 * points @ centers.T + (centers * centers).sum(1)[None, :]
         assign = d.argmin(axis=1)
         for j in range(k):
             sel = assign == j
@@ -337,17 +363,16 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
         with T.Tape():
             recon = model.decode(model.encode(Tensor(x)))
             loss = _masked_mse(recon, x, m)
-            _check_finite(loss, step)
+            check_finite(loss)
             loss.backward()
         opt.step()
         curve.append((step, loss.item()))
 
     # k-means codebook init over warm-up encoder outputs
-    sel = rng.choice(n, size=min(config.kmeans_samples, n), replace=False)
+    sel = rng.choice(n, size=min(KMEANS_SAMPLES, n), replace=False)
     feats = model.encode_batch(rasters[sel])
     pts = feats.transpose(0, 2, 3, 1).reshape(-1, model.emb_dim).astype(np.float64)
-    model.codebook = Codebook(_kmeans(pts, model.codebook.size,
-                                      config.kmeans_iters, rng))
+    model.codebook = Codebook(_kmeans(pts, model.codebook.size, rng))
 
     # phase 2: multi-scale residual VQ with straight-through + EMA updates
     ema_count = np.ones(model.codebook.size, np.float64)
@@ -378,8 +403,8 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
                 commit = c if commit is None else T.add(commit, c)
             recon = model.decode(acc)
             loss = T.add(_masked_mse(recon, x, m),
-                         T.scale(commit, config.commitment / len(model.schedule)))
-            _check_finite(loss, step)
+                         T.scale(commit, COMMITMENT / len(model.schedule)))
+            check_finite(loss)
             loss.backward()
         opt.step()
         # EMA codebook update from this step's assignments
@@ -389,7 +414,7 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
             flat = idx.reshape(-1)
             cnt += np.bincount(flat, minlength=v)
             np.add.at(sm, flat, vecs)
-        d = config.ema_decay
+        d = EMA_DECAY
         ema_count = d * ema_count + (1 - d) * cnt
         ema_sum = d * ema_sum + (1 - d) * sm
         total = ema_count.sum()
@@ -399,8 +424,3 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
         if ckpt_path and (step + 1) % ckpt_period == 0:
             model.save(ckpt_path)
     return model, curve
-
-
-def _check_finite(loss: Tensor, step: int) -> None:
-    if not np.isfinite(loss.data).all():
-        raise DivergenceError(f"loss became non-finite at step {step}")

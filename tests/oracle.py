@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from depthart import tensor as T, training, var
+from depthart import data, tensor as T, training, var
 
 
 def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
@@ -54,6 +54,28 @@ def depthart_targets(z: list[np.ndarray], f: np.ndarray, vq) -> list[np.ndarray]
         up = T.resize_bilinear(T.Tensor(emb[None]), vq.schedule.latent)
         acc = acc + T.conv2d(up, vq.params["eta/w"], None, 1, 1).data[0]
     return targets
+
+
+def image_tokens(vq, images: np.ndarray) -> np.ndarray:
+    """Conditioning tokens [B, n_img] of RGB images [B, 3, H, W], one
+    sample at a time: luminance mapped to [-1, 1], the encoder, the
+    teacher decomposition, and its maps concatenated coarse to fine."""
+    out = []
+    for img in images:
+        lum = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
+        feats = vq.encode_batch((lum * 2.0 - 1.0)[None, None].astype(np.float32))
+        out.append(np.concatenate([m[0] for m in vq.decompose_batch(feats)]))
+    return np.stack(out).astype(np.int64)
+
+
+def denormalized_predictions(model, vq, samples) -> list[np.ndarray]:
+    """Metric depth predictions of greedy decoding, un-normalized with each
+    sample's own ground-truth 98th percentile: the path evaluation took
+    while it still read labels."""
+    z = var.infer_batch(model, vq, image_tokens(vq, np.stack([s.image for s in samples])))
+    dec = vq.decode_batch(vq.compose_batch(z))[:, 0]
+    return [data.denormalize_depth(d, data.depth_p98(s.depth, s.mask))
+            for d, s in zip(dec, samples)]
 
 
 def min_pairwise_distance(vectors: np.ndarray) -> float:

@@ -79,6 +79,22 @@ def test_missing_config_key_named(workspace, tmp_path, capsys):
     assert "wd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("train-vqvae", "batch", "0"), ("train-vqvae", "steps", "0"),
+    ("train-vqvae", "lr", "0"), ("train-vqvae", "steps", "abc"),
+    ("train-var", "lr", "fast"), ("train-var", "seed", "-1")])
+def test_malformed_trainer_config_is_a_usage_error(workspace, tmp_path, capsys,
+                                                   command, key, value):
+    args = [command, "--set", f"{key}={value}", "--set", f"out_dir={tmp_path}"]
+    if command == "train-vqvae":
+        args += ["--config", str(workspace / "vq.cfg")]
+    else:
+        args += ["--config", str(workspace / "var.cfg"),
+                 "--vq", str(workspace / "vq" / "vqvae.dart")]
+    assert cli.main(args) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_regimes_produce_distinct_checkpoints(workspace):
     a = VarModel.load(str(workspace / "tf" / "model.dart"))
     b = VarModel.load(str(workspace / "da" / "model.dart"))

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthart import metrics
+from depthart import data, metrics
 from depthart.data import FX, FY, CX, CY, DepthSample, PlaneAnnotation
-from depthart.metrics import (DatasetRow, MetricsReport, absrel, align_scale,
-                              delta1_err, fit_plane_tls, plane_metrics,
-                              rank_models)
+from depthart.metrics import (METRIC_COLUMNS, DatasetRow, MetricsReport, absrel,
+                              align_scale, delta1_err, fit_plane_tls,
+                              plane_metrics, rank_models)
+from depthart.var import VarConfig, VarModel
+from depthart.vq import VqModel
+
+import oracle
 
 rng = np.random.default_rng(99)
 
@@ -253,3 +257,45 @@ def test_report_csv_round_trip():
     assert back.model == rep.model
     for a, b in zip(back.rows, rep.rows):
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# model evaluation
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def eval_setup():
+    """A default-size VQ and transformer, untrained, and rendered scenes
+    with plane annotations."""
+    vq = VqModel(seed=3)
+    model = VarModel(VarConfig(schedule=vq.schedule, vocab=vq.codebook.size,
+                               emb_dim=vq.emb_dim, width=32, heads=2, blocks=2),
+                     seed=4, codebook_init=vq.codebook.vectors)
+    samples = [data.render_scene(data.SceneSpec.from_seed(s)) for s in range(6)]
+    return model, vq, samples
+
+
+def test_prediction_reads_no_labels(eval_setup):
+    model, vq, samples = eval_setup
+    r = np.random.default_rng(15)
+    blind = [DepthSample(image=s.image, depth=r.uniform(0.5, 50.0, s.depth.shape)
+                         .astype(np.float32), mask=r.uniform(size=s.mask.shape) < 0.1,
+                         intrinsics=s.intrinsics, planes=s.planes) for s in samples]
+    for a, b in zip(metrics.predict_depth_rasters(model, vq, samples),
+                    metrics.predict_depth_rasters(model, vq, blind)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_eval_metrics_match_denormalized_oracle(eval_setup):
+    # align_scale removes the per-sample 98th percentile the old path
+    # multiplied in, up to float rounding
+    model, vq, samples = eval_setup
+    preds = metrics.predict_depth_rasters(model, vq, samples)
+    got = metrics.evaluate_rasters(preds, samples, "m", "d").rows[0]
+    want = metrics.evaluate_rasters(oracle.denormalized_predictions(model, vq, samples),
+                                    samples, "m", "d").rows[0]
+    for col in METRIC_COLUMNS:
+        assert math.isfinite(getattr(want, col)), col
+        assert getattr(got, col) == pytest.approx(getattr(want, col), rel=1e-6), col
+    curve, _ = metrics.per_scale_curve(model, vq, samples)
+    assert curve[-1][1] == got.absrel

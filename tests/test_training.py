@@ -226,14 +226,31 @@ def test_depthart_equals_teacher_forcing_when_predictions_match(
     assert loss_da == loss_tf  # bitwise: same inputs, same targets, same math
 
 
-def test_depthart_targets_are_dynamic(trained_tiny_vq, tiny_set):
+def record_targets(monkeypatch):
+    """Wrap ``training.depthart_targets_batch`` for the test; returns the
+    list each call appends a dict of its ``predictions`` and ``targets`` to."""
+    calls = []
+    targets_batch = training.depthart_targets_batch
+
+    def recording(z_idx, f_depth, vq):
+        targets = targets_batch(z_idx, f_depth, vq)
+        calls.append({"predictions": [z.copy() for z in z_idx],
+                      "targets": [t.copy() for t in targets]})
+        return targets
+
+    monkeypatch.setattr(training, "depthart_targets_batch", recording)
+    return calls
+
+
+def test_depthart_targets_are_dynamic(trained_tiny_vq, tiny_set, monkeypatch):
     vq = trained_tiny_vq
     model = fresh_var(vq, seed=12)
     opt = AdamW(model.params, lr=5e-3)
     batch = tiny_set.batch(np.arange(4))
-    d1, d2 = {}, {}
-    depthart_step(model, vq, batch, opt, diagnostics=d1)
-    depthart_step(model, vq, batch, opt, diagnostics=d2)
+    calls = record_targets(monkeypatch)
+    depthart_step(model, vq, batch, opt)
+    depthart_step(model, vq, batch, opt)
+    d1, d2 = calls
     changed = any(not np.array_equal(a, b)
                   for a, b in zip(d1["targets"], d2["targets"]))
     assert changed, "targets should track the model between steps"
@@ -255,8 +272,9 @@ def test_exposure_alignment_step_predictions_match_inference(
         return scale_loss(model_, logits, targets)
 
     monkeypatch.setattr(training, "_scale_loss", recording)
-    diags = {}
-    depthart_step(model, vq, batch, AdamW(model.params, lr=1e-4), diagnostics=diags)
+    calls = record_targets(monkeypatch)
+    depthart_step(model, vq, batch, AdamW(model.params, lr=1e-4))
+    (diags,) = calls
     assert len(seen) == 1
     k = len(vq.schedule)
     for (lo, hi), z, pred in zip(model.depth_slices(k), expected,

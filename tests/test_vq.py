@@ -191,6 +191,43 @@ def test_telescoping_identity():
         assert np.abs((f[b] - composed[b]) - o_final).max() < 1e-5
 
 
+def test_decompose_against_own_picks_is_the_teacher_decomposition(count_calls):
+    # DepthART's targets reduce to teacher forcing's when the maps fed in
+    # are the decomposition's own picks; the last scale's map feeds no
+    # later scale, so its contribution is never computed
+    m = tiny_model(seed=12)
+    m.params["eta/w"].data += rng.standard_normal(
+        m.params["eta/w"].shape).astype(np.float32) * 0.2
+    f = rng.standard_normal((4, 2, 4, 4)).astype(np.float32)
+    calls = count_calls(VqModel, "eta_batch")
+    teacher = m.decompose_batch(f)
+    assert len(calls) == len(m.schedule) - 1
+    for got, want in zip(m.decompose_batch(f, inputs=teacher), teacher):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_compositions_are_prefix_sums_and_compose_is_the_last():
+    m = tiny_model(seed=13)
+    m.params["eta/w"].data += rng.standard_normal(
+        m.params["eta/w"].shape).astype(np.float32) * 0.2
+    maps = [rng.integers(0, 16, size=(3, n)) for n in m.schedule.tokens_per_scale()]
+    comps = m.compositions(maps)
+    assert len(comps) == len(maps)
+    for k, comp in enumerate(comps):
+        want = sum(m.eta_batch(maps[j], j) for j in range(k + 1))
+        assert np.array_equal(comp, want)
+    assert np.array_equal(m.compose_batch(maps), comps[-1])
+    assert m.compositions([]) == []
+
+
+def test_image_tokens_match_per_sample_oracle():
+    m = VqModel(seed=2)
+    images = np.random.default_rng(14).uniform(0, 1, (3, 3, 32, 32)).astype(np.float32)
+    got = m.image_tokens(images)
+    assert got.dtype == np.int64 and got.shape == (3, m.schedule.total_tokens())
+    assert np.array_equal(got, oracle.image_tokens(m, images))
+
+
 def test_decompose_deterministic():
     m = tiny_model(seed=9)
     f = rng.standard_normal((2, 2, 4, 4)).astype(np.float32)
