@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .tensor import Tensor
+
 MAGIC = b"DART"
 VERSION = 1
 
@@ -29,11 +31,11 @@ def rolling_period(total_steps: int) -> int:
     return 1000 if total_steps >= 5000 else max(1, total_steps // 5)
 
 
-def save(path: str, entries: dict[str, np.ndarray], version: int = VERSION) -> None:
+def save(path: str, entries: dict[str, np.ndarray]) -> None:
     """Write entries atomically (temp file + rename)."""
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<I", version)
+    blob += struct.pack("<I", VERSION)
     blob += struct.pack("<I", len(entries))
     for name, arr in entries.items():
         a = np.asarray(arr, dtype=np.float32)
@@ -107,3 +109,9 @@ def entry(entries: dict[str, np.ndarray], name: str,
         raise CheckpointError(
             f"checkpoint entry {name!r} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def restore(params: dict[str, Tensor], entries: dict[str, np.ndarray]) -> None:
+    """Replace each parameter by its entry, checked against the parameter's shape."""
+    for name, init in params.items():
+        params[name] = Tensor(entry(entries, name, init.shape), requires_grad=True)

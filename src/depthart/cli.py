@@ -34,7 +34,7 @@ import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
 from .checkpoint import CheckpointError  # noqa: E402
-from .data import DataError, load_manifest, make_dataset, normalize_depth  # noqa: E402
+from .data import DataError, depth_rasters, load_manifest, make_dataset  # noqa: E402
 from .metrics import (METRIC_COLUMNS, MetricError, MetricsReport,  # noqa: E402
                       evaluate_rasters, per_scale_curve, predict_depth_rasters,
                       rank_models, write_scale_curve_csv)
@@ -106,7 +106,7 @@ def cmd_train_vqvae(args) -> int:
     cfg = VqTrainConfig(steps=raw["steps"], warmup_steps=max(1, raw["steps"] // 10),
                         batch=raw["batch"], lr=raw["lr"], seed=raw["seed"])
     samples = load_manifest(raw["data_dir"], "train")
-    rasters = np.stack([normalize_depth(s.depth, s.mask) for s in samples])[:, None]
+    rasters = depth_rasters(samples)
     masks = np.stack([s.mask for s in samples])[:, None].astype(np.float32)
     out_dir = raw["out_dir"]
     os.makedirs(out_dir, exist_ok=True)

@@ -32,8 +32,9 @@ CX = CY = 15.5
 EPS_NORM = 1e-6          # epsilon in the depth normalization
 PERCENTILE = 98.0
 AMBIENT = 0.18
-MIN_PLANE_PIXELS = 16
+MIN_PLANE_PIXELS = 16     # smallest plane that is annotated and scored
 MIN_VALID_FRACTION = 0.55
+RENDER_TRIES = 8          # views tried per seed before giving up
 
 
 class DataError(ValueError):
@@ -174,12 +175,12 @@ def _intersect_box(eye, dirs, lo, hi):
     return t, axis, face_sign
 
 
-def render_scene(spec: SceneSpec, max_retries: int = 8) -> DepthSample:
+def render_scene(spec: SceneSpec) -> DepthSample:
     """Ray-cast the scene. If the view is degenerate (almost nothing
     visible), a seed's own scene (``SceneSpec.from_seed``) is regenerated
     with a perturbed seed; any other spec raises ``DataError``, since a
     replacement would not be the scene the caller built."""
-    for attempt in range(max_retries):
+    for attempt in range(RENDER_TRIES):
         use = spec if attempt == 0 else SceneSpec.from_seed(
             spec.seed + 1_000_003 * attempt)
         sample = _render_once(use)
@@ -192,7 +193,7 @@ def render_scene(spec: SceneSpec, max_retries: int = 8) -> DepthSample:
                 f"scene with seed {spec.seed}: unusable view (valid fraction "
                 f"{valid_frac:.3f}, needs {MIN_VALID_FRACTION} and a plane of "
                 f"{MIN_PLANE_PIXELS} pixels)")
-    raise DataError(f"seed {spec.seed}: no usable view after {max_retries} tries")
+    raise DataError(f"seed {spec.seed}: no usable view after {RENDER_TRIES} tries")
 
 
 def _render_once(spec: SceneSpec) -> DepthSample:
@@ -320,8 +321,19 @@ def normalize_depth(depth: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return (depth / (d98 + EPS_NORM) * 2.0 - 1.0).astype(np.float32)
 
 
+def depth_rasters(samples: list[DepthSample]) -> np.ndarray:
+    """The VQ's input: each sample's normalized depth, stacked [N, 1, H, W]."""
+    return np.stack([normalize_depth(s.depth, s.mask) for s in samples])[:, None]
+
+
+def relative_depth(norm: np.ndarray) -> np.ndarray:
+    """Normalized depth back to relative depth (x + 1) / 2, in units of
+    the raster's 98th-percentile depth."""
+    return (norm + 1.0) * 0.5
+
+
 def denormalize_depth(norm: np.ndarray, d98: float) -> np.ndarray:
-    return ((norm + 1.0) * 0.5 * (d98 + EPS_NORM)).astype(np.float32)
+    return (relative_depth(norm) * (d98 + EPS_NORM)).astype(np.float32)
 
 
 def depth_p98(depth: np.ndarray, mask: np.ndarray) -> float:

@@ -16,9 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DepthSample, backproject, normalize_depth
+from .data import (MIN_PLANE_PIXELS, DepthSample, backproject, depth_rasters,
+                   relative_depth)
+from .var import infer_batch
 
 METRIC_COLUMNS = ("absrel", "delta1_err", "pe_fla", "pe_ori")
+DELTA1 = 1.25      # ratio threshold of the delta error
+EVAL_CHUNK = 32    # samples decoded per batch
 
 
 class MetricError(ValueError):
@@ -61,10 +65,9 @@ def absrel(pred_aligned: np.ndarray, gt: np.ndarray, mask: np.ndarray) -> float:
     return float(np.mean(np.abs(p - g) / g))
 
 
-def delta1_err(pred_aligned: np.ndarray, gt: np.ndarray, mask: np.ndarray,
-               threshold: float = 1.25) -> float:
-    """Fraction of pixels whose ratio (either direction) reaches the
-    threshold; the complement of the usual delta accuracy, so lower is
+def delta1_err(pred_aligned: np.ndarray, gt: np.ndarray, mask: np.ndarray) -> float:
+    """Fraction of pixels whose ratio (either direction) reaches
+    ``DELTA1``; the complement of the usual delta accuracy, so lower is
     better."""
     m = np.asarray(mask, bool)
     if not m.any():
@@ -74,7 +77,7 @@ def delta1_err(pred_aligned: np.ndarray, gt: np.ndarray, mask: np.ndarray,
     if (g <= 0).any() or (p <= 0).any():
         raise MetricError("delta1_err: values must be positive on the mask")
     ratio = np.maximum(p / g, g / p)
-    return float(np.mean(ratio >= threshold))
+    return float(np.mean(ratio >= DELTA1))
 
 
 # --------------------------------------------------------------------------
@@ -97,13 +100,13 @@ def fit_plane_tls(points: np.ndarray):
     return normal, float(-normal @ centroid)
 
 
-def plane_metrics(pred_aligned: np.ndarray, sample: DepthSample,
-                  min_pixels: int = 16) -> tuple[float, float]:
+def plane_metrics(pred_aligned: np.ndarray, sample: DepthSample) -> tuple[float, float]:
     """(pe-fla in cm, pe-ori in degrees), averaged over annotated planes.
 
     Back-projects masked pixels of the aligned prediction, fits a TLS
     plane, and measures RMS deviation from the fit and the folded angle
-    between the fitted and annotated normals. Degenerate fits are skipped.
+    between the fitted and annotated normals. Planes with fewer than
+    ``MIN_PLANE_PIXELS`` usable pixels and degenerate fits are skipped.
     """
     usable = 0
     fla_sum = 0.0
@@ -112,7 +115,7 @@ def plane_metrics(pred_aligned: np.ndarray, sample: DepthSample,
                           sample.intrinsics)
     for plane in sample.planes:
         m = plane.mask & sample.mask & (np.asarray(pred_aligned) > 0)
-        if m.sum() < min_pixels:
+        if m.sum() < MIN_PLANE_PIXELS:
             continue
         fit = fit_plane_tls(pts_all[m])
         if fit is None:
@@ -225,6 +228,16 @@ def rank_models(reports: list[MetricsReport]) -> list[float]:
 # --------------------------------------------------------------------------
 
 
+def _align(pred: np.ndarray, sample: DepthSample) -> tuple[np.ndarray, float, bool]:
+    """(prediction aligned and clamped at 1e-6, scale, whether it was fitted):
+    one with no positive pixel under the mask keeps scale 1 instead."""
+    try:
+        s, fitted = align_scale(pred, sample.depth, sample.mask), True
+    except MetricError:
+        s, fitted = 1.0, False
+    return np.maximum(pred * s, 1e-6), s, fitted
+
+
 def evaluate_rasters(pred_depths: list[np.ndarray],
                      samples: list[DepthSample],
                      model_name: str, dataset_name: str) -> MetricsReport:
@@ -233,11 +246,12 @@ def evaluate_rasters(pred_depths: list[np.ndarray],
         raise MetricError("evaluate_rasters: length mismatch")
     absrels, deltas, flas, oris, scales = [], [], [], [], []
     for pred, sample in zip(pred_depths, samples):
-        s = align_scale(pred, sample.depth, sample.mask)
-        aligned = np.maximum(pred * s, 1e-6)
+        aligned, s, fitted = _align(pred, sample)
         absrels.append(absrel(aligned, sample.depth, sample.mask))
         deltas.append(delta1_err(aligned, sample.depth, sample.mask))
         scales.append(s)
+        if not fitted:  # a constant raster, which any plane fits exactly
+            continue
         try:
             fla, ori = plane_metrics(aligned, sample)
         except MetricError:
@@ -260,63 +274,39 @@ def evaluate_rasters(pred_depths: list[np.ndarray],
 # --------------------------------------------------------------------------
 
 
-def _aligned_absrel(pred: np.ndarray, sample: DepthSample) -> float:
-    """Align-then-AbsRel with a unit-scale fallback for degenerate
-    predictions (no positive pixel under the mask)."""
-    try:
-        s = align_scale(pred, sample.depth, sample.mask)
-    except MetricError:
-        s = 1.0
-    aligned = np.maximum(pred * s, 1e-6)
-    return absrel(aligned, sample.depth, sample.mask)
-
-
-def _relative_depth(decoded: np.ndarray) -> list[np.ndarray]:
-    """Decoded rasters [B, 1, H, W] in the normalized [-1, 1] range as
-    per-sample relative depth (x + 1) / 2, in units of the unknown
-    98th-percentile depth."""
-    return list((decoded[:, 0] + 1.0) * 0.5)
-
-
-def predict_depth_rasters(model, vq, samples: list[DepthSample],
-                          chunk: int = 32) -> list[np.ndarray]:
+def predict_depth_rasters(model, vq, samples: list[DepthSample]) -> list[np.ndarray]:
     """Greedy inference end to end: image -> token maps -> composed
     features -> decoded raster -> relative depth. Reads only the images,
     never the depth or mask. The result is known up to one global factor,
     which ``align_scale`` removes, so the ``scale`` an evaluation reports
     is in metres per unit of relative depth."""
-    from .var import infer_batch
-
     preds: list[np.ndarray] = []
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        part = samples[lo:lo + EVAL_CHUNK]
         z = infer_batch(model, vq, vq.image_tokens(np.stack([s.image for s in part])))
-        preds += _relative_depth(vq.decode_batch(vq.compose_batch(z)))
+        preds += list(relative_depth(vq.decode_batch(vq.compose_batch(z))[:, 0]))
     return preds
 
 
-def per_scale_curve(model, vq, samples: list[DepthSample],
-                    chunk: int = 32) -> tuple[list[tuple[int, float]], float]:
+def per_scale_curve(model, vq,
+                    samples: list[DepthSample]) -> tuple[list[tuple[int, float]], float]:
     """AbsRel of the decoded composition after each scale of the greedy
     prediction, plus the autoencoder's end-to-end floor (the decoded
     decomposition of the ground truth). Both decode to relative depth."""
-    from .var import infer_batch
-
     k_total = len(vq.schedule)
     sums = np.zeros(k_total)
     floor_sum = 0.0
     n = len(samples)
-    for lo in range(0, n, chunk):
-        part = samples[lo:lo + chunk]
+    for lo in range(0, n, EVAL_CHUNK):
+        part = samples[lo:lo + EVAL_CHUNK]
         z = infer_batch(model, vq, vq.image_tokens(np.stack([s.image for s in part])))
         for k, acc in enumerate(vq.compositions(z)):
-            for pred, s in zip(_relative_depth(vq.decode_batch(acc)), part):
-                sums[k] += _aligned_absrel(pred, s)
-        norm = np.stack([normalize_depth(s.depth, s.mask) for s in part])[:, None]
-        feats = vq.encode_batch(norm)
+            for pred, s in zip(relative_depth(vq.decode_batch(acc)[:, 0]), part):
+                sums[k] += absrel(_align(pred, s)[0], s.depth, s.mask)
+        feats = vq.encode_batch(depth_rasters(part))
         rec = vq.decode_batch(vq.compose_batch(vq.decompose_batch(feats)))
-        for pred, s in zip(_relative_depth(rec), part):
-            floor_sum += _aligned_absrel(pred, s)
+        for pred, s in zip(relative_depth(rec[:, 0]), part):
+            floor_sum += absrel(_align(pred, s)[0], s.depth, s.mask)
     curve = [(k + 1, float(sums[k] / n)) for k in range(k_total)]
     return curve, floor_sum / n
 

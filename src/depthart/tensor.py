@@ -108,13 +108,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-        if dtype is None and arr.dtype != np.float64:
+        arr = np.asarray(data, dtype=dtype)
+        if dtype is None:  # the engine's working precision
             arr = arr.astype(np.float32, copy=False)
-        elif dtype is None:
-            # float64 input without explicit dtype: normalize to the
-            # engine's working precision
-            arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
@@ -400,7 +396,10 @@ def gelu(x: Tensor) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5  # added to the variance before the square root
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then affine."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -409,7 +408,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x2.mean(axis=1)
     xc = x2 - mu[:, None]
     var = np.einsum("nc,nc->n", xc, xc) / d
-    inv = (1.0 / np.sqrt(var + eps))[:, None]
+    inv = (1.0 / np.sqrt(var + LN_EPS))[:, None]
     xhat = xc * inv
     y = xhat * gain.data
     y += bias.data
@@ -628,25 +627,6 @@ def _col_indices(cin, h, w, kh, kw, stride, pad):
     return out
 
 
-def _conv2d_data(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
-                 stride: int, pad: int):
-    """Raw conv forward on arrays; returns (y, cols, geometry)."""
-    bsz, cin, h, wd = x.shape
-    cout, cin_w, kh, kw = w.shape
-    flat, h2, w2, hp, wp = _col_indices(cin, h, wd, kh, kw, stride, pad)
-    if pad:
-        xp = np.zeros((bsz, cin, hp, wp), dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + wd] = x
-    else:
-        xp = x
-    cols = xp.reshape(bsz, -1)[:, flat.reshape(-1)].reshape(bsz, flat.shape[0], flat.shape[1])
-    y = cols @ w.reshape(cout, -1).T
-    if b is not None:
-        y = y + b
-    y = y.transpose(0, 2, 1).reshape(bsz, cout, h2, w2)
-    return y, cols, (flat, h2, w2, hp, wp)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution over ``x[B, Cin, H, W]`` with ``w[Cout, Cin, kh, kw]``."""
@@ -655,12 +635,20 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if x.data.shape[1] != w.data.shape[1]:
         raise DimensionError(
             f"conv2d: channel mismatch {x.data.shape[1]} vs {w.data.shape[1]}")
-    y, cols, (flat, h2, w2, hp, wp) = _conv2d_data(
-        x.data, w.data, None if b is None else b.data, stride, padding)
-    out = Tensor(y, dtype=x.dtype)
-    parents = (x, w) if b is None else (x, w, b)
     bsz, cin, h, wd = x.data.shape
-    cout = w.data.shape[0]
+    cout, _, kh, kw = w.data.shape
+    flat, h2, w2, hp, wp = _col_indices(cin, h, wd, kh, kw, stride, padding)
+    if padding:
+        xp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
+        xp[:, :, padding:padding + h, padding:padding + wd] = x.data
+    else:
+        xp = x.data
+    cols = xp.reshape(bsz, -1)[:, flat.reshape(-1)].reshape(bsz, flat.shape[0], flat.shape[1])
+    y = cols @ w.data.reshape(cout, -1).T
+    if b is not None:
+        y = y + b.data
+    out = Tensor(y.transpose(0, 2, 1).reshape(bsz, cout, h2, w2), dtype=x.dtype)
+    parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
         g2 = g.reshape(bsz, cout, -1).transpose(0, 2, 1)  # [B, H2*W2, Cout]

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, tensor as T
-from .data import DepthSample, normalize_depth
+from .data import DepthSample, depth_rasters
 from .optim import AdamW, step_lr
 from .tensor import Tensor
 from .var import (VarModel, depth_input_features, embed_sequence, forward,
                   infer_batch)
 from .vq import VqModel, check_finite
 
-REGIMES = ("teacher_forcing", "depthart")
+ENCODE_CHUNK = 64  # samples encoded per batch by prepare_training_set
 _REGIME_ALIASES = {"tf": "teacher_forcing", "teacher_forcing": "teacher_forcing",
                    "depthart": "depthart"}
 
@@ -132,17 +132,15 @@ class TrainingSet:
                            teacher=[t[idx] for t in self.teacher])
 
 
-def prepare_training_set(vq: VqModel, samples: list[DepthSample],
-                         chunk: int = 64) -> TrainingSet:
+def prepare_training_set(vq: VqModel, samples: list[DepthSample]) -> TrainingSet:
     """Encode a dataset once: image token maps, continuous ground-truth
     depth features, and the teacher decomposition."""
     img_tok, fds = [], []
     teacher: list[list[np.ndarray]] = [[] for _ in vq.schedule.sizes]
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
+    for lo in range(0, len(samples), ENCODE_CHUNK):
+        part = samples[lo:lo + ENCODE_CHUNK]
         img_tok.append(vq.image_tokens(np.stack([s.image for s in part])))
-        f_d = vq.encode_batch(np.stack(
-            [normalize_depth(s.depth, s.mask) for s in part])[:, None])
+        f_d = vq.encode_batch(depth_rasters(part))
         fds.append(f_d)
         for k, idx in enumerate(vq.decompose_batch(f_d)):
             teacher[k].append(idx)
@@ -227,11 +225,12 @@ STEP_FNS = {"teacher_forcing": teacher_forcing_step, "depthart": depthart_step}
 
 def fit(model: VarModel, vq: VqModel, dataset: TrainingSet | list[DepthSample],
         config: TrainConfig):
-    """Run the configured regime; returns (model, curve) where curve rows
-    are (step, loss, lr). Writes a rolling checkpoint, a final checkpoint,
-    and the loss CSV under config.out_dir when it is set. On divergence
-    the partial curve and last checkpoint are retained and the error
-    re-raised."""
+    """Run the configured regime; returns (model, curve, elapsed) where
+    curve rows are (step, loss, lr) and elapsed is the run's wall time in
+    seconds, checkpoint writes included. Writes a rolling checkpoint, a
+    final checkpoint, and the loss CSV under config.out_dir when it is
+    set. On divergence the partial curve and last checkpoint are retained
+    and the error re-raised."""
     training_set = dataset if isinstance(dataset, TrainingSet) \
         else prepare_training_set(vq, dataset)
     if len(training_set) == 0:

@@ -107,7 +107,7 @@ class VarModel:
     def to_entries(self) -> dict[str, np.ndarray]:
         e = {name: t.data for name, t in self.params.items()}
         cfg = self.config
-        e["schedule"] = np.asarray(cfg.schedule.sizes, np.float32)
+        e |= cfg.schedule.to_entries()
         e["hp/width"] = np.float32(cfg.width)
         e["hp/heads"] = np.float32(cfg.heads)
         e["hp/blocks"] = np.float32(cfg.blocks)
@@ -119,16 +119,12 @@ class VarModel:
         def hp(name):
             return int(checkpoint.entry(entries, "hp/" + name, ()))
 
-        sched = ScaleSchedule(tuple(
-            (int(h), int(w)) for h, w in checkpoint.entry(entries, "schedule", (None, 2))))
         vocab, c = checkpoint.entry(entries, "tok_emb", (None, None)).shape
-        cfg = VarConfig(schedule=sched, vocab=vocab, emb_dim=c, width=hp("width"),
-                        heads=hp("heads"), blocks=hp("blocks"),
-                        mlp_ratio=hp("mlp_ratio"))
+        cfg = VarConfig(schedule=ScaleSchedule.from_entries(entries), vocab=vocab,
+                        emb_dim=c, width=hp("width"), heads=hp("heads"),
+                        blocks=hp("blocks"), mlp_ratio=hp("mlp_ratio"))
         model = cls(cfg)
-        for name, init in model.params.items():
-            model.params[name] = Tensor(checkpoint.entry(entries, name, init.shape),
-                                        requires_grad=True)
+        checkpoint.restore(model.params, entries)
         return model
 
     def save(self, path: str) -> None:

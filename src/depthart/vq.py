@@ -21,6 +21,7 @@ updates, with k-means initialization over warm-up encoder outputs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import checkpoint
 from . import tensor as T
+from .optim import AdamW
 from .tensor import Tensor
 
 
@@ -74,6 +76,15 @@ class ScaleSchedule:
 
     def total_tokens(self) -> int:
         return sum(self.tokens_per_scale())
+
+    def to_entries(self) -> dict[str, np.ndarray]:
+        """The checkpoint entry ``schedule``: one (h, w) row per scale."""
+        return {"schedule": np.asarray(self.sizes, np.float32)}
+
+    @classmethod
+    def from_entries(cls, entries: dict[str, np.ndarray]) -> "ScaleSchedule":
+        return cls(tuple((int(h), int(w))
+                         for h, w in checkpoint.entry(entries, "schedule", (None, 2))))
 
 
 DEFAULT_SCHEDULE = ScaleSchedule(((1, 1), (2, 2), (4, 4), (8, 8)))
@@ -151,20 +162,17 @@ class VqModel:
     def to_entries(self) -> dict[str, np.ndarray]:
         e = {name: t.data for name, t in self.params.items()}
         e["codebook"] = self.codebook.vectors
-        e["schedule"] = np.asarray(self.schedule.sizes, dtype=np.float32)
+        e |= self.schedule.to_entries()
         e["hp/raster"] = np.float32(self.raster)
         return e
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "VqModel":
-        sched = ScaleSchedule(tuple(
-            (int(h), int(w)) for h, w in checkpoint.entry(entries, "schedule", (None, 2))))
         cb = checkpoint.entry(entries, "codebook", (None, None))
-        model = cls(schedule=sched, codebook_size=cb.shape[0], emb_dim=cb.shape[1],
+        model = cls(schedule=ScaleSchedule.from_entries(entries),
+                    codebook_size=cb.shape[0], emb_dim=cb.shape[1],
                     raster=int(checkpoint.entry(entries, "hp/raster", ())))
-        for name, init in model.params.items():
-            model.params[name] = Tensor(checkpoint.entry(entries, name, init.shape),
-                                        requires_grad=True)
+        checkpoint.restore(model.params, entries)
         model.codebook = Codebook(cb)
         return model
 
@@ -212,17 +220,13 @@ class VqModel:
 
     def nearest_batch(self, feats: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
         """Quantize [B, C, h, w] features; returns int32 [B, h*w]."""
-        b, c = feats.shape[0], feats.shape[1]
-        flat = feats.reshape(b, c, -1).transpose(0, 2, 1).reshape(-1, c)
-        return self.codebook.nearest(flat).reshape(b, hw[0] * hw[1])
+        return self.codebook.nearest(_rows(feats)).reshape(feats.shape[0], hw[0] * hw[1])
 
     def eta_batch(self, indices: np.ndarray, k: int) -> np.ndarray:
         """eta over a batch of flattened index maps [B, h_k*w_k]. Runs on
         constants only, so it records nothing on an active tape."""
-        h, w = self.schedule.sizes[k]
-        emb = self.codebook.vectors[indices.reshape(-1)].reshape(
-            indices.shape[0], h, w, self.emb_dim).transpose(0, 3, 1, 2)
-        up = T.resize_bilinear(Tensor(np.ascontiguousarray(emb)), self.schedule.latent)
+        emb = _embed(self.codebook, indices, self.schedule.sizes[k])
+        up = T.resize_bilinear(Tensor(emb), self.schedule.latent)
         return T.conv2d(up, Tensor(self.params["eta/w"].data), None,
                         stride=1, padding=1).data
 
@@ -275,6 +279,18 @@ def _check_batch(x: Tensor, channels: int) -> Tensor:
     return x
 
 
+def _rows(feats: np.ndarray) -> np.ndarray:
+    """Feature maps [B, C, h, w] as rows [B*h*w, C], one per position."""
+    return feats.transpose(0, 2, 3, 1).reshape(-1, feats.shape[1])
+
+
+def _embed(codebook: Codebook, indices: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
+    """Token maps [B, h*w] as their embedded feature maps [B, C, h, w]."""
+    rows = codebook.vectors[indices.reshape(-1)]
+    return np.ascontiguousarray(
+        rows.reshape(indices.shape[0], hw[0], hw[1], -1).transpose(0, 3, 1, 2))
+
+
 # --------------------------------------------------------------------------
 # training
 # --------------------------------------------------------------------------
@@ -325,8 +341,7 @@ def _masked_mse(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     return T.scale(T.sum_all(weighted), 1.0 / max(float(mask.sum()), 1.0))
 
 
-def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
-                config: VqTrainConfig = VqTrainConfig(),
+def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
                 model: Optional[VqModel] = None,
                 out_dir: Optional[str] = None):
     """Train the autoencoder and codebook on normalized depth rasters.
@@ -336,10 +351,6 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
     Raises DivergenceError if the loss goes non-finite. With ``out_dir``
     set, a rolling checkpoint is written periodically.
     """
-    import os
-
-    from .optim import AdamW
-
     if rasters.shape[0] == 0:
         raise ValueError("train_vqvae: empty dataset")
     rng = np.random.default_rng(config.seed)
@@ -371,7 +382,7 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
     # k-means codebook init over warm-up encoder outputs
     sel = rng.choice(n, size=min(KMEANS_SAMPLES, n), replace=False)
     feats = model.encode_batch(rasters[sel])
-    pts = feats.transpose(0, 2, 3, 1).reshape(-1, model.emb_dim).astype(np.float64)
+    pts = _rows(feats).astype(np.float64)
     model.codebook = Codebook(_kmeans(pts, model.codebook.size, rng))
 
     # phase 2: multi-scale residual VQ with straight-through + EMA updates
@@ -390,11 +401,8 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray,
                 resid = f if acc is None else T.sub(f, acc)
                 s_in = T.resize_bilinear(resid, (h, w))
                 idx = model.nearest_batch(s_in.data, (h, w))
-                emb = model.codebook.vectors[idx.reshape(-1)].reshape(
-                    s_in.data.shape[0], h, w, model.emb_dim).transpose(0, 3, 1, 2)
-                emb = np.ascontiguousarray(emb)
-                stats.append((idx, np.ascontiguousarray(
-                    s_in.data.transpose(0, 2, 3, 1).reshape(-1, model.emb_dim))))
+                emb = _embed(model.codebook, idx, (h, w))
+                stats.append((idx, _rows(s_in.data)))
                 q = T.add(s_in, Tensor(emb - s_in.data))  # straight-through
                 contrib = model.eta_features(q)
                 acc = contrib if acc is None else T.add(acc, contrib)

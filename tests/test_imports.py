@@ -6,6 +6,9 @@ package has no linter dependency.
 - Every public definition has a caller outside the tests: a top-level
   function, class or method counts as used when its name is referenced
   anywhere in the package or the benchmark harness.
+- Every parameter default is set by some call: a call of the same name in
+  the package, the benchmark harness or the tests passes the parameter,
+  so a value no caller varies is a constant, not a parameter.
 """
 
 import ast
@@ -92,3 +95,97 @@ def test_no_public_definition_is_test_only():
     callers = list(modules.values()) + [
         p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unreferenced(modules, callers) == []
+
+
+def defaulted_parameters(module: str, source: str) -> list[tuple[str, str, str, int]]:
+    """(callee name, reported name, parameter, position) of each parameter
+    with a default on a function or method of ``source``. A class's
+    ``__init__`` is called by the class name; other dunders are skipped.
+    A method's positions start after ``self`` or ``cls``, as its calls
+    pass them; keyword-only parameters have position -1."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, owner)
+                continue
+            visit(child, None)
+            callee = owner.name if child.name == "__init__" else child.name
+            if callee.startswith("__"):
+                continue
+            qual = f"{module}.{callee}" if owner is None or child.name == "__init__" \
+                else f"{module}.{owner.name}.{callee}"
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            shift = 1 if owner is not None and not static else 0
+            args = child.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out.extend((callee, qual, a.arg, i - shift)
+                       for i, a in enumerate(positional) if i >= first)
+            out.extend((callee, qual, a.arg, -1)
+                       for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` of each defaulted parameter that no
+    call of the same name passes, by keyword or by position, or covers
+    with a ``*``/``**`` splat. Functions whose name is read other than as
+    a callee (stored in a table, used as an annotation) are skipped: their
+    calls cannot be found by name."""
+    calls: dict[str, list[ast.Call]] = {}
+    callees, read = set(), set()
+    for src in callers:
+        for n in ast.walk(ast.parse(src)):  # breadth first: a call before its callee
+            if isinstance(n, ast.Call):
+                callees.add(id(n.func))
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                if name:
+                    calls.setdefault(name, []).append(n)
+            elif id(n) in callees or not isinstance(getattr(n, "ctx", None), ast.Load):
+                continue
+            elif isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+
+    def passes(call: ast.Call, param: str, pos: int) -> bool:
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, param) for k in call.keywords)
+                or 0 <= pos < len(call.args))
+
+    return sorted(f"{qual}({param})" for module, src in modules.items()
+                  for callee, qual, param, pos in defaulted_parameters(module, src)
+                  if callee not in read
+                  and not any(passes(c, param, pos) for c in calls.get(callee, [])))
+
+
+def test_unset_defaults_detected():
+    src = ("def f(a, b=1, *, c=2): pass\n"
+           "def g(x=0): pass\n"
+           "def h(y=0): pass\n"
+           "class K:\n"
+           "    def __init__(self, n=3, m=4): pass\n"
+           "    def meth(self, p=5, q=6): pass\n"
+           "    @staticmethod\n"
+           "    def stat(r=7): pass\n"
+           "TABLE = [g]\n")
+    caller = "f(1, 2)\nK(m=1).meth(5)\nobj.stat(1)\nh(**opts)\n"
+    assert unset_defaults({"m": src}, [src, caller]) == [
+        "m.K(n)", "m.K.meth(q)", "m.f(c)"]
+
+
+def test_every_default_is_set_by_some_call():
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text(encoding="utf-8")
+               for d in (PACKAGE, ROOT / "perfbench", ROOT / "tests")
+               for p in sorted(d.glob("*.py"))]
+    assert unset_defaults(modules, callers) == []

@@ -299,3 +299,16 @@ def test_eval_metrics_match_denormalized_oracle(eval_setup):
         assert getattr(got, col) == pytest.approx(getattr(want, col), rel=1e-6), col
     curve, _ = metrics.per_scale_curve(model, vq, samples)
     assert curve[-1][1] == got.absrel
+
+
+def test_eval_scores_prediction_without_positive_pixel():
+    # no scale aligns it, so it keeps scale 1 and clamps to a constant
+    # raster, as in the scale curve; a plane fits that exactly, so it
+    # gets no planarity score
+    sample = data.render_scene(data.SceneSpec.from_seed(0))
+    pred = np.full(sample.depth.shape, -0.2, np.float32)
+    row = metrics.evaluate_rasters([pred], [sample], "m", "d").rows[0]
+    clamped = np.full(sample.depth.shape, 1e-6, np.float32)
+    assert row.absrel == absrel(clamped, sample.depth, sample.mask)
+    assert row.delta1_err == 1.0
+    assert math.isnan(row.pe_fla) and math.isnan(row.pe_ori)

@@ -271,7 +271,7 @@ def test_infer_batch_matches_single(tiny_var, tiny_vq):
 
 def test_inference_thread_ignores_other_threads_tape(tiny_var, tiny_vq):
     # a tape records only its own thread's ops, so a second thread can run
-    # inference (which refuses to run under a tape) while the first trains
+    # inference (which would record on a tape of its own) while the first trains
     img = np.stack([np.concatenate(random_maps(tiny_vq.schedule, 12, seed=s))
                     for s in (40, 41)])
     errors = []
