@@ -3,8 +3,11 @@
 Scenes are ray-cast at a fixed resolution: a floor plane and up to three
 boxes/spheres, Lambertian-shaded from one directional light. Depth is
 z-depth (distance along the optical axis), which makes back-projection
-with the pinhole intrinsics exact. Planar regions (floor, visible box
-faces) are annotated with their camera-frame plane equations for the
+with the pinhole intrinsics exact. Every primitive's intersector reports
+hit distance, normal, face id and the world planes of its planar faces;
+one z-buffer pass over the primitive list keeps the nearest hit per
+pixel, and each planar face that won enough pixels (the floor, visible
+box faces) is annotated with its camera-frame plane equation for the
 planarity metrics.
 
 File formats (all integers little-endian):
@@ -128,18 +131,21 @@ def _camera_rays(eye, target):
     return eye, dirs, rot
 
 
-def _intersect_plane(eye, dirs):
+def _intersect_floor(eye, dirs):
+    """The floor plane y = 0, normal +y."""
     t = np.full(dirs.shape[:2], np.inf)
     denom = dirs[..., 1]
     hit = np.abs(denom) > 1e-9
     tt = -eye[1] / np.where(hit, denom, 1.0)
     ok = hit & (tt > 0.05)
     t[ok] = tt[ok]
-    return t
+    up = np.array([0.0, 1.0, 0.0])
+    return t, np.broadcast_to(up, dirs.shape), np.zeros(t.shape, int), [(up, 0.0)]
 
 
 def _intersect_sphere(eye, dirs, center, radius):
-    oc = eye - np.asarray(center, float)
+    center = np.asarray(center, float)
+    oc = eye - center
     a = (dirs * dirs).sum(-1)
     b = 2.0 * (dirs @ oc)
     c = oc @ oc - radius * radius
@@ -152,11 +158,15 @@ def _intersect_sphere(eye, dirs, center, radius):
     tt = np.where(t0 > 0.05, t0, t1)
     good = ok & (tt > 0.05)
     t[good] = tt[good]
-    return t
+    normals = np.zeros(dirs.shape)
+    n = eye + dirs[good] * t[good][:, None] - center
+    normals[good] = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    return t, normals, np.full(t.shape, -1), []
 
 
 def _intersect_box(eye, dirs, lo, hi):
-    """Slab method; also reports which axis/face the entry hit lies on."""
+    """Slab method. The entry hit lies on face ``2*axis + high``, whose
+    outward normal is -e_axis on the lo side and +e_axis on the hi side."""
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
     inv = 1.0 / np.where(np.abs(dirs) > 1e-12, dirs, 1e-12)
@@ -169,10 +179,21 @@ def _intersect_box(eye, dirs, lo, hi):
     axis = t1.argmax(-1)
     ok = (t_near <= t_far) & (t_near > 0.05)
     t = np.where(ok, t_near, np.inf)
-    # face sign: entering from the low side if direction along axis > 0
-    enter_dir = np.take_along_axis(dirs, axis[..., None], axis=-1)[..., 0]
-    face_sign = np.where(enter_dir > 0, -1, 1)  # -1: lo face, +1: hi face
-    return t, axis, face_sign
+    # a ray moving towards -axis enters through the hi face
+    high = np.take_along_axis(dirs, axis[..., None], axis=-1)[..., 0] <= 0
+    normals = np.zeros(dirs.shape)
+    np.put_along_axis(normals, axis[..., None], 2.0 * high[..., None] - 1.0, axis=-1)
+    planes = []
+    for ax in range(3):
+        for s, bound in ((-1, lo[ax]), (1, hi[ax])):
+            n_world = np.zeros(3)
+            n_world[ax] = s
+            planes.append((n_world, -s * bound))  # n . p - s*bound = 0
+    return t, normals, 2 * axis + high, planes
+
+
+_INTERSECT = {"floor": _intersect_floor, "sphere": _intersect_sphere,
+              "box": _intersect_box}
 
 
 def render_scene(spec: SceneSpec) -> DepthSample:
@@ -197,94 +218,48 @@ def render_scene(spec: SceneSpec) -> DepthSample:
 
 
 def _render_once(spec: SceneSpec) -> DepthSample:
+    """One z-buffer pass over the primitives (the floor, then the objects),
+    keeping per pixel the nearest hit's distance, primitive, face and
+    normal; then Lambertian shading, and one camera-frame plane annotation
+    per planar face that won at least ``MIN_PLANE_PIXELS`` pixels."""
     eye, dirs, rot = _camera_rays(spec.eye, spec.target)
-    h = w = RESOLUTION
-    best_t = _intersect_plane(eye, dirs)
-    best_id = np.where(np.isfinite(best_t), 0, -1)
-    box_faces = {}  # prim id -> (axis, face_sign) arrays
-    normals_world = np.zeros((h, w, 3))
-    normals_world[best_id == 0] = [0.0, 1.0, 0.0]
-    albedos = {0: np.asarray(spec.floor_albedo)}
-
-    for i, obj in enumerate(spec.objects, start=1):
-        kind = obj[0]
-        if kind == "sphere":
-            t = _intersect_sphere(eye, dirs, obj[1], obj[2])
-            closer = t < best_t
-            best_t = np.where(closer, t, best_t)
-            best_id = np.where(closer, i, best_id)
-            if closer.any():
-                pts = eye + dirs[closer] * t[closer][:, None]
-                n = pts - np.asarray(obj[1], float)
-                n /= np.linalg.norm(n, axis=-1, keepdims=True)
-                normals_world[closer] = n
-        else:
-            t, axis, sign = _intersect_box(eye, dirs, obj[1], obj[2])
-            closer = t < best_t
-            best_t = np.where(closer, t, best_t)
-            best_id = np.where(closer, i, best_id)
-            box_faces[i] = (axis, sign)
-            if closer.any():
-                n = np.zeros((h, w, 3))
-                for ax in range(3):
-                    selax = closer & (axis == ax)
-                    n[selax, ax] = sign[selax]
-                normals_world[closer] = n[closer]
-        albedos[i] = np.asarray(obj[3], float)
+    best_t = np.full(dirs.shape[:2], np.inf)
+    best_id = np.full(best_t.shape, -1)
+    best_face = np.full(best_t.shape, -1)
+    normals = np.zeros(dirs.shape)
+    albedos, face_planes = [], []
+    for pid, (kind, *params, albedo) in enumerate(
+            (("floor", spec.floor_albedo),) + spec.objects):
+        t, n, face, planes = _INTERSECT[kind](eye, dirs, *params)
+        closer = t < best_t
+        best_t[closer] = t[closer]
+        best_id[closer] = pid
+        best_face[closer] = face[closer]
+        normals[closer] = n[closer]
+        albedos.append(albedo)
+        face_planes.append(planes)
 
     valid = np.isfinite(best_t)
-    depth = np.where(valid, best_t, 0.0)
-
-    light = np.asarray(spec.light, float)
-    lambert = np.clip(normals_world @ light, 0.0, None)
+    lambert = np.clip(normals @ np.asarray(spec.light, float), 0.0, None)
     shade = AMBIENT + (1.0 - AMBIENT) * lambert
-    image = np.zeros((h, w, 3))
-    for pid, alb in albedos.items():
-        sel = best_id == pid
-        image[sel] = alb * shade[sel, None]
-    image = np.clip(image, 0.0, 1.0)
+    image = np.where(valid[..., None],
+                     np.asarray(albedos)[best_id] * shade[..., None], 0.0)
 
-    planes = _annotate_planes(spec, rot, eye, best_id, box_faces, valid)
+    planes = []
+    for pid, prim_planes in enumerate(face_planes):
+        for face, (n_world, d_world) in enumerate(prim_planes):
+            m = (best_id == pid) & (best_face == face)
+            if m.sum() >= MIN_PLANE_PIXELS:
+                planes.append(PlaneAnnotation(m, rot @ n_world,
+                                              float(n_world @ eye + d_world)))
     return DepthSample(
-        image=np.ascontiguousarray(image.transpose(2, 0, 1), dtype=np.float32),
-        depth=depth.astype(np.float32),
+        image=np.ascontiguousarray(np.clip(image, 0.0, 1.0).transpose(2, 0, 1),
+                                   dtype=np.float32),
+        depth=np.where(valid, best_t, 0.0).astype(np.float32),
         mask=valid,
         intrinsics=(FX, FY, CX, CY),
         planes=planes,
     )
-
-
-def _annotate_planes(spec, rot, eye, best_id, box_faces, valid):
-    """Camera-frame plane equations for the floor and visible box faces."""
-    planes: list[PlaneAnnotation] = []
-
-    def to_camera(n_world, d_world):
-        n_cam = rot @ n_world
-        d_cam = float(n_world @ eye + d_world)
-        return n_cam, d_cam
-
-    floor_mask = (best_id == 0) & valid
-    if floor_mask.sum() >= MIN_PLANE_PIXELS:
-        n_cam, d_cam = to_camera(np.array([0.0, 1.0, 0.0]), 0.0)
-        planes.append(PlaneAnnotation(floor_mask, n_cam, d_cam))
-
-    for i, obj in enumerate(spec.objects, start=1):
-        if obj[0] != "box" or i not in box_faces:
-            continue
-        axis, sign = box_faces[i]
-        lo, hi = np.asarray(obj[1], float), np.asarray(obj[2], float)
-        hit = (best_id == i) & valid
-        for ax in range(3):
-            for s, bound in ((-1, lo[ax]), (1, hi[ax])):
-                m = hit & (axis == ax) & (sign == s)
-                if m.sum() < MIN_PLANE_PIXELS:
-                    continue
-                n_world = np.zeros(3)
-                n_world[ax] = s
-                # plane: n . p - s*bound = 0 (n points outward)
-                n_cam, d_cam = to_camera(n_world, -s * bound)
-                planes.append(PlaneAnnotation(m, n_cam, d_cam))
-    return planes
 
 
 def backproject(depth: np.ndarray, intrinsics) -> np.ndarray:
@@ -414,17 +389,12 @@ def read_mask(path: str) -> np.ndarray:
 def rle_encode(mask: np.ndarray) -> str:
     """Alternating zero/one run lengths over the flattened mask, starting
     with a (possibly zero-length) zero run."""
-    flat = np.asarray(mask, dtype=np.uint8).reshape(-1)
-    runs = []
-    current, count = 0, 0
-    for bit in flat:
-        if bit == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = bit, 1
-    runs.append(count)
-    return " ".join(str(r) for r in runs)
+    flat = np.asarray(mask, dtype=bool).reshape(-1)
+    starts = np.flatnonzero(np.diff(flat)) + 1
+    runs = np.diff(np.concatenate(([0], starts, [flat.size])))
+    if flat[:1].any():
+        runs = np.concatenate(([0], runs))
+    return " ".join(map(str, runs))
 
 
 def rle_decode(text: str, shape: tuple[int, int]) -> np.ndarray:
@@ -511,6 +481,8 @@ def make_dataset(n_train: int, n_eval: int, seed: int, out_dir: str) -> str:
     """
     if n_train <= 0 or n_eval <= 0:
         raise DataError("make_dataset: counts must be positive")
+    if seed < 0:
+        raise DataError(f"make_dataset: seed {seed} must be non-negative")
     if n_train >= EVAL_SEED_OFFSET:
         raise DataError("make_dataset: train split too large for seed layout")
     os.makedirs(out_dir, exist_ok=True)

@@ -186,13 +186,15 @@ class MetricsReport:
 
 
 def _ascending_ranks(values: list[float]) -> list[float]:
-    """1 = best (smallest); ties share the mean of their positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    """1 = best (smallest), NaN after every number; ties, NaNs among them,
+    share the mean of their positions."""
+    keys = [(True, 0.0) if math.isnan(v) else (False, v) for v in values]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):
         j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+        while j + 1 < len(order) and keys[order[j + 1]] == keys[order[i]]:
             j += 1
         mean_rank = (i + j) / 2 + 1
         for k in range(i, j + 1):

@@ -147,7 +147,7 @@ def prepare_training_set(vq: VqModel, samples: list[DepthSample]) -> TrainingSet
     return TrainingSet(
         image_tokens=np.concatenate(img_tok),
         f_depth=np.concatenate(fds),
-        teacher=[np.concatenate(t).astype(np.int64) for t in teacher],
+        teacher=[np.concatenate(t) for t in teacher],
     )
 
 
@@ -162,7 +162,7 @@ def depthart_targets_batch(z_idx: list[np.ndarray], f_depth: np.ndarray,
     ground-truth features [B, C, h_K, w_K] taken against the predictions
     ``z_idx``. Equals the teacher decomposition when the predictions are
     that decomposition."""
-    return [t.astype(np.int64) for t in vq.decompose_batch(f_depth, z_idx)]
+    return vq.decompose_batch(f_depth, z_idx)
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from . import tensor as T
 from .tensor import Tensor
 from .vq import ScaleSchedule, ScheduleError, VqModel
 
+MLP_RATIO = 4  # MLP hidden width per model width
+
 
 @dataclass(frozen=True)
 class VarConfig:
@@ -42,7 +44,6 @@ class VarConfig:
     width: int = 128
     heads: int = 4
     blocks: int = 4
-    mlp_ratio: int = 4
 
 
 class VarModel:
@@ -90,9 +91,9 @@ class VarModel:
             p[pre + "attn_b"] = zeros(d)
             p[pre + "ln2_g"] = ones(d)
             p[pre + "ln2_b"] = zeros(d)
-            p[pre + "mlp_w1"] = normal(d, config.mlp_ratio * d)
-            p[pre + "mlp_b1"] = zeros(config.mlp_ratio * d)
-            p[pre + "mlp_w2"] = normal(config.mlp_ratio * d, d)
+            p[pre + "mlp_w1"] = normal(d, MLP_RATIO * d)
+            p[pre + "mlp_b1"] = zeros(MLP_RATIO * d)
+            p[pre + "mlp_w2"] = normal(MLP_RATIO * d, d)
             p[pre + "mlp_b2"] = zeros(d)
         p["ln_f_g"] = ones(d)
         p["ln_f_b"] = zeros(d)
@@ -111,7 +112,6 @@ class VarModel:
         e["hp/width"] = np.float32(cfg.width)
         e["hp/heads"] = np.float32(cfg.heads)
         e["hp/blocks"] = np.float32(cfg.blocks)
-        e["hp/mlp_ratio"] = np.float32(cfg.mlp_ratio)
         return e
 
     @classmethod
@@ -122,7 +122,7 @@ class VarModel:
         vocab, c = checkpoint.entry(entries, "tok_emb", (None, None)).shape
         cfg = VarConfig(schedule=ScaleSchedule.from_entries(entries), vocab=vocab,
                         emb_dim=c, width=hp("width"), heads=hp("heads"),
-                        blocks=hp("blocks"), mlp_ratio=hp("mlp_ratio"))
+                        blocks=hp("blocks"))
         model = cls(cfg)
         checkpoint.restore(model.params, entries)
         return model
@@ -212,7 +212,7 @@ def depth_input_features(model: VarModel, vq: VqModel,
 
 def _image_rows(model: VarModel, img_tokens: np.ndarray) -> Tensor:
     p = model.params
-    img = T.embedding_lookup(p["tok_emb"], img_tokens.astype(np.int64))
+    img = T.embedding_lookup(p["tok_emb"], img_tokens)
     return T.linear(img, p["img_proj_w"], p["img_proj_b"])
 
 
@@ -292,7 +292,7 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
 
 def _greedy(logits: np.ndarray) -> np.ndarray:
     """Argmax token per position of logits [B, n, V]; ties pick the lowest."""
-    return logits.argmax(axis=2).astype(np.int32)
+    return logits.argmax(axis=2)
 
 
 def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,

@@ -108,7 +108,7 @@ class Codebook:
         d = (f * f).sum(axis=1, keepdims=True) \
             - 2.0 * (f @ self.vectors.T) \
             + (self.vectors * self.vectors).sum(axis=1)[None, :]
-        return d.argmin(axis=1).astype(np.int32)
+        return d.argmin(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +219,7 @@ class VqModel:
         return self.decode(Tensor(feats)).data
 
     def nearest_batch(self, feats: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
-        """Quantize [B, C, h, w] features; returns int32 [B, h*w]."""
+        """Quantize [B, C, h, w] features; returns int64 [B, h*w]."""
         return self.codebook.nearest(_rows(feats)).reshape(feats.shape[0], hw[0] * hw[1])
 
     def eta_batch(self, indices: np.ndarray, k: int) -> np.ndarray:
@@ -234,7 +234,7 @@ class VqModel:
                         inputs: Optional[Sequence[np.ndarray]] = None
                         ) -> list[np.ndarray]:
         """Residual quantization of [B, C, h_K, w_K] features over the
-        schedule, coarse to fine; returns per-scale int32 [B, n_k].
+        schedule, coarse to fine; returns per-scale int64 [B, n_k].
 
         Scale k quantizes the features minus the composition of the maps
         below k, resized to s_k. Those maps are the decomposition's own
@@ -270,7 +270,7 @@ class VqModel:
         decomposition, concatenated coarse to fine."""
         lum = (0.299 * images[:, 0] + 0.587 * images[:, 1] + 0.114 * images[:, 2])
         feats = self.encode_batch((lum * 2.0 - 1.0)[:, None, :, :].astype(np.float32))
-        return np.concatenate(self.decompose_batch(feats), axis=1).astype(np.int64)
+        return np.concatenate(self.decompose_batch(feats), axis=1)
 
 
 def _check_batch(x: Tensor, channels: int) -> Tensor:

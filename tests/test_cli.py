@@ -65,6 +65,12 @@ def test_gen_data_unwritable_dir():
                      "--eval", "1", "--seed", "0"]) == 3
 
 
+def test_gen_data_negative_seed_is_a_data_error(tmp_path, capsys):
+    assert cli.main(["gen-data", "--out", str(tmp_path / "d"), "--train", "1",
+                     "--eval", "1", "--seed", "-1"]) == 3
+    assert "seed -1" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert cli.main(["train-var"]) == 2
     assert cli.main(["no-such-command"]) == 2

@@ -124,6 +124,19 @@ def test_plane_annotations_consistent_with_depth():
         assert sample.image.min() >= 0 and sample.image.max() <= 1
 
 
+def test_plane_masks_disjoint_and_valid():
+    # each pixel belongs to the one face the z-buffer kept, so no two
+    # annotated planes share a pixel and none reaches an invalid one
+    for seed in range(64):
+        sample = render_scene(SceneSpec.from_seed(seed))
+        covered = np.zeros(sample.mask.shape, int)
+        for p in sample.planes:
+            assert p.mask.sum() >= data.MIN_PLANE_PIXELS
+            covered += p.mask
+        assert covered.max() <= 1
+        assert not (covered.astype(bool) & ~sample.mask).any()
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -197,6 +210,12 @@ def test_rle_round_trip():
                           np.zeros((3, 3), bool))
     assert np.array_equal(rle_decode(rle_encode(np.ones((3, 3), bool)), (3, 3)),
                           np.ones((3, 3), bool))
+    # the exact strings: a leading zero-run, possibly empty, then alternating
+    assert rle_encode(np.ones((3, 3), bool)) == "0 9"
+    assert rle_encode(np.zeros((3, 3), bool)) == "9"
+    assert rle_encode(np.zeros((0, 0), bool)) == "0"
+    assert rle_encode(np.array([[1, 1, 0], [0, 1, 0]], bool)) == "0 2 2 1 1"
+    assert rle_encode(np.array([[0, 1], [1, 1]], bool)) == "1 3"
 
 
 def _dir_digest(d):

@@ -241,6 +241,17 @@ def test_rank_three_model_hand_case():
     assert rank_models([m1, m2, m3]) == [1.75, 1.75, 2.5]
 
 
+def test_rank_nan_cells_rank_last_and_tie():
+    # pe_fla/pe_ori are NaN when no plane could be scored: such a cell is
+    # worse than any number, and two NaN cells tie
+    nan = float("nan")
+    m1 = MetricsReport("m1", [row("d", 1.0, 0.1, nan, nan)])
+    m2 = MetricsReport("m2", [row("d", nan, 0.2, nan, 3.0)])
+    m3 = MetricsReport("m3", [row("d", 0.5, 0.3, 2.0, nan)])
+    # absrel 2,3,1; delta1 1,2,3; pe_fla 2.5,2.5,1; pe_ori 2.5,1,2.5
+    assert rank_models([m1, m2, m3]) == [2.0, 2.125, 1.875]
+
+
 def test_rank_mismatched_datasets():
     a = MetricsReport("m1", [row("d1", 0.1, 0.1, 1.0, 5.0)])
     b = MetricsReport("m2", [row("d2", 0.1, 0.1, 1.0, 5.0)])

@@ -203,7 +203,7 @@ def test_last_block_runs_only_depth_rows(tiny_var, tiny_vq, count_calls):
     calls = count_calls(T, "gelu")
     forward(tiny_var, seq, tiny_var.attention_mask(3))
     cfg = tiny_var.config
-    hidden = cfg.mlp_ratio * cfg.width
+    hidden = var.MLP_RATIO * cfg.width
     n_depth = sum(tiny_vq.schedule.tokens_per_scale())
     length = tiny_var.n_image_tokens() + n_depth
     assert [c[0].shape for c in calls] == \
@@ -254,7 +254,7 @@ def test_incremental_decode_matches_full_forward(tiny_var, tiny_vq):
     for k_max in range(1, len(tiny_vq.schedule) + 1):
         logits = full_forward(tiny_var, tiny_vq, img, preds[:k_max - 1])
         lo, hi = tiny_var.depth_slices(k_max)[k_max - 1]
-        assert np.array_equal(logits[lo:hi].argmax(axis=-1).astype(np.int32),
+        assert np.array_equal(logits[lo:hi].argmax(axis=-1),
                               preds[k_max - 1])
 
 
