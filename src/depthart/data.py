@@ -398,16 +398,21 @@ def rle_encode(mask: np.ndarray) -> str:
 
 
 def rle_decode(text: str, shape: tuple[int, int]) -> np.ndarray:
-    runs = [int(x) for x in text.split()] if text.strip() else [shape[0] * shape[1]]
+    """Mask of ``shape`` from ``rle_encode``'s alternating run lengths,
+    unset first. A run that is not a non-negative decimal integer, or runs
+    that do not cover the raster exactly, raise ``DataError``."""
+    runs = text.split() or [str(shape[0] * shape[1])]
     flat = np.zeros(shape[0] * shape[1], dtype=bool)
-    pos, bit = 0, False
-    for r in runs:
-        if bit:
-            flat[pos:pos + r] = True
-        pos += r
-        bit = not bit
+    pos = 0
+    for k, run in enumerate(runs):
+        if not (run.isascii() and run.isdigit()):
+            raise DataError(f"RLE run {k} is {run!r}, not a non-negative integer")
+        n = int(run)
+        if k % 2:
+            flat[pos:pos + n] = True
+        pos += n
     if pos != flat.size:
-        raise DataError("RLE length does not match raster size")
+        raise DataError(f"RLE runs cover {pos} pixels, raster has {flat.size}")
     return flat.reshape(shape)
 
 
@@ -436,9 +441,11 @@ def read_planes(path: str, shape: tuple[int, int]) -> list[PlaneAnnotation]:
             nx, ny, nz, d = (float(x) for x in lines[i].split())
         except ValueError:
             raise DataError(f"{path}: malformed plane header {lines[i]!r}") from None
-        planes.append(PlaneAnnotation(
-            mask=rle_decode(lines[i + 1], shape),
-            normal=np.array([nx, ny, nz]), offset=d))
+        try:
+            mask = rle_decode(lines[i + 1], shape)
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
+        planes.append(PlaneAnnotation(mask=mask, normal=np.array([nx, ny, nz]), offset=d))
     return planes
 
 

@@ -598,38 +598,21 @@ def multihead_attention(qkv: Tensor, heads: int, visible: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# conv2d (im2col) and bilinear resize (matrix form)
+# conv2d (im2col from strided slices, one batched matmul) and bilinear
+# resize (matrix form)
 # --------------------------------------------------------------------------
-
-_COL_INDEX_CACHE: dict[tuple, tuple] = {}
-
-
-def _col_indices(cin, h, w, kh, kw, stride, pad):
-    key = (cin, h, w, kh, kw, stride, pad)
-    hit = _COL_INDEX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    h2 = (h + 2 * pad - kh) // stride + 1
-    w2 = (w + 2 * pad - kw) // stride + 1
-    c_idx = np.repeat(np.arange(cin), kh * kw).reshape(1, -1)
-    ky, kx = np.meshgrid(np.arange(kh), np.arange(kw), indexing="ij")
-    ky = np.tile(ky.reshape(-1), cin)
-    kx = np.tile(kx.reshape(-1), cin)
-    oy, ox = np.meshgrid(np.arange(h2) * stride, np.arange(w2) * stride, indexing="ij")
-    rows = oy.reshape(-1, 1) + ky.reshape(1, -1)
-    cols = ox.reshape(-1, 1) + kx.reshape(1, -1)
-    chan = np.broadcast_to(c_idx, rows.shape)
-    # flat index into the padded [cin, h+2p, w+2p] volume
-    hp, wp = h + 2 * pad, w + 2 * pad
-    flat = (chan * hp + rows) * wp + cols
-    out = (flat.astype(np.int64), h2, w2, hp, wp)
-    _COL_INDEX_CACHE[key] = out
-    return out
-
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution over ``x[B, Cin, H, W]`` with ``w[Cout, Cin, kh, kw]``."""
+    """2-D convolution over ``x[B, Cin, H, W]`` with ``w[Cout, Cin, kh, kw]``.
+
+    im2col fills ``cols[B, Cin, kh, kw, H2, W2]`` with one strided slice of
+    the padded input per kernel offset, and the output is one batched
+    matmul ``w[Cout, Cin*kh*kw] @ cols[B, Cin*kh*kw, H2*W2]``, already in
+    NCHW order. The backward pass turns the column gradients back into an
+    input gradient with one strided slice add per kernel offset. Each
+    sample is its own matmul, so a row of a batch gets the bits of a batch
+    of one."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d: x must be [B,Cin,H,W], w [Cout,Cin,kh,kw]")
     if x.data.shape[1] != w.data.shape[1]:
@@ -637,38 +620,44 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             f"conv2d: channel mismatch {x.data.shape[1]} vs {w.data.shape[1]}")
     bsz, cin, h, wd = x.data.shape
     cout, _, kh, kw = w.data.shape
-    flat, h2, w2, hp, wp = _col_indices(cin, h, wd, kh, kw, stride, padding)
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    h2 = (hp - kh) // stride + 1
+    w2 = (wp - kw) // stride + 1
+    # the input pixels kernel offset (i, j) meets, one per output pixel
+    taps = [(i, j, np.s_[:, :, i:i + stride * (h2 - 1) + 1:stride,
+                         j:j + stride * (w2 - 1) + 1:stride])
+            for i in range(kh) for j in range(kw)]
     if padding:
         xp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
         xp[:, :, padding:padding + h, padding:padding + wd] = x.data
     else:
         xp = x.data
-    cols = xp.reshape(bsz, -1)[:, flat.reshape(-1)].reshape(bsz, flat.shape[0], flat.shape[1])
-    y = cols @ w.data.reshape(cout, -1).T
+    cols = np.empty((bsz, cin, kh, kw, h2, w2), dtype=xp.dtype)
+    for i, j, win in taps:
+        cols[:, :, i, j] = xp[win]
+    cols = cols.reshape(bsz, cin * kh * kw, h2 * w2)
+    wm = w.data.reshape(cout, -1)
+    y = wm @ cols  # [B, Cout, H2*W2]
     if b is not None:
-        y = y + b.data
-    out = Tensor(y.transpose(0, 2, 1).reshape(bsz, cout, h2, w2), dtype=x.dtype)
+        y += b.data[:, None]
+    out = Tensor(y.reshape(bsz, cout, h2, w2), dtype=x.dtype)
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        g2 = g.reshape(bsz, cout, -1).transpose(0, 2, 1)  # [B, H2*W2, Cout]
+        g3 = g.reshape(bsz, cout, h2 * w2)
         if b is not None and b._needs_grad():
-            b._accumulate_owned(g2.sum(axis=(0, 1)))
+            b._accumulate_owned(g3.sum(axis=(0, 2)))
         if w._needs_grad():
-            gw = np.einsum("bpk,bpc->ck", cols, g2, optimize=True)
+            gw = (g3 @ cols.swapaxes(1, 2)).sum(axis=0)
             w._accumulate_owned(gw.reshape(w.data.shape))
         if x._needs_grad():
-            dcols = g2 @ w.data.reshape(cout, -1)  # [B, P, Cin*kh*kw]
-            # scatter-add one sample at a time: a float64 sum per pixel in
-            # column order, without a batch-wide index or weight copy
-            idx = flat.reshape(-1)
-            acc = np.empty((bsz, cin, hp, wp), dtype=x.data.dtype)
-            for i in range(bsz):
-                acc[i] = np.bincount(idx, weights=dcols[i].reshape(-1),
-                                     minlength=cin * hp * wp).reshape(cin, hp, wp)
+            dcols = (wm.T @ g3).reshape(bsz, cin, kh, kw, h2, w2)
+            dxp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
+            for i, j, win in taps:
+                dxp[win] += dcols[:, :, i, j]
             if padding:
-                acc = np.ascontiguousarray(acc[:, :, padding:padding + h, padding:padding + wd])
-            x._accumulate_owned(acc)
+                dxp = np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + wd])
+            x._accumulate_owned(dxp)
 
     return _maybe_record(out, parents, backward)
 

@@ -9,25 +9,48 @@ import numpy as np
 from depthart import data, tensor as T, training, var
 
 
-def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
-                 stride: int, pad: int):
-    """(dx, dw, db) of ``conv2d(x, w, b, stride, pad)`` for output gradient
-    ``g``, by im2col and one batch-wide scatter-add of the column
-    gradients: every input pixel gets the float64 sum of its column
-    entries in column order, cast back to the input dtype."""
+def _receptive_fields(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """``(xcols, flat)``: ``xcols[B, P, K]`` holds, for each of the P output
+    pixels, the K = Cin*kh*kw padded input values its kernel meets, gathered
+    through ``flat[P, K]``, their flat indices into one padded sample."""
     bsz, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    h2, w2 = g.shape[2:]
     hp, wp = h + 2 * pad, wd + 2 * pad
+    h2, w2 = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     chan, ky, kx = np.meshgrid(np.arange(cin), np.arange(kh), np.arange(kw),
                                indexing="ij")
     oy, ox = np.meshgrid(np.arange(h2) * stride, np.arange(w2) * stride,
                          indexing="ij")
     rows = oy.reshape(-1, 1) + ky.reshape(1, -1)
     cols = ox.reshape(-1, 1) + kx.reshape(1, -1)
-    flat = (chan.reshape(1, -1) * hp + rows) * wp + cols  # [P, K] into [cin, hp, wp]
+    flat = (chan.reshape(1, -1) * hp + rows) * wp + cols
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    xcols = xp.reshape(bsz, -1)[:, flat]                  # [B, P, K]
+    return xp.reshape(bsz, -1)[:, flat], flat
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
+           pad: int) -> np.ndarray:
+    """``conv2d(x, w, b, stride, pad)`` in the dtype of its inputs: each
+    output pixel is the dot product of its gathered receptive field with
+    the flattened kernel, plus the bias."""
+    cout, _, kh, kw = w.shape
+    h2 = (x.shape[2] + 2 * pad - kh) // stride + 1
+    w2 = (x.shape[3] + 2 * pad - kw) // stride + 1
+    xcols, _ = _receptive_fields(x, kh, kw, stride, pad)
+    y = np.einsum("bpk,ck->bcp", xcols, w.reshape(cout, -1)) + b[:, None]
+    return y.reshape(x.shape[0], cout, h2, w2)
+
+
+def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                 stride: int, pad: int):
+    """(dx, dw, db) of ``conv2d(x, w, b, stride, pad)`` for output gradient
+    ``g``, in the dtype of its inputs; called with float64 arrays it is the
+    reference the float32 kernel is held to. It gathers receptive fields
+    by index and scatters the column gradients back with one batch-wide
+    ``bincount``, a route independent of the kernel's strided slices."""
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    xcols, flat = _receptive_fields(x, kh, kw, stride, pad)  # [B, P, K]
     g2 = g.reshape(bsz, cout, -1).transpose(0, 2, 1)      # [B, P, Cout]
     db = g2.sum(axis=(0, 1))
     dw = np.einsum("bpk,bpc->ck", xcols, g2, optimize=True).reshape(w.shape)

@@ -182,6 +182,22 @@ def test_eval_with_truncated_depth_file_is_a_data_error(workspace, tmp_path):
     assert code == 3
 
 
+def test_eval_with_corrupt_plane_runs_is_a_data_error(workspace, tmp_path,
+                                                      capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    planes = data / "eval_00000.planes.txt"
+    size = sum(int(run) for run in planes.read_text().splitlines()[2].split())
+    # runs that sum to the raster size, so only the sign is wrong
+    planes.write_text(f"1\n0.0 1.0 0.0 1.0\n-3 {size + 3}\n")
+    code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--data", str(data), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "eval_00000.planes.txt" in err and "'-3'" in err
+
+
 def test_eval_with_sample_files_of_different_sizes_is_a_data_error(workspace,
                                                                   tmp_path):
     data_dir = tmp_path / "data"

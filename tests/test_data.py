@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,14 @@ def test_rle_round_trip():
     assert rle_encode(np.zeros((0, 0), bool)) == "0"
     assert rle_encode(np.array([[1, 1, 0], [0, 1, 0]], bool)) == "0 2 2 1 1"
     assert rle_encode(np.array([[0, 1], [1, 1]], bool)) == "1 3"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("-3 12", "run 0 is '-3'"), ("a 9", "run 0 is 'a'"), ("2.5 6.5", "run 0 is '2.5'"),
+    ("3 +6", "run 1 is '+6'"), ("3 5", "cover 8 pixels"), ("0 0 10", "cover 10 pixels")])
+def test_rle_decode_rejects_corrupt_runs(text, message):
+    with pytest.raises(data.DataError, match=re.escape(message)):
+        rle_decode(text, (3, 3))
 
 
 def _dir_digest(d):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from depthart import tensor as T
+from depthart.training import ENCODE_CHUNK
 from depthart.var import VarConfig, VarModel
 from depthart.vq import DEFAULT_SCHEDULE
 
@@ -138,34 +139,72 @@ def test_conv2d_grad(stride, pad):
 
 
 # (x shape, w shape, stride, pad): the five VQ convs whose input needs a
-# gradient (HIDDEN=32, emb_dim=16, raster 32, B=8), then odd geometries
+# gradient (HIDDEN=32, emb_dim=16, raster 32, B=8), the encoder convs at
+# prepare_training_set's batch of ENCODE_CHUNK, then odd geometries
 CONV_GEOMETRIES = {
     "enc2": ((8, 32, 16, 16), (32, 32, 3, 3), 2, 1),
     "enc3": ((8, 32, 8, 8), (16, 32, 3, 3), 1, 1),
     "dec1": ((8, 16, 8, 8), (32, 16, 3, 3), 1, 1),
     "dec2": ((8, 32, 16, 16), (32, 32, 3, 3), 1, 1),
     "dec3": ((8, 32, 32, 32), (1, 32, 3, 3), 1, 1),
+    "chunk_enc1": ((ENCODE_CHUNK, 1, 32, 32), (32, 1, 3, 3), 2, 1),
+    "chunk_enc2": ((ENCODE_CHUNK, 32, 16, 16), (32, 32, 3, 3), 2, 1),
+    "chunk_enc3": ((ENCODE_CHUNK, 32, 8, 8), (16, 32, 3, 3), 1, 1),
     "stride2_pad0": ((3, 2, 7, 7), (4, 2, 3, 3), 2, 0),
     "kernel2_stride3": ((2, 3, 8, 8), (2, 3, 2, 2), 3, 1),
 }
+VQ_CONVS = ("enc2", "enc3", "dec1", "dec2", "dec3")
+
+
+def conv_case(geometry):
+    """float32 (x, w, b, g) for a geometry; g is an output gradient."""
+    xs, ws, stride, pad = CONV_GEOMETRIES[geometry]
+    gen = np.random.default_rng(7)
+    x = gen.standard_normal(xs).astype(np.float32)
+    w = (gen.standard_normal(ws) * 0.1).astype(np.float32)
+    b = gen.standard_normal(ws[0]).astype(np.float32)
+    h2 = (xs[2] + 2 * pad - ws[2]) // stride + 1
+    w2 = (xs[3] + 2 * pad - ws[3]) // stride + 1
+    g = gen.standard_normal((xs[0], ws[0], h2, w2)).astype(np.float32)
+    return x, w, b, g
+
+
+def conv_and_grads(x, w, b, g, stride, pad):
+    """(y, dx, dw, db) of ``T.conv2d`` for output gradient ``g``."""
+    xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+    with T.Tape():
+        y = T.conv2d(xt, wt, bt, stride=stride, padding=pad)
+        T.sum_all(T.mul(y, T.Tensor(g))).backward()  # dy == g exactly
+    return y.data, xt.grad, wt.grad, bt.grad
 
 
 @pytest.mark.parametrize("geometry", sorted(CONV_GEOMETRIES))
-def test_conv2d_grads_bit_identical_to_batch_scatter(geometry):
-    xs, ws, stride, pad = CONV_GEOMETRIES[geometry]
-    gen = np.random.default_rng(7)
-    x = T.Tensor(gen.standard_normal(xs), requires_grad=True)
-    w = T.Tensor(gen.standard_normal(ws) * 0.1, requires_grad=True)
-    b = T.Tensor(gen.standard_normal(ws[0]), requires_grad=True)
-    with T.Tape():
-        y = T.conv2d(x, w, b, stride=stride, padding=pad)
-        g = gen.standard_normal(y.shape).astype(np.float32)
-        T.sum_all(T.mul(y, T.Tensor(g))).backward()  # dy == g exactly
-    dx, dw, db = oracle.conv2d_grads(x.data, w.data, g, stride, pad)
-    assert x.grad.dtype == np.float32
-    assert np.array_equal(x.grad, dx)
-    assert np.array_equal(w.grad, dw)
-    assert np.array_equal(b.grad, db)
+def test_conv2d_matches_float64_oracle(geometry):
+    stride, pad = CONV_GEOMETRIES[geometry][2:]
+    x, w, b, g = conv_case(geometry)
+    got = conv_and_grads(x, w, b, g, stride, pad)
+    x64, w64, b64, g64 = (a.astype(np.float64) for a in (x, w, b, g))
+    want = (oracle.conv2d(x64, w64, b64, stride, pad),
+            *oracle.conv2d_grads(x64, w64, g64, stride, pad))
+    for name, a, ref in zip(("y", "dx", "dw", "db"), got, want):
+        assert a.dtype == np.float32 and a.shape == ref.shape, name
+        err = np.abs(a - ref).max()
+        assert err <= 2e-6 * np.abs(ref).max(), (name, err)
+
+
+@pytest.mark.parametrize("geometry", VQ_CONVS)
+def test_conv2d_rows_match_batches_of_one(geometry):
+    # batched encode/decode must give each sample the bits it gets alone,
+    # and a repeated call the bits of the first
+    stride, pad = CONV_GEOMETRIES[geometry][2:]
+    x, w, b, g = conv_case(geometry)
+    y, dx, dw, db = conv_and_grads(x, w, b, g, stride, pad)
+    for a, again in zip((y, dx, dw, db), conv_and_grads(x, w, b, g, stride, pad)):
+        assert np.array_equal(a, again)
+    for i in range(len(x)):
+        yi, dxi, _, _ = conv_and_grads(x[i:i + 1], w, b, g[i:i + 1], stride, pad)
+        assert np.array_equal(yi, y[i:i + 1])
+        assert np.array_equal(dxi, dx[i:i + 1])
 
 
 # ---------------------------------------------------------------------------
