@@ -598,21 +598,44 @@ def multihead_attention(qkv: Tensor, heads: int, visible: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# conv2d (im2col from strided slices, one batched matmul) and bilinear
+# conv2d (one GEMM per kernel tap on the phase-split input) and bilinear
 # resize (matrix form)
 # --------------------------------------------------------------------------
+
+def _phase_interiors(buf: np.ndarray, h: int, wd: int, stride: int,
+                     padding: int, hq: int, wq: int):
+    """``(view, index)`` pairs, one per phase of ``buf[B, s*s, C, L]``: the
+    view is where the input pixels ``x[index]`` sit on that phase's
+    ``[hq, wq]`` grid. Together the indices cover every input pixel once."""
+    s = stride
+    grid = buf[..., :hq * wq].reshape(buf.shape[0], s * s, buf.shape[2], hq, wq)
+    out = []
+    for p in range(s * s):
+        ya, xa = (p // s - padding) % s, (p % s - padding) % s  # first x row, col
+        r0, c0 = (ya + padding) // s, (xa + padding) // s
+        rows = slice(r0, r0 + len(range(ya, h, s)))
+        cols = slice(c0, c0 + len(range(xa, wd, s)))
+        out.append((grid[:, p, :, rows, cols], np.s_[:, :, ya::s, xa::s]))
+    return out
+
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution over ``x[B, Cin, H, W]`` with ``w[Cout, Cin, kh, kw]``.
 
-    im2col fills ``cols[B, Cin, kh, kw, H2, W2]`` with one strided slice of
-    the padded input per kernel offset, and the output is one batched
-    matmul ``w[Cout, Cin*kh*kw] @ cols[B, Cin*kh*kw, H2*W2]``, already in
-    NCHW order. The backward pass turns the column gradients back into an
-    input gradient with one strided slice add per kernel offset. Each
-    sample is its own matmul, so a row of a batch gets the bits of a batch
-    of one."""
+    The padded input is split once into stride x stride phases, each
+    flattened per channel (for stride 1 the padded input itself). Kernel
+    offset (i, j) then reads one phase at a fixed flat offset, as a
+    ``[Cin, H2*Wq]`` matrix per sample on the "wide" output grid of Wq
+    columns per row, of which the first W2 are real. The output is the sum
+    over offsets of ``w[:, :, i, j] @ window``, cropped to W2 columns; the
+    backward pass runs the same windows the other way. No column buffer is
+    built (Anderson et al., Low-memory GEMM-based convolution algorithms
+    for deep neural networks, 2017). Where the contracted side has one
+    channel (Cin = 1 forward, Cout = 1 input gradient), a per-offset
+    product would be an outer product, so its kh*kw shifted copies are
+    stacked and contracted in one GEMM instead. Each sample is its own
+    GEMM, so a row of a batch gets the bits of a batch of one."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d: x must be [B,Cin,H,W], w [Cout,Cin,kh,kw]")
     if x.data.shape[1] != w.data.shape[1]:
@@ -620,44 +643,83 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             f"conv2d: channel mismatch {x.data.shape[1]} vs {w.data.shape[1]}")
     bsz, cin, h, wd = x.data.shape
     cout, _, kh, kw = w.data.shape
+    s, dt = stride, x.data.dtype
     hp, wp = h + 2 * padding, wd + 2 * padding
-    h2 = (hp - kh) // stride + 1
-    w2 = (wp - kw) // stride + 1
-    # the input pixels kernel offset (i, j) meets, one per output pixel
-    taps = [(i, j, np.s_[:, :, i:i + stride * (h2 - 1) + 1:stride,
-                         j:j + stride * (w2 - 1) + 1:stride])
+    h2, w2 = (hp - kh) // s + 1, (wp - kw) // s + 1
+    hq, wq = -(-hp // s), -(-wp // s)
+    n = h2 * wq  # one window: h2 rows of the wide grid
+    lq = hq * wq + (kw - 1) // s  # the zero tail holds the last window's end
+    # kernel offset (i, j) reads phase (i % s, j % s) at (i // s, j // s)
+    taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
             for i in range(kh) for j in range(kw)]
-    if padding:
-        xp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
-        xp[:, :, padding:padding + h, padding:padding + wd] = x.data
+    xq = np.zeros((bsz, s * s, cin, lq), dtype=dt)
+    for view, index in _phase_interiors(xq, h, wd, s, padding, hq, wq):
+        view[...] = x.data[index]
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # [kh, kw, Cout, Cin]
+    if cin == 1:
+        stack = np.empty((bsz, kh * kw, h2, w2), dtype=dt)
+        for t, (_, _, p, o) in enumerate(taps):
+            stack[:, t] = xq[:, p, 0, o:o + n].reshape(bsz, h2, wq)[..., :w2]
+        stack = stack.reshape(bsz, kh * kw, h2 * w2)
+        y = w.data.reshape(cout, kh * kw) @ stack
     else:
-        xp = x.data
-    cols = np.empty((bsz, cin, kh, kw, h2, w2), dtype=xp.dtype)
-    for i, j, win in taps:
-        cols[:, :, i, j] = xp[win]
-    cols = cols.reshape(bsz, cin * kh * kw, h2 * w2)
-    wm = w.data.reshape(cout, -1)
-    y = wm @ cols  # [B, Cout, H2*W2]
+        yw = np.zeros((bsz, cout, n), dtype=dt)
+        part = np.empty_like(yw)
+        for i, j, p, o in taps:
+            yw += np.matmul(wt[i, j], xq[:, p, :, o:o + n], out=part)
+        y = np.ascontiguousarray(yw.reshape(bsz, cout, h2, wq)[..., :w2])
+    y = y.reshape(bsz, cout, h2, w2)
     if b is not None:
-        y += b.data[:, None]
-    out = Tensor(y.reshape(bsz, cout, h2, w2), dtype=x.dtype)
+        y += b.data[:, None, None]
+    out = Tensor(y, dtype=x.dtype)
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        g3 = g.reshape(bsz, cout, h2 * w2)
         if b is not None and b._needs_grad():
-            b._accumulate_owned(g3.sum(axis=(0, 2)))
-        if w._needs_grad():
-            gw = (g3 @ cols.swapaxes(1, 2)).sum(axis=0)
-            w._accumulate_owned(gw.reshape(w.data.shape))
-        if x._needs_grad():
-            dcols = (wm.T @ g3).reshape(bsz, cin, kh, kw, h2, w2)
-            dxp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
-            for i, j, win in taps:
-                dxp[win] += dcols[:, :, i, j]
-            if padding:
-                dxp = np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + wd])
-            x._accumulate_owned(dxp)
+            b._accumulate_owned(g.sum(axis=(0, 2, 3)))
+        need_w, need_x = w._needs_grad(), x._needs_grad()
+        if need_w and cin == 1:
+            dw = (g.reshape(bsz, cout, h2 * w2) @ stack.swapaxes(1, 2)).sum(axis=0)
+            w._accumulate_owned(dw.reshape(w.data.shape))
+            need_w = False
+        if not (need_w or need_x):
+            return
+        gw = np.zeros((bsz, cout, h2, wq), dtype=dt)
+        gw[..., :w2] = g
+        gw = gw.reshape(bsz, cout, n)
+        dw = np.empty_like(w.data) if need_w else None
+        if cout == 1:
+            # the kh*kw shifts of g onto the phase grid, one per kernel offset;
+            # per phase, dx is one GEMM of them with the kernel (the
+            # correlation of g with the flipped kernel) and dw one with xq
+            shifted = np.zeros((bsz, kh, kw, lq), dtype=dt)
+            for i, j, _, o in taps:
+                shifted[:, i, j, o:o + n] = gw[:, 0]
+            dq = np.empty_like(xq)
+            for p in range(s * s):
+                a, c = divmod(p, s)
+                sp = shifted[:, a::s, c::s].reshape(bsz, -1, lq)  # this phase's offsets
+                if need_w:
+                    dwp = dw[0, :, a::s, c::s]
+                    dwp[...] = (xq[:, p] @ sp.swapaxes(1, 2)).sum(axis=0).reshape(dwp.shape)
+                if need_x:
+                    np.matmul(w.data[0, :, a::s, c::s].reshape(cin, -1), sp, out=dq[:, p])
+        else:
+            if need_w:
+                for i, j, p, o in taps:
+                    dw[:, :, i, j] = (gw @ xq[:, p, :, o:o + n].swapaxes(1, 2)).sum(axis=0)
+            if need_x:
+                dq = np.zeros_like(xq)
+                part = np.empty((bsz, cin, n), dtype=dt)
+                for i, j, p, o in taps:
+                    dq[:, p, :, o:o + n] += np.matmul(wt[i, j].T, gw, out=part)
+        if need_w:
+            w._accumulate_owned(dw)
+        if need_x:
+            dx = np.empty_like(x.data)
+            for view, index in _phase_interiors(dq, h, wd, s, padding, hq, wq):
+                dx[index] = view
+            x._accumulate_owned(dx)
 
     return _maybe_record(out, parents, backward)
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import checkpoint
 from . import tensor as T
+from .data import DataError
 from .optim import AdamW
 from .tensor import Tensor
 
@@ -185,10 +186,20 @@ class VqModel:
 
     # -- conv stacks ---------------------------------------------------------
 
+    def check_rasters(self, rasters: np.ndarray) -> None:
+        """Raise DataError unless ``rasters`` [..., H, W] are ``raster`` x
+        ``raster``, the size the decoder rebuilds and the schedule's latent
+        resolution was laid out for."""
+        h, w = rasters.shape[-2:]
+        if (h, w) != (self.raster, self.raster):
+            raise DataError(f"rasters are {h}x{w} pixels, but the VQ takes "
+                            f"{self.raster}x{self.raster}")
+
     def encode(self, rasters: Tensor) -> Tensor:
         """Rasters [B,1,H,W] in [-1,1] to features at the latent
         resolution. Two stride-2 stages then a projection to C channels."""
         x = _check_batch(rasters, 1)
+        self.check_rasters(x.data)
         p = self.params
         h = T.gelu(T.conv2d(x, p["enc/w1"], p["enc/b1"], stride=2, padding=1))
         h = T.gelu(T.conv2d(h, p["enc/w2"], p["enc/b2"], stride=2, padding=1))
@@ -318,19 +329,21 @@ def check_finite(loss: Tensor) -> None:
 
 
 def _kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
-    """Plain Lloyd's iterations; empty clusters respawn on random points."""
+    """Plain Lloyd's iterations; empty clusters respawn on random points,
+    drawn in cluster order. ``bincount`` adds each cluster's rows in index
+    order, as a per-cluster mean does, so the centers keep those bits."""
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     for _ in range(KMEANS_ITERS):
         d = (points * points).sum(1, keepdims=True) \
             - 2 * points @ centers.T + (centers * centers).sum(1)[None, :]
         assign = d.argmin(axis=1)
-        for j in range(k):
-            sel = assign == j
-            if sel.any():
-                centers[j] = points[sel].mean(axis=0)
-            else:
-                centers[j] = points[rng.integers(n)]
+        counts = np.bincount(assign, minlength=k)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=k)
+                         for col in points.T], axis=1)
+        centers = sums / np.maximum(counts, 1)[:, None]
+        for j in np.flatnonzero(counts == 0):
+            centers[j] = points[rng.integers(n)]
     return centers.astype(np.float32)
 
 
@@ -348,14 +361,16 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
 
     ``rasters``: [N, 1, H, W] in [-1, 1]; ``masks``: same shape, {0, 1}.
     Returns (model, loss_curve) where the curve rows are (step, loss).
-    Raises DivergenceError if the loss goes non-finite. With ``out_dir``
-    set, a rolling checkpoint is written periodically.
+    Raises DivergenceError if the loss goes non-finite and DataError if the
+    rasters are not the model's size. With ``out_dir`` set, a rolling
+    checkpoint is written periodically.
     """
     if rasters.shape[0] == 0:
         raise ValueError("train_vqvae: empty dataset")
     rng = np.random.default_rng(config.seed)
     if model is None:
         model = VqModel(seed=config.seed)
+    model.check_rasters(rasters)
     opt = AdamW(model.params, lr=config.lr, weight_decay=0.0)
     n = rasters.shape[0]
     curve: list[tuple[int, float]] = []

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from depthart import data, tensor as T, training, var
+from depthart.vq import KMEANS_ITERS
 
 
 def _receptive_fields(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
@@ -45,8 +46,8 @@ def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     """(dx, dw, db) of ``conv2d(x, w, b, stride, pad)`` for output gradient
     ``g``, in the dtype of its inputs; called with float64 arrays it is the
     reference the float32 kernel is held to. It gathers receptive fields
-    by index and scatters the column gradients back with one batch-wide
-    ``bincount``, a route independent of the kernel's strided slices."""
+    by index and scatters their gradients back with one batch-wide
+    ``bincount``, a route independent of the kernel's shifted windows."""
     bsz, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     hp, wp = h + 2 * pad, wd + 2 * pad
@@ -61,6 +62,25 @@ def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     acc = acc.reshape(bsz, cin, hp, wp).astype(x.dtype)
     dx = acc[:, :, pad:pad + h, pad:pad + wd]
     return dx, dw, db
+
+
+def kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """``vq._kmeans`` one cluster at a time: each center is the mean of its
+    points, and an empty cluster respawns on a random point when its turn
+    comes."""
+    n = points.shape[0]
+    centers = points[rng.choice(n, size=k, replace=False)].copy()
+    for _ in range(KMEANS_ITERS):
+        d = (points * points).sum(1, keepdims=True) \
+            - 2 * points @ centers.T + (centers * centers).sum(1)[None, :]
+        assign = d.argmin(axis=1)
+        for j in range(k):
+            sel = assign == j
+            if sel.any():
+                centers[j] = points[sel].mean(axis=0)
+            else:
+                centers[j] = points[rng.integers(n)]
+    return centers.astype(np.float32)
 
 
 def depthart_targets(z: list[np.ndarray], f: np.ndarray, vq) -> list[np.ndarray]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from depthart import cli
-from depthart.data import write_mask
+from depthart.data import DepthSample, load_manifest, save_sample, write_mask
 from depthart.metrics import MetricsReport
 from depthart.var import VarModel
 from depthart.vq import VqModel
@@ -207,6 +207,52 @@ def test_eval_with_sample_files_of_different_sizes_is_a_data_error(workspace,
                      "--vq", str(workspace / "vq" / "vqvae.dart"),
                      "--data", str(data_dir), "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def half_size_copy(src, dst):
+    """A copy of dataset ``src`` at ``dst`` whose rasters are 16x16: each
+    sample keeps every other row and column, and no planes."""
+    shutil.copytree(src, dst)
+    for split in ("train", "eval"):
+        for i, s in enumerate(load_manifest(str(src), split)):
+            save_sample(str(dst), f"{split}_{i:05d}", DepthSample(
+                image=s.image[:, ::2, ::2], depth=s.depth[::2, ::2],
+                mask=s.mask[::2, ::2], intrinsics=s.intrinsics))
+    return dst
+
+
+def assert_raster_size_error(code, capsys):
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "16x16" in err and "32x32" in err
+
+
+def test_train_vqvae_on_other_raster_size_is_a_data_error(workspace, tmp_path,
+                                                          capsys):
+    data = half_size_copy(workspace / "data", tmp_path / "data")
+    cfg = tmp_path / "vq.cfg"
+    cfg.write_text(f"lr=2e-3\nbatch=4\nsteps=4\nseed=0\n"
+                   f"data_dir={data}\nout_dir={tmp_path / 'vq'}\n")
+    assert_raster_size_error(cli.main(["train-vqvae", "--config", str(cfg)]), capsys)
+    assert not (tmp_path / "vq" / "vqvae_ckpt_latest.dart").exists()
+
+
+def test_train_var_on_other_raster_size_is_a_data_error(workspace, tmp_path,
+                                                        capsys):
+    data = half_size_copy(workspace / "data", tmp_path / "data")
+    code = cli.main(["train-var", "--config", str(workspace / "var.cfg"),
+                     "--set", f"data_dir={data}",
+                     "--set", f"out_dir={tmp_path / 'tf'}",
+                     "--vq", str(workspace / "vq" / "vqvae.dart")])
+    assert_raster_size_error(code, capsys)
+
+
+def test_eval_on_other_raster_size_is_a_data_error(workspace, tmp_path, capsys):
+    data = half_size_copy(workspace / "data", tmp_path / "data")
+    code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--data", str(data), "--out", str(tmp_path / "x.csv")])
+    assert_raster_size_error(code, capsys)
 
 
 def test_eval_with_vq_checkpoint_as_model_is_a_data_error(workspace, tmp_path,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,27 +139,35 @@ def test_conv2d_grad(stride, pad):
                  [r(2, 2, 4, 4), r(2, 2, 3, 3), r(2)])
 
 
-# (x shape, w shape, stride, pad): the five VQ convs whose input needs a
-# gradient (HIDDEN=32, emb_dim=16, raster 32, B=8), the encoder convs at
-# prepare_training_set's batch of ENCODE_CHUNK, then odd geometries
+# (x shape, w shape, stride, pad, bias): every VQ conv at B=8 (HIDDEN=32,
+# emb_dim=16, raster 32), the bias-free eta conv also at eta_batch's B=4 of
+# a refinement step, the encoder convs at prepare_training_set's batch of
+# ENCODE_CHUNK, then odd geometries, two of them with a single channel on
+# the side a GEMM contracts over
 CONV_GEOMETRIES = {
-    "enc2": ((8, 32, 16, 16), (32, 32, 3, 3), 2, 1),
-    "enc3": ((8, 32, 8, 8), (16, 32, 3, 3), 1, 1),
-    "dec1": ((8, 16, 8, 8), (32, 16, 3, 3), 1, 1),
-    "dec2": ((8, 32, 16, 16), (32, 32, 3, 3), 1, 1),
-    "dec3": ((8, 32, 32, 32), (1, 32, 3, 3), 1, 1),
-    "chunk_enc1": ((ENCODE_CHUNK, 1, 32, 32), (32, 1, 3, 3), 2, 1),
-    "chunk_enc2": ((ENCODE_CHUNK, 32, 16, 16), (32, 32, 3, 3), 2, 1),
-    "chunk_enc3": ((ENCODE_CHUNK, 32, 8, 8), (16, 32, 3, 3), 1, 1),
-    "stride2_pad0": ((3, 2, 7, 7), (4, 2, 3, 3), 2, 0),
-    "kernel2_stride3": ((2, 3, 8, 8), (2, 3, 2, 2), 3, 1),
+    "enc1": ((8, 1, 32, 32), (32, 1, 3, 3), 2, 1, True),
+    "enc2": ((8, 32, 16, 16), (32, 32, 3, 3), 2, 1, True),
+    "enc3": ((8, 32, 8, 8), (16, 32, 3, 3), 1, 1, True),
+    "dec1": ((8, 16, 8, 8), (32, 16, 3, 3), 1, 1, True),
+    "dec2": ((8, 32, 16, 16), (32, 32, 3, 3), 1, 1, True),
+    "dec3": ((8, 32, 32, 32), (1, 32, 3, 3), 1, 1, True),
+    "eta": ((8, 16, 8, 8), (16, 16, 3, 3), 1, 1, False),
+    "eta_b4": ((4, 16, 8, 8), (16, 16, 3, 3), 1, 1, False),
+    "chunk_enc1": ((ENCODE_CHUNK, 1, 32, 32), (32, 1, 3, 3), 2, 1, True),
+    "chunk_enc2": ((ENCODE_CHUNK, 32, 16, 16), (32, 32, 3, 3), 2, 1, True),
+    "chunk_enc3": ((ENCODE_CHUNK, 32, 8, 8), (16, 32, 3, 3), 1, 1, True),
+    "stride2_pad0": ((3, 2, 7, 7), (4, 2, 3, 3), 2, 0, True),
+    "kernel2_stride3": ((2, 3, 8, 8), (2, 3, 2, 2), 3, 1, True),
+    "cout1_stride2": ((2, 3, 7, 7), (1, 3, 3, 3), 2, 1, True),
+    "cin1_cout1_kernel2_stride3": ((2, 1, 8, 8), (1, 1, 2, 2), 3, 1, True),
 }
-VQ_CONVS = ("enc2", "enc3", "dec1", "dec2", "dec3")
+VQ_CONVS = ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3", "eta", "eta_b4")
 
 
 def conv_case(geometry):
-    """float32 (x, w, b, g) for a geometry; g is an output gradient."""
-    xs, ws, stride, pad = CONV_GEOMETRIES[geometry]
+    """float32 (x, w, b, g) for a geometry; b is None for a bias-free conv
+    and g is an output gradient."""
+    xs, ws, stride, pad, bias = CONV_GEOMETRIES[geometry]
     gen = np.random.default_rng(7)
     x = gen.standard_normal(xs).astype(np.float32)
     w = (gen.standard_normal(ws) * 0.1).astype(np.float32)
@@ -166,27 +175,32 @@ def conv_case(geometry):
     h2 = (xs[2] + 2 * pad - ws[2]) // stride + 1
     w2 = (xs[3] + 2 * pad - ws[3]) // stride + 1
     g = gen.standard_normal((xs[0], ws[0], h2, w2)).astype(np.float32)
-    return x, w, b, g
+    return x, w, b if bias else None, g
 
 
 def conv_and_grads(x, w, b, g, stride, pad):
-    """(y, dx, dw, db) of ``T.conv2d`` for output gradient ``g``."""
-    xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+    """(y, dx, dw, db) of ``T.conv2d`` for output gradient ``g``; db is None
+    without a bias."""
+    xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+    bt = None if b is None else T.Tensor(b, requires_grad=True)
     with T.Tape():
         y = T.conv2d(xt, wt, bt, stride=stride, padding=pad)
         T.sum_all(T.mul(y, T.Tensor(g))).backward()  # dy == g exactly
-    return y.data, xt.grad, wt.grad, bt.grad
+    return y.data, xt.grad, wt.grad, None if bt is None else bt.grad
 
 
 @pytest.mark.parametrize("geometry", sorted(CONV_GEOMETRIES))
 def test_conv2d_matches_float64_oracle(geometry):
-    stride, pad = CONV_GEOMETRIES[geometry][2:]
+    stride, pad = CONV_GEOMETRIES[geometry][2:4]
     x, w, b, g = conv_case(geometry)
     got = conv_and_grads(x, w, b, g, stride, pad)
-    x64, w64, b64, g64 = (a.astype(np.float64) for a in (x, w, b, g))
+    x64, w64, g64 = (a.astype(np.float64) for a in (x, w, g))
+    b64 = np.zeros(w.shape[0]) if b is None else b.astype(np.float64)
     want = (oracle.conv2d(x64, w64, b64, stride, pad),
             *oracle.conv2d_grads(x64, w64, g64, stride, pad))
     for name, a, ref in zip(("y", "dx", "dw", "db"), got, want):
+        if a is None:  # no bias, no db
+            continue
         assert a.dtype == np.float32 and a.shape == ref.shape, name
         err = np.abs(a - ref).max()
         assert err <= 2e-6 * np.abs(ref).max(), (name, err)
@@ -196,7 +210,7 @@ def test_conv2d_matches_float64_oracle(geometry):
 def test_conv2d_rows_match_batches_of_one(geometry):
     # batched encode/decode must give each sample the bits it gets alone,
     # and a repeated call the bits of the first
-    stride, pad = CONV_GEOMETRIES[geometry][2:]
+    stride, pad = CONV_GEOMETRIES[geometry][2:4]
     x, w, b, g = conv_case(geometry)
     y, dx, dw, db = conv_and_grads(x, w, b, g, stride, pad)
     for a, again in zip((y, dx, dw, db), conv_and_grads(x, w, b, g, stride, pad)):
@@ -205,6 +219,20 @@ def test_conv2d_rows_match_batches_of_one(geometry):
         yi, dxi, _, _ = conv_and_grads(x[i:i + 1], w, b, g[i:i + 1], stride, pad)
         assert np.array_equal(yi, y[i:i + 1])
         assert np.array_equal(dxi, dx[i:i + 1])
+
+
+def test_conv2d_allocates_no_column_buffer():
+    # an im2col kernel allocates a [B, Cin*kh*kw, H2*W2] column buffer, 9x
+    # dec3's input, in each direction; the peak must stay near the input
+    stride, pad = CONV_GEOMETRIES["dec3"][2:4]
+    x, w, b, g = conv_case("dec3")
+    tracemalloc.start()
+    try:
+        conv_and_grads(x, w, b, g, stride, pad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.nbytes, (peak, x.nbytes)
 
 
 # ---------------------------------------------------------------------------

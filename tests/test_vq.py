@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from depthart import tensor as T
 from depthart.tensor import Tensor
-from depthart.vq import Codebook, ScaleSchedule, ScheduleError, VqModel
+from depthart.vq import Codebook, ScaleSchedule, ScheduleError, VqModel, _kmeans, _rows
 
 import oracle
+from synth import smooth_field
 
 rng = np.random.default_rng(7)
 
@@ -274,6 +275,30 @@ def test_batched_helpers_match_per_sample():
 def test_codebook_pairwise_distinct_after_init():
     m = VqModel(seed=0)
     assert oracle.min_pairwise_distance(m.codebook.vectors) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kmeans_matches_per_cluster_loop_on_encoder_features(seed):
+    # k-means turns a last-bit change in a center into another codebook,
+    # so the vectorized update must give the loop's bits
+    gen = np.random.default_rng(seed)
+    rasters = np.stack([smooth_field(gen, 32, -1.0, 1.0) for _ in range(16)])
+    feats = VqModel(seed=seed).encode_batch(rasters[:, None].astype(np.float32))
+    pts = _rows(feats).astype(np.float64)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _kmeans(pts, 64, got_rng)
+    assert np.array_equal(got, oracle.kmeans(pts, 64, want_rng))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_kmeans_respawns_empty_clusters_like_the_per_cluster_loop():
+    # 3 distinct points and 5 clusters leave at least 2 clusters empty in
+    # every iteration, so each one respawns on a random point
+    pts = np.repeat(np.random.default_rng(0).standard_normal((3, 4)), 6, axis=0)
+    got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+    got = _kmeans(pts, 5, got_rng)
+    assert np.array_equal(got, oracle.kmeans(pts, 5, want_rng))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_checkpoint_round_trip(tmp_path):
