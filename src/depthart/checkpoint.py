@@ -1,4 +1,4 @@
-"""Binary checkpoint container shared by all model kinds.
+"""Binary checkpoint container for models and dataset samples.
 
 Layout: magic ``DART`` (4 bytes), version u32 LE, entry count u32 LE.
 Per entry: name length u16 LE, UTF-8 name, rank u8, one u32 LE per dim,

@@ -10,24 +10,24 @@ pixel, and each planar face that won enough pixels (the floor, visible
 box faces) is annotated with its camera-frame plane equation for the
 planarity metrics.
 
-File formats (all integers little-endian):
-  image   binary PPM (P6, 8-bit)
-  depth   "DPTH" magic, u32 width, u32 height, f32 payload
-  mask    "MASK" magic, u32 width, u32 height, u8 payload
-  planes  UTF-8; a first line with the plane count, then per plane a line
-          "nx ny nz d" (camera frame) followed by one line of run-length
-          counts over the row-major mask, alternating zero-runs and
-          one-runs, starting with zeros
-  manifest  UTF-8 lines "split<TAB>image<TAB>depth<TAB>mask<TAB>planes"
+On disk, a dataset directory holds one ``checkpoint`` container per sample,
+``{split}_{index:05d}.dart``, with four float32 entries:
+  image         [3, H, W]  8-bit values round(clip(x, 0, 1) * 255)
+  depth         [H, W]     meters; 0 where invalid, so the mask is depth > 0
+  plane_labels  [H, W]     0 for no plane, i + 1 for plane i
+  plane_params  [n, 8]     per plane the float64 (nx, ny, nz, d), camera
+                           frame, stored as its bytes
+and ``manifest.tsv``, UTF-8 lines "split<TAB>file".
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import checkpoint
 
 RESOLUTION = 32
 FX = FY = 32.0
@@ -53,11 +53,12 @@ class PlaneAnnotation:
 
 @dataclass
 class DepthSample:
-    image: np.ndarray         # float32 [3, H, W] in [0, 1]
+    image: np.ndarray         # float32 [3, H, W] in [0, 1]; 8-bit on disk
     depth: np.ndarray         # float32 [H, W], meters; 0 where invalid
-    mask: np.ndarray          # bool [H, W]
+    mask: np.ndarray          # bool [H, W]; not stored, depth > 0 on load
     intrinsics: tuple[float, float, float, float]  # fx, fy, cx, cy
-    planes: list[PlaneAnnotation] = field(default_factory=list)
+    planes: list[PlaneAnnotation] = field(default_factory=list)  # disjoint;
+    #                         on disk as plane_labels and plane_params
 
 
 @dataclass(frozen=True)
@@ -320,161 +321,50 @@ def depth_p98(depth: np.ndarray, mask: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
-def write_ppm(path: str, image: np.ndarray) -> None:
-    arr = np.clip(np.asarray(image), 0.0, 1.0)
-    u8 = np.round(arr.transpose(1, 2, 0) * 255.0).astype(np.uint8)
-    h, w = u8.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(u8.tobytes())
+def save_sample(out_dir: str, stem: str, sample: DepthSample) -> str:
+    """Write ``sample`` as the checkpoint container ``{stem}.dart`` and
+    return its file name. The mask is not stored: it is ``depth > 0``."""
+    labels = np.zeros(sample.depth.shape, np.float32)
+    for i, p in enumerate(sample.planes):
+        labels[p.mask] = i + 1
+    params = np.array([[*p.normal, p.offset] for p in sample.planes],
+                      np.float64).reshape(-1, 4)
+    name = f"{stem}.dart"
+    checkpoint.save(os.path.join(out_dir, name), {
+        "image": np.round(np.clip(sample.image, 0.0, 1.0) * 255.0),
+        "depth": sample.depth,
+        "plane_labels": labels,
+        "plane_params": params.view(np.float32),
+    })
+    return name
 
 
-def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    parts = raw.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P6":
-        raise DataError(f"{path}: not a binary PPM")
+def load_sample(path: str) -> DepthSample:
+    """Read a sample written by ``save_sample``; a malformed file raises
+    ``DataError`` naming it."""
     try:
-        w, h = (int(x) for x in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError:
-        raise DataError(f"{path}: malformed PPM header") from None
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported maxval {maxval}")
-    pix = _payload(path, parts[3], w, h, 3)
-    img = pix.reshape(h, w, 3).astype(np.float32) / 255.0
-    return np.ascontiguousarray(img.transpose(2, 0, 1))
-
-
-def write_depth(path: str, depth: np.ndarray) -> None:
-    h, w = depth.shape
-    with open(path, "wb") as f:
-        f.write(b"DPTH" + struct.pack("<II", w, h))
-        f.write(np.asarray(depth, dtype="<f4").tobytes())
-
-
-def _payload(path: str, raw: bytes, w: int, h: int, itemsize: int) -> np.ndarray:
-    """The pixel bytes of a w x h raster, which must fill ``raw`` exactly."""
-    if w < 0 or h < 0 or len(raw) != w * h * itemsize:
-        raise DataError(f"{path}: {len(raw)} payload bytes for a {w}x{h} raster")
-    return np.frombuffer(raw, np.uint8)
-
-
-def _read_raster(path: str, magic: bytes, dtype) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != magic or len(raw) < 12:
-        raise DataError(f"{path}: bad or truncated {magic.decode()} header")
-    w, h = struct.unpack_from("<II", raw, 4)
-    pix = _payload(path, raw[12:], w, h, np.dtype(dtype).itemsize)
-    return pix.view(dtype).reshape(h, w)
-
-
-def read_depth(path: str) -> np.ndarray:
-    return _read_raster(path, b"DPTH", "<f4").copy()
-
-
-def write_mask(path: str, mask: np.ndarray) -> None:
-    h, w = mask.shape
-    with open(path, "wb") as f:
-        f.write(b"MASK" + struct.pack("<II", w, h))
-        f.write(np.asarray(mask, dtype=np.uint8).tobytes())
-
-
-def read_mask(path: str) -> np.ndarray:
-    return _read_raster(path, b"MASK", np.uint8).astype(bool)
-
-
-def rle_encode(mask: np.ndarray) -> str:
-    """Alternating zero/one run lengths over the flattened mask, starting
-    with a (possibly zero-length) zero run."""
-    flat = np.asarray(mask, dtype=bool).reshape(-1)
-    starts = np.flatnonzero(np.diff(flat)) + 1
-    runs = np.diff(np.concatenate(([0], starts, [flat.size])))
-    if flat[:1].any():
-        runs = np.concatenate(([0], runs))
-    return " ".join(map(str, runs))
-
-
-def rle_decode(text: str, shape: tuple[int, int]) -> np.ndarray:
-    """Mask of ``shape`` from ``rle_encode``'s alternating run lengths,
-    unset first. A run that is not a non-negative decimal integer, or runs
-    that do not cover the raster exactly, raise ``DataError``."""
-    runs = text.split() or [str(shape[0] * shape[1])]
-    flat = np.zeros(shape[0] * shape[1], dtype=bool)
-    pos = 0
-    for k, run in enumerate(runs):
-        if not (run.isascii() and run.isdigit()):
-            raise DataError(f"RLE run {k} is {run!r}, not a non-negative integer")
-        n = int(run)
-        if k % 2:
-            flat[pos:pos + n] = True
-        pos += n
-    if pos != flat.size:
-        raise DataError(f"RLE runs cover {pos} pixels, raster has {flat.size}")
-    return flat.reshape(shape)
-
-
-def write_planes(path: str, planes: list[PlaneAnnotation]) -> None:
-    lines = [str(len(planes))]
-    for p in planes:
-        n = [float(x) for x in p.normal]
-        lines.append(f"{n[0]!r} {n[1]!r} {n[2]!r} {float(p.offset)!r}")
-        lines.append(rle_encode(p.mask))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def read_planes(path: str, shape: tuple[int, int]) -> list[PlaneAnnotation]:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
+        entries = checkpoint.load(path)
+    except checkpoint.CheckpointError as e:
+        raise DataError(str(e)) from None
     try:
-        count = int(lines[0])
-    except (IndexError, ValueError):
-        raise DataError(f"{path}: missing or malformed plane count") from None
-    if count < 0 or len(lines) != 1 + 2 * count:
-        raise DataError(f"{path}: {len(lines) - 1} lines for {count} planes")
-    planes = []
-    for i in range(1, len(lines), 2):
-        try:
-            nx, ny, nz, d = (float(x) for x in lines[i].split())
-        except ValueError:
-            raise DataError(f"{path}: malformed plane header {lines[i]!r}") from None
-        try:
-            mask = rle_decode(lines[i + 1], shape)
-        except DataError as e:
-            raise DataError(f"{path}: {e}") from None
-        planes.append(PlaneAnnotation(mask=mask, normal=np.array([nx, ny, nz]), offset=d))
-    return planes
-
-
-def save_sample(out_dir: str, stem: str, sample: DepthSample) -> dict[str, str]:
-    rel = {
-        "image": f"{stem}.ppm",
-        "depth": f"{stem}.dpth",
-        "mask": f"{stem}.mask",
-        "planes": f"{stem}.planes.txt",
-    }
-    write_ppm(os.path.join(out_dir, rel["image"]), sample.image)
-    write_depth(os.path.join(out_dir, rel["depth"]), sample.depth)
-    write_mask(os.path.join(out_dir, rel["mask"]), sample.mask)
-    write_planes(os.path.join(out_dir, rel["planes"]), sample.planes)
-    return rel
-
-
-def load_sample(base_dir: str, rel: dict[str, str]) -> DepthSample:
-    image = read_ppm(os.path.join(base_dir, rel["image"]))
-    depth = read_depth(os.path.join(base_dir, rel["depth"]))
-    mask = read_mask(os.path.join(base_dir, rel["mask"]))
-    if not image.shape[1:] == depth.shape == mask.shape:
-        raise DataError(f"{os.path.join(base_dir, rel['depth'])}: image "
-                        f"{image.shape[1:]}, depth {depth.shape} and mask "
-                        f"{mask.shape} sizes differ")
+        image = checkpoint.entry(entries, "image", (3, None, None))
+        depth = checkpoint.entry(entries, "depth", (None, None))
+        labels = checkpoint.entry(entries, "plane_labels", (None, None))
+        params = checkpoint.entry(entries, "plane_params", (None, 8)).view(np.float64)
+    except checkpoint.CheckpointError as e:
+        raise DataError(f"{path}: {e}") from None
+    if not image.shape[1:] == depth.shape == labels.shape:
+        raise DataError(f"{path}: image {image.shape[1:]}, depth {depth.shape} "
+                        f"and plane label {labels.shape} sizes differ")
+    if not (image == np.clip(np.round(image), 0, 255)).all():
+        raise DataError(f"{path}: image values are not 8-bit integers")
+    if not np.isin(labels, np.arange(len(params) + 1)).all():
+        raise DataError(f"{path}: plane labels outside 0..{len(params)}")
     return DepthSample(
-        image=image, depth=depth, mask=mask, intrinsics=(FX, FY, CX, CY),
-        planes=read_planes(os.path.join(base_dir, rel["planes"]), depth.shape),
-    )
+        image=image / np.float32(255), depth=depth, mask=depth > 0,
+        intrinsics=(FX, FY, CX, CY),
+        planes=[PlaneAnnotation(labels == i + 1, p[:3], float(p[3]))
+                for i, p in enumerate(params)])
 
 
 EVAL_SEED_OFFSET = 500_000
@@ -498,9 +388,8 @@ def make_dataset(n_train: int, n_eval: int, seed: int, out_dir: str) -> str:
                                ("eval", n_eval, seed + EVAL_SEED_OFFSET)):
         for i in range(count):
             sample = render_scene(SceneSpec.from_seed(base + i))
-            rel = save_sample(out_dir, f"{split}_{i:05d}", sample)
-            rows.append("\t".join([split, rel["image"], rel["depth"],
-                                   rel["mask"], rel["planes"]]))
+            name = save_sample(out_dir, f"{split}_{i:05d}", sample)
+            rows.append(f"{split}\t{name}")
     manifest = os.path.join(out_dir, "manifest.tsv")
     tmp = manifest + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
@@ -519,13 +408,11 @@ def load_manifest(data_dir: str, split: str | None = None) -> list[DepthSample]:
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
-            if len(parts) != 5:
-                raise DataError(f"malformed manifest line: {line!r}")
-            if split is not None and parts[0] != split:
-                continue
-            samples.append(load_sample(data_dir, {
-                "image": parts[1], "depth": parts[2],
-                "mask": parts[3], "planes": parts[4]}))
+            if len(parts) != 2:
+                raise DataError(f"{manifest}: line {line!r} is not split<TAB>file; "
+                                f"rerun gen-data to rewrite the dataset")
+            if split is None or parts[0] == split:
+                samples.append(load_sample(os.path.join(data_dir, parts[1])))
     if split is not None and not samples:
         raise DataError(f"no samples for split {split!r} in {data_dir}")
     return samples

@@ -328,19 +328,26 @@ def check_finite(loss: Tensor) -> None:
         raise DivergenceError("training loss became non-finite")
 
 
+def _cluster_sums(assign: np.ndarray, rows: np.ndarray, k: int):
+    """Per-cluster row counts and float64 row sums [k, dim]. ``bincount``
+    adds each cluster's rows from 0 in index order, the order a per-cluster
+    loop or a scatter-add uses, so the sums keep those bits."""
+    counts = np.bincount(assign, minlength=k)
+    sums = np.stack([np.bincount(assign, weights=col, minlength=k)
+                     for col in rows.T], axis=1)
+    return counts, sums
+
+
 def _kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
     """Plain Lloyd's iterations; empty clusters respawn on random points,
-    drawn in cluster order. ``bincount`` adds each cluster's rows in index
-    order, as a per-cluster mean does, so the centers keep those bits."""
+    drawn in cluster order. Each center is its cluster's sum over its count,
+    which has the bits of a per-cluster mean."""
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     for _ in range(KMEANS_ITERS):
         d = (points * points).sum(1, keepdims=True) \
             - 2 * points @ centers.T + (centers * centers).sum(1)[None, :]
-        assign = d.argmin(axis=1)
-        counts = np.bincount(assign, minlength=k)
-        sums = np.stack([np.bincount(assign, weights=col, minlength=k)
-                         for col in points.T], axis=1)
+        counts, sums = _cluster_sums(d.argmin(axis=1), points, k)
         centers = sums / np.maximum(counts, 1)[:, None]
         for j in np.flatnonzero(counts == 0):
             centers[j] = points[rng.integers(n)]
@@ -407,7 +414,7 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
     for step in range(config.warmup_steps, config.steps):
         sel = batch_indices(step)
         x, m = rasters[sel], masks[sel]
-        stats: list[tuple[np.ndarray, np.ndarray]] = []
+        assigned, rows = [], []  # per scale, in schedule order
         with T.Tape():
             f = model.encode(Tensor(x))
             acc: Optional[Tensor] = None
@@ -417,7 +424,8 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
                 s_in = T.resize_bilinear(resid, (h, w))
                 idx = model.nearest_batch(s_in.data, (h, w))
                 emb = _embed(model.codebook, idx, (h, w))
-                stats.append((idx, _rows(s_in.data)))
+                assigned.append(idx.reshape(-1))
+                rows.append(_rows(s_in.data))
                 q = T.add(s_in, Tensor(emb - s_in.data))  # straight-through
                 contrib = model.eta_features(q)
                 acc = contrib if acc is None else T.add(acc, contrib)
@@ -431,12 +439,7 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
             loss.backward()
         opt.step()
         # EMA codebook update from this step's assignments
-        cnt = np.zeros(v, np.float64)
-        sm = np.zeros((v, model.emb_dim), np.float64)
-        for idx, vecs in stats:
-            flat = idx.reshape(-1)
-            cnt += np.bincount(flat, minlength=v)
-            np.add.at(sm, flat, vecs)
+        cnt, sm = _cluster_sums(np.concatenate(assigned), np.concatenate(rows), v)
         d = EMA_DECAY
         ema_count = d * ema_count + (1 - d) * cnt
         ema_sum = d * ema_sum + (1 - d) * sm

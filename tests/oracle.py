@@ -83,6 +83,18 @@ def kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centers.astype(np.float32)
 
 
+def ema_cluster_sums(stats, v: int):
+    """The EMA codebook update's per-code counts and row sums, one scale at a
+    time by scatter-add: ``stats`` holds each scale's (token map, rows)."""
+    cnt = np.zeros(v, np.float64)
+    sm = np.zeros((v, stats[0][1].shape[1]), np.float64)
+    for idx, vecs in stats:
+        flat = idx.reshape(-1)
+        cnt += np.bincount(flat, minlength=v)
+        np.add.at(sm, flat, vecs)
+    return cnt, sm
+
+
 def depthart_targets(z: list[np.ndarray], f: np.ndarray, vq) -> list[np.ndarray]:
     """Dynamic targets [h_k, w_k] of one sample with features ``f`` [C, h_K,
     w_K] and predicted maps ``z`` (per scale, int [h_k, w_k]): scale k

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from depthart import cli
-from depthart.data import DepthSample, load_manifest, save_sample, write_mask
+from depthart import checkpoint, cli
+from depthart.data import DepthSample, load_manifest, save_sample
 from depthart.metrics import MetricsReport
 from depthart.var import VarModel
 from depthart.vq import VqModel
@@ -171,42 +171,61 @@ def test_eval_vocab_or_emb_dim_mismatch_names_both(workspace, tmp_path, capsys,
     assert f"{field} mismatch: model {value} vs vq {theirs}" in err
 
 
-def test_eval_with_truncated_depth_file_is_a_data_error(workspace, tmp_path):
-    data = tmp_path / "data"
-    shutil.copytree(workspace / "data", data)
-    dpth = data / "eval_00000.dpth"
-    dpth.write_bytes(dpth.read_bytes()[:-100])
-    code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
+def eval_exit_code(workspace, data):
+    return cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
                      "--vq", str(workspace / "vq" / "vqvae.dart"),
-                     "--data", str(data), "--out", str(tmp_path / "x.csv")])
-    assert code == 3
+                     "--data", str(data), "--out", str(data.parent / "x.csv")])
 
 
-def test_eval_with_corrupt_plane_runs_is_a_data_error(workspace, tmp_path,
-                                                      capsys):
+def copy_with_eval_entries(workspace, tmp_path, **entries):
+    """A copy of the workspace dataset whose first eval sample has
+    ``entries`` replaced."""
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
-    planes = data / "eval_00000.planes.txt"
-    size = sum(int(run) for run in planes.read_text().splitlines()[2].split())
-    # runs that sum to the raster size, so only the sign is wrong
-    planes.write_text(f"1\n0.0 1.0 0.0 1.0\n-3 {size + 3}\n")
-    code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
-                     "--vq", str(workspace / "vq" / "vqvae.dart"),
-                     "--data", str(data), "--out", str(tmp_path / "x.csv")])
-    assert code == 3
+    path = str(data / "eval_00000.dart")
+    stored = checkpoint.load(path)
+    stored.update({k: f(stored[k]) for k, f in entries.items()})
+    checkpoint.save(path, stored)
+    return data
+
+
+def test_eval_with_truncated_sample_file_is_a_data_error(workspace, tmp_path,
+                                                         capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    sample = data / "eval_00000.dart"
+    sample.write_bytes(sample.read_bytes()[:-100])
+    assert eval_exit_code(workspace, data) == 3
+    assert "eval_00000.dart: truncated" in capsys.readouterr().err
+
+
+def test_eval_with_out_of_range_plane_labels_is_a_data_error(workspace, tmp_path,
+                                                             capsys):
+    data = copy_with_eval_entries(workspace, tmp_path,
+                                  plane_labels=lambda labels: labels - 1)
+    assert eval_exit_code(workspace, data) == 3
     err = capsys.readouterr().err
-    assert "eval_00000.planes.txt" in err and "'-3'" in err
+    assert "eval_00000.dart" in err and "plane labels outside" in err
 
 
 def test_eval_with_sample_files_of_different_sizes_is_a_data_error(workspace,
                                                                   tmp_path):
-    data_dir = tmp_path / "data"
-    shutil.copytree(workspace / "data", data_dir)
-    write_mask(str(data_dir / "eval_00000.mask"), np.ones((16, 16), bool))
-    code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
-                     "--vq", str(workspace / "vq" / "vqvae.dart"),
-                     "--data", str(data_dir), "--out", str(tmp_path / "x.csv")])
-    assert code == 3
+    data = copy_with_eval_entries(workspace, tmp_path,
+                                  depth=lambda depth: depth[:16, :16])
+    assert eval_exit_code(workspace, data) == 3
+
+
+def test_eval_on_five_column_manifest_asks_to_rerun_gen_data(workspace, tmp_path,
+                                                             capsys):
+    # the layout that stored image, depth, mask and planes in four files
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.tsv").write_text(
+        "eval\teval_00000.ppm\teval_00000.dpth\teval_00000.mask\t"
+        "eval_00000.planes.txt\n")
+    assert eval_exit_code(workspace, data) == 3
+    err = capsys.readouterr().err
+    assert str(data / "manifest.tsv") in err and "rerun gen-data" in err
 
 
 def half_size_copy(src, dst):

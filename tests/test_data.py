@@ -1,16 +1,15 @@
 import hashlib
 import os
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthart import data
+from depthart import checkpoint, data
 from depthart.data import (DepthSample, SceneSpec, backproject,
                            denormalize_depth, load_manifest, make_dataset,
                            normalize_depth, percentile_nearest_rank,
-                           render_scene, rle_decode, rle_encode)
+                           render_scene)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +126,11 @@ def test_plane_annotations_consistent_with_depth():
 
 def test_plane_masks_disjoint_and_valid():
     # each pixel belongs to the one face the z-buffer kept, so no two
-    # annotated planes share a pixel and none reaches an invalid one
+    # annotated planes share a pixel and none reaches an invalid one; the
+    # valid pixels are the positive depths, so the mask need not be stored
     for seed in range(64):
         sample = render_scene(SceneSpec.from_seed(seed))
+        assert np.array_equal(sample.mask, sample.depth > 0)
         covered = np.zeros(sample.mask.shape, int)
         for p in sample.planes:
             assert p.mask.sum() >= data.MIN_PLANE_PIXELS
@@ -202,31 +203,6 @@ def test_denormalize_round_trip():
 # persistence
 # ---------------------------------------------------------------------------
 
-def test_rle_round_trip():
-    r = np.random.default_rng(5)
-    for _ in range(10):
-        mask = r.random((7, 5)) < 0.4
-        assert np.array_equal(rle_decode(rle_encode(mask), (7, 5)), mask)
-    assert np.array_equal(rle_decode(rle_encode(np.zeros((3, 3), bool)), (3, 3)),
-                          np.zeros((3, 3), bool))
-    assert np.array_equal(rle_decode(rle_encode(np.ones((3, 3), bool)), (3, 3)),
-                          np.ones((3, 3), bool))
-    # the exact strings: a leading zero-run, possibly empty, then alternating
-    assert rle_encode(np.ones((3, 3), bool)) == "0 9"
-    assert rle_encode(np.zeros((3, 3), bool)) == "9"
-    assert rle_encode(np.zeros((0, 0), bool)) == "0"
-    assert rle_encode(np.array([[1, 1, 0], [0, 1, 0]], bool)) == "0 2 2 1 1"
-    assert rle_encode(np.array([[0, 1], [1, 1]], bool)) == "1 3"
-
-
-@pytest.mark.parametrize("text,message", [
-    ("-3 12", "run 0 is '-3'"), ("a 9", "run 0 is 'a'"), ("2.5 6.5", "run 0 is '2.5'"),
-    ("3 +6", "run 1 is '+6'"), ("3 5", "cover 8 pixels"), ("0 0 10", "cover 10 pixels")])
-def test_rle_decode_rejects_corrupt_runs(text, message):
-    with pytest.raises(data.DataError, match=re.escape(message)):
-        rle_decode(text, (3, 3))
-
-
 def _dir_digest(d):
     h = hashlib.sha256()
     for name in sorted(os.listdir(d)):
@@ -242,6 +218,7 @@ def test_make_dataset_manifest_and_reproducibility(tmp_path):
     make_dataset(4, 2, seed=9, out_dir=str(out2))
     lines = open(out1 / "manifest.tsv").read().strip().splitlines()
     assert len(lines) == 6
+    assert all(len(ln.split("\t")) == 2 for ln in lines)
     splits = [ln.split("\t")[0] for ln in lines]
     assert splits.count("train") == 4 and splits.count("eval") == 2
     assert _dir_digest(str(out1)) == _dir_digest(str(out2))
@@ -257,8 +234,7 @@ def test_train_eval_seeds_disjoint():
 
 def test_sample_round_trip(tmp_path):
     sample = render_scene(SceneSpec.from_seed(7))
-    rel = data.save_sample(str(tmp_path), "s", sample)
-    back = data.load_sample(str(tmp_path), rel)
+    back = data.load_sample(str(tmp_path / data.save_sample(str(tmp_path), "s", sample)))
     assert np.allclose(back.depth, sample.depth, atol=1e-7)
     assert np.array_equal(back.mask, sample.mask)
     # image quantized to 8 bits on disk
@@ -275,57 +251,76 @@ def small_sample():
     r = np.random.default_rng(3)
     mask = r.random((5, 7)) < 0.7
     return DepthSample(image=r.random((3, 5, 7)).astype(np.float32),
-                       depth=r.uniform(1.0, 5.0, (5, 7)).astype(np.float32),
+                       depth=np.where(mask, r.uniform(1.0, 5.0, (5, 7)), 0.0)
+                       .astype(np.float32),
                        mask=mask, intrinsics=(7.0, 7.0, 3.0, 2.0),
                        planes=[data.PlaneAnnotation(mask=mask, normal=np.array([0.0, 1.0, 0.0]),
                                                     offset=-1.25)])
 
 
-@pytest.mark.parametrize("kind", ["depth", "mask", "image"])
-def test_truncated_sample_file_raises_data_error_at_every_offset(tmp_path, kind):
-    rel = data.save_sample(str(tmp_path), "s", small_sample())
-    path = tmp_path / rel[kind]
+def saved_with(tmp_path, sample, **entries):
+    """Path of ``sample`` saved, then rewritten with ``entries`` replaced
+    (an entry given as None is dropped)."""
+    path = str(tmp_path / data.save_sample(str(tmp_path), "s", sample))
+    stored = checkpoint.load(path)
+    stored.update(entries)
+    checkpoint.save(path, {k: v for k, v in stored.items() if v is not None})
+    return path
+
+
+def test_truncated_sample_file_raises_data_error_at_every_offset(tmp_path):
+    path = tmp_path / data.save_sample(str(tmp_path), "s", small_sample())
     raw = path.read_bytes()
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
-        with pytest.raises(data.DataError):
-            data.load_sample(str(tmp_path), rel)
+        with pytest.raises(data.DataError, match="s.dart"):
+            data.load_sample(str(path))
 
 
-def test_malformed_plane_header_raises_data_error(tmp_path):
-    rel = data.save_sample(str(tmp_path), "s", small_sample())
-    path = tmp_path / rel["planes"]
-    count, header, rle = path.read_text().splitlines()
-    for bad in (header.replace("1.0", "x"), header.rsplit(" ", 1)[0]):
-        path.write_text(f"{count}\n{bad}\n{rle}\n")
-        with pytest.raises(data.DataError, match="plane header"):
-            data.load_sample(str(tmp_path), rel)
+@pytest.mark.parametrize("name", ["image", "depth", "plane_labels", "plane_params"])
+def test_sample_file_missing_an_entry_raises_data_error(tmp_path, name):
+    path = saved_with(tmp_path, small_sample(), **{name: None})
+    with pytest.raises(data.DataError, match=f"s.dart: .*{name}"):
+        data.load_sample(path)
 
 
-def test_truncated_planes_file_raises_data_error(tmp_path):
+def test_wrong_plane_params_width_raises_data_error(tmp_path):
+    # float32 [n, 4] parameters, or one float64 too few, are not the layout
+    for params in (np.zeros((1, 4), np.float32), np.zeros((1, 6), np.float32)):
+        path = saved_with(tmp_path, small_sample(), plane_params=params)
+        with pytest.raises(data.DataError, match="plane_params"):
+            data.load_sample(path)
+
+
+def test_out_of_range_plane_labels_raise_data_error(tmp_path):
     sample = render_scene(SceneSpec.from_seed(7))
-    assert len(sample.planes) == 2
-    rel = data.save_sample(str(tmp_path), "s", sample)
-    path = tmp_path / rel["planes"]
-    lines = path.read_text().splitlines()
-    assert lines[0] == "2" and len(lines) == 5
-    for kept in (lines[:3], lines[:4], lines[1:], ["x"] + lines[1:], []):
-        path.write_text("".join(line + "\n" for line in kept))
-        with pytest.raises(data.DataError, match="plane"):
-            data.load_sample(str(tmp_path), rel)
+    n = len(sample.planes)
+    labels = checkpoint.load(saved_with(tmp_path, sample))["plane_labels"]
+    assert n and (labels == 0).any()
+    for bad in (n + 1, -1, 0.5, np.nan):
+        path = saved_with(tmp_path, sample, plane_labels=np.where(labels == 0, bad, labels))
+        with pytest.raises(data.DataError, match=f"plane labels outside 0..{n}"):
+            data.load_sample(path)
+    # labels that name the last plane when its parameters are missing
+    params = checkpoint.load(saved_with(tmp_path, sample))["plane_params"]
+    with pytest.raises(data.DataError, match=f"plane labels outside 0..{n - 1}"):
+        data.load_sample(saved_with(tmp_path, sample, plane_params=params[:-1]))
 
 
-@pytest.mark.parametrize("kind", ["depth", "mask", "image"])
+def test_image_values_outside_8_bit_raise_data_error(tmp_path):
+    image = checkpoint.load(saved_with(tmp_path, small_sample()))["image"]
+    for bad in (-1.0, 256.0, 0.5, np.nan):
+        image[0, 0, 0] = bad
+        with pytest.raises(data.DataError, match="not 8-bit integers"):
+            data.load_sample(saved_with(tmp_path, small_sample(), image=image))
+
+
+@pytest.mark.parametrize("kind", ["depth", "image", "plane_labels"])
 def test_sample_files_of_different_sizes_raise_data_error(tmp_path, kind):
-    rel = data.save_sample(str(tmp_path), "s", small_sample())
-    other = small_sample()
-    writers = {"depth": (data.write_depth, other.depth[:, :6]),
-               "mask": (data.write_mask, other.mask[:4]),
-               "image": (data.write_ppm, other.image[:, :, :6])}
-    write, raster = writers[kind]
-    write(str(tmp_path / rel[kind]), raster)
+    stored = checkpoint.load(saved_with(tmp_path, small_sample()))
+    path = saved_with(tmp_path, small_sample(), **{kind: stored[kind][..., :6]})
     with pytest.raises(data.DataError, match="sizes differ"):
-        data.load_sample(str(tmp_path), rel)
+        data.load_sample(path)
 
 
 def test_load_manifest_split_filter(tmp_path):

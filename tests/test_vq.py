@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from depthart import tensor as T
 from depthart.tensor import Tensor
-from depthart.vq import Codebook, ScaleSchedule, ScheduleError, VqModel, _kmeans, _rows
+from depthart.vq import (Codebook, ScaleSchedule, ScheduleError, VqModel,
+                         _cluster_sums, _kmeans, _rows)
 
 import oracle
 from synth import smooth_field
@@ -299,6 +300,22 @@ def test_kmeans_respawns_empty_clusters_like_the_per_cluster_loop():
     got = _kmeans(pts, 5, got_rng)
     assert np.array_equal(got, oracle.kmeans(pts, 5, want_rng))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ema_sums_over_all_scales_match_the_scatter_add(seed):
+    # rows of mixed magnitude make the sums depend on the order of addition
+    r = np.random.default_rng(seed)
+    batch, v = int(r.integers(1, 9)), int(r.integers(1, 65))
+    stats = [(r.integers(0, v, size=(batch, s * s)),
+              (r.standard_normal((batch * s * s, 16))
+               * 10.0 ** r.integers(-6, 7, size=(batch * s * s, 1))).astype(np.float32))
+             for s in (1, 2, 4, 8)]
+    cnt, sm = _cluster_sums(np.concatenate([idx.reshape(-1) for idx, _ in stats]),
+                            np.concatenate([rows for _, rows in stats]), v)
+    want_cnt, want_sm = oracle.ema_cluster_sums(stats, v)
+    assert np.array_equal(cnt, want_cnt)
+    assert np.array_equal(sm, want_sm)
 
 
 def test_checkpoint_round_trip(tmp_path):
