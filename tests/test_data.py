@@ -268,10 +268,22 @@ def saved_with(tmp_path, sample, **entries):
     return path
 
 
-def test_truncated_sample_file_raises_data_error_at_every_offset(tmp_path):
+@pytest.mark.parametrize("kind", ["depth", "mask", "image"])
+def test_truncated_sample_file_raises_data_error_at_every_offset(tmp_path, kind):
+    # Cuts inside the bytes of one kind: "image" from the container header
+    # through the image entry, "depth" its entry, "mask" the plane masks
+    # (plane_labels) and plane_params to the end. Together: every offset.
     path = tmp_path / data.save_sample(str(tmp_path), "s", small_sample())
     raw = path.read_bytes()
-    for cut in range(len(raw)):
+    ends, end = {}, 12
+    for name, arr in checkpoint.load(str(path)).items():
+        end += 2 + len(name) + 1 + 4 * arr.ndim + 4 * arr.size
+        ends[name] = end
+    assert end == len(raw)
+    cuts = {"image": range(0, ends["image"]),
+            "depth": range(ends["image"], ends["depth"]),
+            "mask": range(ends["depth"], len(raw))}[kind]
+    for cut in cuts:
         path.write_bytes(raw[:cut])
         with pytest.raises(data.DataError, match="s.dart"):
             data.load_sample(str(path))
