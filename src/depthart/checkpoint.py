@@ -111,7 +111,19 @@ def entry(entries: dict[str, np.ndarray], name: str,
     return arr
 
 
+def finite_entry(entries: dict[str, np.ndarray], name: str,
+                 shape: tuple[Optional[int], ...]) -> np.ndarray:
+    """``entry``, also raising CheckpointError if a value is not finite.
+    ``entry`` itself cannot check this: some entries hold other bytes
+    viewed as float32 (a dataset sample's float64 plane parameters)."""
+    arr = entry(entries, name, shape)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint entry {name!r} holds a non-finite value")
+    return arr
+
+
 def restore(params: dict[str, Tensor], entries: dict[str, np.ndarray]) -> None:
-    """Replace each parameter by its entry, checked against the parameter's shape."""
+    """Replace each parameter by its entry, checked against the parameter's
+    shape and for finite values."""
     for name, init in params.items():
-        params[name] = Tensor(entry(entries, name, init.shape), requires_grad=True)
+        params[name] = Tensor(finite_entry(entries, name, init.shape), requires_grad=True)

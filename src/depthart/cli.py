@@ -1,6 +1,6 @@
 """One binary for the whole pipeline.
 
-Subcommands: gen-data, train-vqvae, train-var, eval, scale-curve, rank.
+Subcommands: gen-data, train-vqvae, train-var, eval, rank.
 Trainers read a key=value config file; flags win over file values. Every
 command that writes outputs writes a JSON run manifest next to them;
 ``rank`` only prints. Exit codes: 0 ok, 2 usage error, 3 data error,
@@ -36,8 +36,7 @@ from . import __version__  # noqa: E402
 from .checkpoint import CheckpointError  # noqa: E402
 from .data import DataError, depth_rasters, load_manifest, make_dataset  # noqa: E402
 from .metrics import (METRIC_COLUMNS, MetricError, MetricsReport,  # noqa: E402
-                      evaluate_rasters, per_scale_curve, predict_depth_rasters,
-                      rank_models, write_scale_curve_csv)
+                      evaluate_scales, rank_models, write_scale_curve_csv)
 from .training import (ConfigError, TrainConfig, fit, read_config,  # noqa: E402
                        write_loss_curve)
 from .var import VarConfig, VarModel  # noqa: E402
@@ -161,35 +160,21 @@ def cmd_eval(args) -> int:
     t0 = time.monotonic()
     model, vq = _load_compatible(args.model, args.vq)
     samples = load_manifest(args.data, args.split)
-    preds = predict_depth_rasters(model, vq, samples)
     name = args.name or os.path.splitext(os.path.basename(args.model))[0]
-    report = evaluate_rasters(preds, samples, name,
-                              f"{os.path.basename(os.path.normpath(args.data))}/{args.split}")
+    report, curve, floor = evaluate_scales(
+        model, vq, samples, name,
+        f"{os.path.basename(os.path.normpath(args.data))}/{args.split}")
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(report.to_csv())
+    scales = args.out + ".scales.csv"
+    write_scale_curve_csv(scales, curve, floor)
     _write_manifest(args.out + ".manifest.json", "eval",
                     {"model": args.model, "vq": args.vq, "data": args.data,
-                     "split": args.split}, 0, [args.out],
+                     "split": args.split}, 0, [args.out, scales],
                     time.monotonic() - t0)
     row = report.rows[0]
     print(f"{name}: absrel={row.absrel:.4f} delta1_err={row.delta1_err:.4f} "
           f"pe_fla={row.pe_fla:.3f}cm pe_ori={row.pe_ori:.3f}deg")
-    return EXIT_OK
-
-
-def cmd_scale_curve(args) -> int:
-    t0 = time.monotonic()
-    model, vq = _load_compatible(args.model, args.vq)
-    samples = load_manifest(args.data, args.split)
-    curve, floor = per_scale_curve(model, vq, samples)
-    write_scale_curve_csv(args.out, curve, floor)
-    outputs = [args.out]
-    if args.svg:
-        _write_svg_curve(args.svg, curve, floor)
-        outputs.append(args.svg)
-    _write_manifest(args.out + ".manifest.json", "scale-curve",
-                    {"model": args.model, "vq": args.vq, "data": args.data,
-                     "split": args.split}, 0, outputs, time.monotonic() - t0)
     print("  ".join(f"k={k}:{v:.4f}" for k, v in curve) + f"  floor:{floor:.4f}")
     return EXIT_OK
 
@@ -221,35 +206,6 @@ def _rank_table(reports) -> str:
     return "".join("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
                              for i, (cell, w) in enumerate(zip(line, widths))) + "\n"
                    for line in lines)
-
-
-def _write_svg_curve(path: str, curve, floor: float) -> None:
-    w, h, pad = 480, 320, 40
-    ks = [k for k, _ in curve]
-    vals = [v for _, v in curve] + [floor]
-    vmax = max(vals) * 1.1 or 1.0
-
-    def x(k):
-        return pad + (k - ks[0]) / max(ks[-1] - ks[0], 1) * (w - 2 * pad)
-
-    def y(v):
-        return h - pad - v / vmax * (h - 2 * pad)
-
-    pts = " ".join(f"{x(k):.1f},{y(v):.1f}" for k, v in curve)
-    fy = y(floor)
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">'
-        f'<rect width="{w}" height="{h}" fill="white"/>'
-        f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="2"/>'
-        + "".join(f'<circle cx="{x(k):.1f}" cy="{y(v):.1f}" r="3" fill="#1f77b4"/>'
-                  for k, v in curve)
-        + f'<line x1="{pad}" y1="{fy:.1f}" x2="{w - pad}" y2="{fy:.1f}" '
-        f'stroke="#d62728" stroke-dasharray="6,4"/>'
-        f'<text x="{pad}" y="{h - 8}" font-size="12">scale k (floor dashed)</text>'
-        "</svg>\n"
-    )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(svg)
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     ta.add_argument("--set", action="append", metavar="KEY=VALUE")
     ta.set_defaults(fn=cmd_train_var)
 
-    ev = sub.add_parser("eval", help="evaluate a checkpoint")
+    ev = sub.add_parser(
+        "eval", help="evaluate a checkpoint",
+        description="Decode each image once and write three files: OUT, the "
+                    "model's metrics row; OUT.scales.csv, the AbsRel after "
+                    "each scale and the VQ floor (k,absrel,floor); and "
+                    "OUT.manifest.json, the run manifest.")
     ev.add_argument("--model", required=True)
     ev.add_argument("--vq", required=True)
     ev.add_argument("--data", required=True)
@@ -292,15 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--split", default="eval")
     ev.add_argument("--name")
     ev.set_defaults(fn=cmd_eval)
-
-    sc = sub.add_parser("scale-curve", help="per-scale reconstruction curve")
-    sc.add_argument("--model", required=True)
-    sc.add_argument("--vq", required=True)
-    sc.add_argument("--data", required=True)
-    sc.add_argument("--out", required=True)
-    sc.add_argument("--svg")
-    sc.add_argument("--split", default="eval")
-    sc.set_defaults(fn=cmd_scale_curve)
 
     rk = sub.add_parser("rank", help="rank models by their eval CSVs")
     rk.add_argument("reports", nargs="+", metavar="eval.csv")

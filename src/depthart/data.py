@@ -13,7 +13,8 @@ planarity metrics.
 On disk, a dataset directory holds one ``checkpoint`` container per sample,
 ``{split}_{index:05d}.dart``, with four float32 entries:
   image         [3, H, W]  8-bit values round(clip(x, 0, 1) * 255)
-  depth         [H, W]     meters; 0 where invalid, so the mask is depth > 0
+  depth         [H, W]     meters, finite and non-negative; 0 where invalid,
+                           so the mask is depth > 0
   plane_labels  [H, W]     0 for no plane, i + 1 for plane i
   plane_params  [n, 8]     per plane the float64 (nx, ny, nz, d), camera
                            frame, stored as its bytes
@@ -356,6 +357,8 @@ def load_sample(path: str) -> DepthSample:
     if not image.shape[1:] == depth.shape == labels.shape:
         raise DataError(f"{path}: image {image.shape[1:]}, depth {depth.shape} "
                         f"and plane label {labels.shape} sizes differ")
+    if not (np.isfinite(depth) & (depth >= 0)).all():
+        raise DataError(f"{path}: depth values must be finite and non-negative")
     if not (image == np.clip(np.round(image), 0, 255)).all():
         raise DataError(f"{path}: image values are not 8-bit integers")
     if not np.isin(labels, np.arange(len(params) + 1)).all():

@@ -5,6 +5,13 @@ scale via the exact L1-optimal factor (a |pred|-weighted median of
 gt/pred). AbsRel and the delta-threshold error follow the usual
 definitions; the planarity pair back-projects annotated regions and fits
 a total-least-squares plane.
+
+Model evaluation runs one greedy decode per ``EVAL_CHUNK`` chunk of
+images (``_greedy_maps``: one image-token encode, one ``infer_batch``).
+``predict_depth_rasters`` decodes the final composition of those maps;
+``evaluate_scales`` decodes every scale's composition and the VQ floor
+from the same maps, so a model's report and its per-scale curve come
+from one decode.
 """
 
 from __future__ import annotations
@@ -276,41 +283,57 @@ def evaluate_rasters(pred_depths: list[np.ndarray],
 # --------------------------------------------------------------------------
 
 
-def predict_depth_rasters(model, vq, samples: list[DepthSample]) -> list[np.ndarray]:
-    """Greedy inference end to end: image -> token maps -> composed
-    features -> decoded raster -> relative depth. Reads only the images,
-    never the depth or mask. The result is known up to one global factor,
-    which ``align_scale`` removes, so the ``scale`` an evaluation reports
-    is in metres per unit of relative depth."""
-    preds: list[np.ndarray] = []
+def _greedy_maps(model, vq, samples: list[DepthSample]):
+    """Per ``EVAL_CHUNK`` chunk of ``samples``: the chunk and its greedy
+    per-scale maps, from one image-token encode and one ``infer_batch``.
+    Reads only the images, never the depth or mask."""
     for lo in range(0, len(samples), EVAL_CHUNK):
         part = samples[lo:lo + EVAL_CHUNK]
-        z = infer_batch(model, vq, vq.image_tokens(np.stack([s.image for s in part])))
+        yield part, infer_batch(model, vq, vq.image_tokens(np.stack([s.image for s in part])))
+
+
+def predict_depth_rasters(model, vq, samples: list[DepthSample]) -> list[np.ndarray]:
+    """Greedy inference end to end: image -> token maps -> composed
+    features -> decoded raster -> relative depth, one decode per chunk.
+    The result is known up to one global factor, which ``align_scale``
+    removes, so the ``scale`` an evaluation reports is in metres per unit
+    of relative depth."""
+    preds: list[np.ndarray] = []
+    for _, z in _greedy_maps(model, vq, samples):
         preds += list(relative_depth(vq.decode_batch(vq.compose_batch(z))[:, 0]))
     return preds
 
 
-def per_scale_curve(model, vq,
-                    samples: list[DepthSample]) -> tuple[list[tuple[int, float]], float]:
-    """AbsRel of the decoded composition after each scale of the greedy
-    prediction, plus the autoencoder's end-to-end floor (the decoded
-    decomposition of the ground truth). Both decode to relative depth."""
-    k_total = len(vq.schedule)
-    sums = np.zeros(k_total)
-    floor_sum = 0.0
-    n = len(samples)
-    for lo in range(0, n, EVAL_CHUNK):
-        part = samples[lo:lo + EVAL_CHUNK]
-        z = infer_batch(model, vq, vq.image_tokens(np.stack([s.image for s in part])))
-        for k, acc in enumerate(vq.compositions(z)):
-            for pred, s in zip(relative_depth(vq.decode_batch(acc)[:, 0]), part):
+def predict_scale_rasters(model, vq, samples: list[DepthSample]):
+    """Per chunk, the chunk and the relative depth [B, H, W] decoded from
+    each scale's composition of the same greedy maps; the last scale's
+    rasters are those of ``predict_depth_rasters``."""
+    for part, z in _greedy_maps(model, vq, samples):
+        yield part, [relative_depth(vq.decode_batch(acc)[:, 0]) for acc in vq.compositions(z)]
+
+
+def evaluate_scales(model, vq, samples: list[DepthSample], model_name: str,
+                    dataset_name: str) -> tuple[MetricsReport, list[tuple[int, float]], float]:
+    """Everything one greedy decode per chunk yields: the model's report
+    (``evaluate_rasters`` of the last scale), the curve [(k, mean AbsRel
+    after scale k)], and the autoencoder's floor, the mean AbsRel of the
+    decoded decomposition of the ground truth. The means add per-sample
+    values in sample order."""
+    final: list[np.ndarray] = []
+    sums = [0.0] * len(vq.schedule)
+    floor = 0.0
+    for part, scales in predict_scale_rasters(model, vq, samples):
+        final += list(scales[-1])
+        for k, preds in enumerate(scales):
+            for pred, s in zip(preds, part):
                 sums[k] += absrel(_align(pred, s)[0], s.depth, s.mask)
         feats = vq.encode_batch(depth_rasters(part))
         rec = vq.decode_batch(vq.compose_batch(vq.decompose_batch(feats)))
         for pred, s in zip(relative_depth(rec[:, 0]), part):
-            floor_sum += absrel(_align(pred, s)[0], s.depth, s.mask)
-    curve = [(k + 1, float(sums[k] / n)) for k in range(k_total)]
-    return curve, floor_sum / n
+            floor += absrel(_align(pred, s)[0], s.depth, s.mask)
+    n = len(samples)
+    report = evaluate_rasters(final, samples, model_name, dataset_name)
+    return report, [(k + 1, total / n) for k, total in enumerate(sums)], floor / n
 
 
 def write_scale_curve_csv(path: str, curve: list[tuple[int, float]],

@@ -117,7 +117,7 @@ class VarModel:
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "VarModel":
         def hp(name):
-            return int(checkpoint.entry(entries, "hp/" + name, ()))
+            return int(checkpoint.finite_entry(entries, "hp/" + name, ()))
 
         vocab, c = checkpoint.entry(entries, "tok_emb", (None, None)).shape
         cfg = VarConfig(schedule=ScaleSchedule.from_entries(entries), vocab=vocab,

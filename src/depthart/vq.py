@@ -85,7 +85,7 @@ class ScaleSchedule:
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "ScaleSchedule":
         return cls(tuple((int(h), int(w))
-                         for h, w in checkpoint.entry(entries, "schedule", (None, 2))))
+                         for h, w in checkpoint.finite_entry(entries, "schedule", (None, 2))))
 
 
 DEFAULT_SCHEDULE = ScaleSchedule(((1, 1), (2, 2), (4, 4), (8, 8)))
@@ -169,10 +169,10 @@ class VqModel:
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "VqModel":
-        cb = checkpoint.entry(entries, "codebook", (None, None))
+        cb = checkpoint.finite_entry(entries, "codebook", (None, None))
         model = cls(schedule=ScaleSchedule.from_entries(entries),
                     codebook_size=cb.shape[0], emb_dim=cb.shape[1],
-                    raster=int(checkpoint.entry(entries, "hp/raster", ())))
+                    raster=int(checkpoint.finite_entry(entries, "hp/raster", ())))
         checkpoint.restore(model.params, entries)
         model.codebook = Codebook(cb)
         return model

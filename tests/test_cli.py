@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import shutil
 import signal
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from depthart import checkpoint, cli
+from depthart import checkpoint, cli, metrics
 from depthart.data import DepthSample, load_manifest, save_sample
 from depthart.metrics import MetricsReport
 from depthart.var import VarModel
@@ -177,16 +178,25 @@ def eval_exit_code(workspace, data):
                      "--data", str(data), "--out", str(data.parent / "x.csv")])
 
 
-def copy_with_eval_entries(workspace, tmp_path, **entries):
-    """A copy of the workspace dataset whose first eval sample has
-    ``entries`` replaced."""
+def copy_with_eval_entries(workspace, tmp_path, stem="eval_00000", **entries):
+    """A copy of the workspace dataset whose sample ``stem`` (by default
+    the first eval sample) has ``entries`` replaced."""
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
-    path = str(data / "eval_00000.dart")
+    path = str(data / f"{stem}.dart")
     stored = checkpoint.load(path)
     stored.update({k: f(stored[k]) for k, f in entries.items()})
     checkpoint.save(path, stored)
     return data
+
+
+def with_pixel(value):
+    """A corruption that sets the first pixel of a raster to ``value``."""
+    def corrupt(raster):
+        out = raster.copy()
+        out[(0,) * out.ndim] = value
+        return out
+    return corrupt
 
 
 def test_eval_with_truncated_sample_file_is_a_data_error(workspace, tmp_path,
@@ -201,11 +211,34 @@ def test_eval_with_truncated_sample_file_is_a_data_error(workspace, tmp_path,
 
 def test_eval_with_out_of_range_plane_labels_is_a_data_error(workspace, tmp_path,
                                                              capsys):
+    # one label past the plane count is out of range whatever the scene
+    stored = checkpoint.load(str(workspace / "data" / "eval_00000.dart"))
+    n_planes = stored["plane_params"].shape[0]
     data = copy_with_eval_entries(workspace, tmp_path,
-                                  plane_labels=lambda labels: labels - 1)
+                                  plane_labels=with_pixel(n_planes + 1))
     assert eval_exit_code(workspace, data) == 3
     err = capsys.readouterr().err
     assert "eval_00000.dart" in err and "plane labels outside" in err
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, -1.0], ids=["inf", "nan", "negative"])
+def test_eval_with_non_finite_or_negative_depth_is_a_data_error(workspace, tmp_path,
+                                                                 capsys, value):
+    data = copy_with_eval_entries(workspace, tmp_path, depth=with_pixel(value))
+    assert eval_exit_code(workspace, data) == 3
+    err = capsys.readouterr().err
+    assert "eval_00000.dart" in err and "finite and non-negative" in err
+
+
+def test_train_vqvae_on_infinite_depth_is_a_data_error(workspace, tmp_path, capsys):
+    # a data error, not a numeric divergence (exit 4)
+    data = copy_with_eval_entries(workspace, tmp_path, stem="train_00000",
+                                  depth=with_pixel(np.inf))
+    cfg = tmp_path / "vq.cfg"
+    cfg.write_text(f"lr=2e-3\nbatch=4\nsteps=4\nseed=0\n"
+                   f"data_dir={data}\nout_dir={tmp_path / 'vq'}\n")
+    assert cli.main(["train-vqvae", "--config", str(cfg)]) == 3
+    assert "train_00000.dart" in capsys.readouterr().err
 
 
 def test_eval_with_sample_files_of_different_sizes_is_a_data_error(workspace,
@@ -298,21 +331,54 @@ def test_eval_with_malformed_checkpoint_is_a_data_error(workspace, tmp_path,
     assert code == 3
 
 
-def test_scale_curve_csv_and_svg(workspace, tmp_path):
-    out = tmp_path / "curve.csv"
-    svg = tmp_path / "curve.svg"
-    code = cli.main(["scale-curve",
-                     "--model", str(workspace / "da" / "model.dart"),
+@pytest.mark.parametrize("which,name", [
+    ("model", "block0/qkv_w"), ("model", "hp/width"),
+    ("vq", "codebook"), ("vq", "enc/w1"), ("vq", "schedule"), ("vq", "hp/raster")])
+def test_eval_with_non_finite_checkpoint_entry_is_a_data_error(workspace, tmp_path,
+                                                                capsys, which, name):
+    paths = {"model": str(workspace / "tf" / "model.dart"),
+             "vq": str(workspace / "vq" / "vqvae.dart")}
+    entries = checkpoint.load(paths[which])
+    entries[name] = with_pixel(np.nan)(entries[name])
+    paths[which] = str(tmp_path / "nan.dart")
+    checkpoint.save(paths[which], entries)
+    code = cli.main(["eval", "--model", paths["model"], "--vq", paths["vq"],
+                     "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert f"{name!r} holds a non-finite value" in capsys.readouterr().err
+
+
+def test_eval_writes_per_scale_curve(workspace, tmp_path):
+    out = tmp_path / "report.csv"
+    code = cli.main(["eval", "--model", str(workspace / "da" / "model.dart"),
                      "--vq", str(workspace / "vq" / "vqvae.dart"),
                      "--data", str(workspace / "data"),
-                     "--out", str(out), "--svg", str(svg)])
+                     "--out", str(out)])
     assert code == 0
-    lines = out.read_text().strip().splitlines()
+    lines = (tmp_path / "report.csv.scales.csv").read_text().strip().splitlines()
     assert lines[0] == "k,absrel,floor"
     assert len(lines) == 5  # K=4 scales plus header
     floors = {ln.split(",")[2] for ln in lines[1:]}
     assert len(floors) == 1
-    assert svg.read_text().startswith("<svg")
+    assert float(lines[-1].split(",")[1]) == MetricsReport.from_csv(
+        out.read_text()).rows[0].absrel  # two eval samples sum exactly as np.mean
+    manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out), str(out) + ".scales.csv"]
+    assert cli.main(["scale-curve", "--model", "m", "--vq", "v",
+                     "--data", "d", "--out", "o"]) == 2
+
+
+def test_eval_decodes_each_chunk_once(workspace, tmp_path, monkeypatch, count_calls):
+    monkeypatch.setattr(metrics, "EVAL_CHUNK", 1)  # two chunks of the two eval samples
+    decodes = count_calls(metrics, "infer_batch")
+    encodes = count_calls(VqModel, "image_tokens")
+    assert cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert [a[2].shape[0] for a in decodes] == [1, 1]
+    assert [a[1].shape[0] for a in encodes] == [1, 1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,6 +9,8 @@ package has no linter dependency.
 - Every parameter default is set by some call: a call of the same name in
   the package, the benchmark harness or the tests passes the parameter,
   so a value no caller varies is a constant, not a parameter.
+- The ``Subcommands:`` line of the ``cli`` docstring names exactly the
+  subcommands ``build_parser`` adds, in the same order.
 """
 
 import ast
@@ -189,3 +191,30 @@ def test_every_default_is_set_by_some_call():
                for d in (PACKAGE, ROOT / "perfbench", ROOT / "tests")
                for p in sorted(d.glob("*.py"))]
     assert unset_defaults(modules, callers) == []
+
+
+def documented_and_parsed_subcommands(source: str) -> tuple[list[str], list[str]]:
+    """(names on the module docstring's ``Subcommands:`` line, first
+    arguments of the ``add_parser`` calls), both in source order."""
+    tree = ast.parse(source)
+    line = next(ln for ln in ast.get_docstring(tree).splitlines()
+                if ln.startswith("Subcommands:"))
+    documented = [n.strip() for n in line.removeprefix("Subcommands:").rstrip(".").split(",")]
+    calls = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "add_parser"]
+    calls.sort(key=lambda n: (n.lineno, n.col_offset))
+    return documented, [n.args[0].value for n in calls]
+
+
+def test_subcommand_listing_detected():
+    src = ('"""Tool.\n\nSubcommands: a, b-c.\n"""\n'
+           'def build_parser(sub):\n'
+           '    sub.add_parser("a", help="x")\n'
+           '    sub.add_parser(\n        "d")\n')
+    assert documented_and_parsed_subcommands(src) == (["a", "b-c"], ["a", "d"])
+
+
+def test_cli_docstring_names_every_subcommand():
+    documented, parsed = documented_and_parsed_subcommands(
+        (PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert documented == parsed

@@ -308,8 +308,28 @@ def test_eval_metrics_match_denormalized_oracle(eval_setup):
     for col in METRIC_COLUMNS:
         assert math.isfinite(getattr(want, col)), col
         assert getattr(got, col) == pytest.approx(getattr(want, col), rel=1e-6), col
-    curve, _ = metrics.per_scale_curve(model, vq, samples)
+    report, curve, _ = metrics.evaluate_scales(model, vq, samples, "m", "d")
+    assert report.rows[0] == got
+    assert [k for k, _ in curve] == [1, 2, 3, 4]
     assert curve[-1][1] == got.absrel
+
+
+def test_scale_rasters_read_no_depth(eval_setup):
+    # every scale's rasters come from the images alone, and the last
+    # scale's are predict_depth_rasters'
+    model, vq, samples = eval_setup
+    zeroed = [DepthSample(image=s.image, depth=np.zeros_like(s.depth),
+                          mask=np.zeros_like(s.mask), intrinsics=s.intrinsics)
+              for s in samples]
+    got = list(metrics.predict_scale_rasters(model, vq, samples))
+    blind = list(metrics.predict_scale_rasters(model, vq, zeroed))
+    assert len(got) == len(blind) == 1
+    (part, scales), (_, blind_scales) = got[0], blind[0]
+    assert len(part) == len(samples) and len(scales) == len(vq.schedule)
+    for a, b in zip(scales, blind_scales):
+        assert a.tobytes() == b.tobytes()
+    final = metrics.predict_depth_rasters(model, vq, samples)
+    assert scales[-1].tobytes() == np.stack(final).tobytes()
 
 
 def test_eval_scores_prediction_without_positive_pixel():
