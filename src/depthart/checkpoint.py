@@ -122,6 +122,17 @@ def finite_entry(entries: dict[str, np.ndarray], name: str,
     return arr
 
 
+def count_entry(entries: dict[str, np.ndarray], name: str,
+                shape: tuple[Optional[int], ...]) -> np.ndarray:
+    """``finite_entry`` as int64, also raising CheckpointError unless every
+    value is a positive whole number (hyperparameters, scale extents)."""
+    arr = finite_entry(entries, name, shape)
+    if not ((arr >= 1) & (arr == np.floor(arr))).all():
+        raise CheckpointError(
+            f"checkpoint entry {name!r} must hold positive whole numbers")
+    return arr.astype(np.int64)
+
+
 def restore(params: dict[str, Tensor], entries: dict[str, np.ndarray]) -> None:
     """Replace each parameter by its entry, checked against the parameter's
     shape and for finite values."""

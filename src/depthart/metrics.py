@@ -317,23 +317,24 @@ def evaluate_scales(model, vq, samples: list[DepthSample], model_name: str,
     """Everything one greedy decode per chunk yields: the model's report
     (``evaluate_rasters`` of the last scale), the curve [(k, mean AbsRel
     after scale k)], and the autoencoder's floor, the mean AbsRel of the
-    decoded decomposition of the ground truth. The means add per-sample
-    values in sample order."""
+    decoded decomposition of the ground truth. Every mean is the one
+    ``evaluate_rasters`` takes, ``np.mean`` of the per-sample values, so
+    the curve's last point is the report's AbsRel bit for bit."""
     final: list[np.ndarray] = []
-    sums = [0.0] * len(vq.schedule)
-    floor = 0.0
+    per_scale: list[list[float]] = [[] for _ in vq.schedule.sizes]
+    floor: list[float] = []
     for part, scales in predict_scale_rasters(model, vq, samples):
         final += list(scales[-1])
         for k, preds in enumerate(scales):
-            for pred, s in zip(preds, part):
-                sums[k] += absrel(_align(pred, s)[0], s.depth, s.mask)
+            per_scale[k] += [absrel(_align(pred, s)[0], s.depth, s.mask)
+                             for pred, s in zip(preds, part)]
         feats = vq.encode_batch(depth_rasters(part))
         rec = vq.decode_batch(vq.compose_batch(vq.decompose_batch(feats)))
-        for pred, s in zip(relative_depth(rec[:, 0]), part):
-            floor += absrel(_align(pred, s)[0], s.depth, s.mask)
-    n = len(samples)
+        floor += [absrel(_align(pred, s)[0], s.depth, s.mask)
+                  for pred, s in zip(relative_depth(rec[:, 0]), part)]
     report = evaluate_rasters(final, samples, model_name, dataset_name)
-    return report, [(k + 1, total / n) for k, total in enumerate(sums)], floor / n
+    curve = [(k + 1, float(np.mean(values))) for k, values in enumerate(per_scale)]
+    return report, curve, float(np.mean(floor))
 
 
 def write_scale_curve_csv(path: str, curve: list[tuple[int, float]],

@@ -23,7 +23,13 @@ No implicit broadcasting: elementwise ops require exact shape equality.
 The few places that need a broadcast (bias add, positional-table add)
 are explicit named ops with hand-written backward passes. Attention takes
 no additive mask: it gets each query row's count of visible keys and
-never scores the keys beyond it.
+never scores the keys beyond it. It takes the queries and the keys/values
+as two tensors, so a caller projects only the rows it reads.
+
+Untaped, an op may skip work its backward pass would need: attention
+never normalizes its probabilities, and ``layer_norm`` and ``gelu`` work
+in place. A taped call computes its output the same way, so the two
+agree bit for bit.
 
 Each thread has its own stack of active tapes, so a tape records only
 the ops of the thread that opened it, and other threads may run
@@ -362,34 +368,33 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh form (GPT-2 convention). One fresh buffer, plus one
-    keeping tanh for the backward pass when the op is recorded."""
+    """GELU, tanh form (GPT-2 convention): y = s x with s = (1 + tanh u) / 2
+    and u = c x (1 + a x^2). One fresh buffer, plus one keeping s for the
+    backward pass when the op is recorded; 8 passes over the array forward
+    and 9 backward."""
     xd = x.data
-    th = xd * xd  # avoids slow float pow
-    th *= _GELU_A
-    th += 1.0
-    th *= xd
-    th *= _GELU_C
-    np.tanh(th, out=th)
+    s = xd * xd  # avoids slow float pow
+    s *= _GELU_C * _GELU_A
+    s += _GELU_C
+    s *= xd
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
     recorded = active_tape() is not None and x._needs_grad()
-    y = th + 1.0 if recorded else np.add(th, 1.0, out=th)
-    y *= xd
-    y *= 0.5
+    y = s * xd if recorded else np.multiply(s, xd, out=s)
     out = Tensor(y, dtype=x.dtype)
 
     def backward(g):
         if x._needs_grad():
+            # dy/dx = s + x s (1 - s) 2 c (1 + 3 a x^2), as (1 - tanh^2 u) / 2
+            # is 2 s (1 - s)
             du = xd * xd
-            du *= 3.0 * _GELU_A
-            du += 1.0
-            du *= _GELU_C
-            t2 = th * th
-            np.subtract(1.0, t2, out=t2)
-            du *= t2
+            du *= 6.0 * _GELU_C * _GELU_A
+            du += 2.0 * _GELU_C
             du *= xd
-            du += th
-            du += 1.0
-            du *= 0.5  # dydx = 0.5*(1+th) + 0.5*x*(1-th^2)*c*(1+3a*x^2)
+            du *= 1.0 - s
+            du *= s
+            du += s
             du *= g
             x._accumulate_owned(du)
 
@@ -400,17 +405,19 @@ LN_EPS = 1e-5  # added to the variance before the square root
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1, then affine."""
+    """Normalize the last axis to mean 0 / variance 1, then affine. Row
+    means and variances are ``einsum`` reductions; untaped, the affine is
+    applied in place."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError("layer_norm: gain/bias must match last axis")
     x2 = x.data.reshape(-1, d)
-    mu = x2.mean(axis=1)
-    xc = x2 - mu[:, None]
-    var = np.einsum("nc,nc->n", xc, xc) / d
-    inv = (1.0 / np.sqrt(var + LN_EPS))[:, None]
-    xhat = xc * inv
-    y = xhat * gain.data
+    xhat = x2 - (np.einsum("nc->n", x2) / d)[:, None]
+    inv = (1.0 / np.sqrt(np.einsum("nc,nc->n", xhat, xhat) / d + LN_EPS))[:, None]
+    xhat *= inv
+    recorded = active_tape() is not None and any(
+        t._needs_grad() for t in (x, gain, bias))
+    y = xhat * gain.data if recorded else np.multiply(xhat, gain.data, out=xhat)
     y += bias.data
     out = Tensor(y.reshape(x.data.shape), dtype=x.dtype)
 
@@ -422,7 +429,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             bias._accumulate_owned(g2.sum(axis=0))
         if x._needs_grad():
             gy = g2 * gain.data
-            m1 = gy.mean(axis=1)
+            m1 = np.einsum("nc->n", gy) / d
             m2 = np.einsum("nc,nc->n", gy, xhat) / d
             gy -= m1[:, None]
             gy -= xhat * m2[:, None]
@@ -489,80 +496,103 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 class KVCache:
-    """Keys and values [B, H, L, dh] of the L rows one attention layer has
-    seen, for incremental decoding. A call appends every row of its ``qkv``,
-    including rows it asks no query for. Under a tape it also keeps each
-    round's packed ``qkv`` Tensor with the position of its first row, so
-    that later rounds can send key/value gradients back to the rows they
-    attended to."""
+    """Keys and values of the rows one attention layer has cached, for
+    incremental decoding. Keys are stored key-major, ``k[B, H, dh, L]``, so
+    a score GEMM reads a contiguous prefix of each row; values are
+    ``v[B, H, L, dh]``. ``len()`` counts the L cached keys. ``rows`` counts
+    the sequence rows the layer has seen, which its caller advances; it
+    exceeds the keys once rows arrive that no later row reads, and those
+    are never cached. Under a tape the cache also keeps each round's ``kv``
+    Tensor with the position of its first key, so that later rounds can
+    send key/value gradients back to the rows they attended to."""
 
     def __init__(self) -> None:
         self.k: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
+        self.rows = 0
         self.rounds: list[tuple[Tensor, int]] = []
 
     def __len__(self) -> int:
-        return 0 if self.k is None else self.k.shape[2]
+        return 0 if self.k is None else self.k.shape[3]
 
 
-def multihead_attention(qkv: Tensor, heads: int, visible: np.ndarray,
+def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
+                        visible: np.ndarray,
                         cache: Optional[KVCache] = None) -> Tensor:
-    """Fused attention over a packed ``[B, L, 3D]`` projection, where query
-    row i sees only the first ``visible[i]`` keys.
+    """Fused attention of the query rows ``q[B, N, D]`` over keys and values
+    ``kv[B, M, 2D]`` (keys in the first D columns), where query row i sees
+    only the first ``visible[i]`` keys. The output is ``[B, N, D]``.
 
-    The queries are the last ``len(visible)`` rows of ``qkv``, and the
-    output is ``[B, len(visible), D]``. The keys are the rows of ``cache``,
-    when given, followed by every row of ``qkv``; the cache gains those
-    rows. Each run of query rows with equal counts scores, normalizes and
-    averages its own key prefix, so no score is computed for a key a row
-    may not see. The whole block is one tape record, which keeps the
+    The keys are those of ``cache``, when given, followed by the rows of
+    ``kv``; the cache gains them. ``kv`` may be None when a cache is given
+    and the call adds no keys. Each run of query rows with equal counts
+    scores, exponentiates and averages its own key prefix, so no score is
+    computed for a key a row may not see. The output is divided by the
+    row sums of the exponentials, and the ``[B, H, r, n]`` probabilities
+    are normalized only on a tape, where the backward pass keeps them
+    (Dao et al., FlashAttention, 2022); the output's bits are the same
+    either way. The whole block is one tape record, which keeps the
     training loop off the Python floor. Recorded on a tape, the backward
-    pass sends the query gradient to the query rows of ``qkv`` and the
-    key/value gradient of every visible key to the ``qkv`` rows it came
-    from, earlier rounds' rows included.
+    pass sends the query gradient to ``q`` and the key/value gradient of
+    every visible key to the ``kv`` rows it came from, earlier rounds'
+    rows included.
     """
-    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads) != 0:
-        raise DimensionError("multihead_attention: expected [B, L, 3D]")
-    b, length, threed = qkv.data.shape
-    d = threed // 3
+    if q.data.ndim != 3 or q.data.shape[-1] % heads != 0:
+        raise DimensionError("multihead_attention: expected q [B, N, D]")
+    b, nq, d = q.data.shape
     dh = d // heads
-    nq = len(visible)
-    first = 0 if cache is None else len(cache)  # position of qkv's first row
-    seen = int(visible.max()) if nq else 0  # keys any query sees
-    if nq > length or (nq and (visible.min() < 1 or seen > first + length)):
+    nk = 0 if kv is None else kv.data.shape[1]
+    if kv is not None and kv.data.shape != (b, nk, 2 * d):
         raise DimensionError(
-            f"multihead_attention: {nq} queries over {length} rows need "
-            f"counts in [1, {first + length}]")
-    arr = qkv.data.reshape(b, length, 3, heads, dh)
-    q = np.ascontiguousarray(arr[:, length - nq:, 0].transpose(0, 2, 1, 3))
-    k = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
-    v = np.ascontiguousarray(arr[:, :, 2].transpose(0, 2, 1, 3))
-    sources = [(qkv, 0)]  # (packed rows, position of their first row)
-    if cache is not None:
-        if cache.k is not None:
-            k = np.concatenate([cache.k, k], axis=2)
+            f"multihead_attention: kv {kv.shape} does not match q {q.shape}")
+    if kv is None and cache is None:
+        raise DimensionError("multihead_attention: no keys")
+    first = 0 if cache is None else len(cache)  # position of kv's first key
+    seen = int(visible.max()) if nq else 0  # keys any query sees
+    if nq != len(visible) or (nq and (visible.min() < 1 or seen > first + nk)):
+        raise DimensionError(
+            f"multihead_attention: {nq} query rows need as many counts, "
+            f"each in [1, {first + nk}]")
+    qh = q.data.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
+    if kv is None:
+        k, v = cache.k, cache.v
+    else:
+        arr = kv.data.reshape(b, nk, 2, heads, dh)
+        k = arr[:, :, 0].transpose(0, 2, 3, 1)
+        v = arr[:, :, 1].transpose(0, 2, 1, 3)
+        if cache is not None and cache.k is not None:
+            k = np.concatenate([cache.k, k], axis=3)
             v = np.concatenate([cache.v, v], axis=2)
+        else:
+            k, v = np.ascontiguousarray(k), np.ascontiguousarray(v)
+    sources = [] if kv is None else [(kv, 0)]  # (kv rows, position of their first key)
+    if cache is not None:
         cache.k, cache.v = k, v
-        if active_tape() is not None and qkv._needs_grad():
-            cache.rounds.append((qkv, first))
+        if kv is not None and active_tape() is not None and kv._needs_grad():
+            cache.rounds.append((kv, first))
         sources = list(cache.rounds)
+    taped = active_tape() is not None and (
+        q._needs_grad() or any(src._needs_grad() for src, _ in sources))
     edges = [0, *(np.flatnonzero(np.diff(visible)) + 1).tolist(), nq] if nq else []
     runs = list(zip(edges[:-1], edges[1:]))  # query rows [lo, hi) of equal count
     inv_sqrt = 1.0 / math.sqrt(dh)
-    heads_out = np.empty((b, nq, heads, dh), dtype=qkv.dtype)
+    heads_out = np.empty((b, nq, heads, dh), dtype=q.dtype)
     probs = []
     for lo, hi in runs:
         n = int(visible[lo])
-        p = q[:, :, lo:hi] @ k[:, :, :n].swapaxes(-1, -2)  # scores, then in place
-        p *= inv_sqrt                                      # probabilities
+        p = qh[:, :, lo:hi] @ k[..., :n]  # scores, then in place exponentials
+        p *= inv_sqrt
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        heads_out[:, lo:hi] = (p @ v[:, :, :n]).transpose(0, 2, 1, 3)
-        probs.append(p)
-    out = Tensor(heads_out.reshape(b, nq, d), dtype=qkv.dtype)
+        total = np.einsum("...ij->...i", p)[..., None]
+        np.divide(p @ v[:, :, :n], total, out=heads_out[:, lo:hi].transpose(0, 2, 1, 3))
+        if taped:
+            p /= total
+            probs.append(p)
+    out = Tensor(heads_out.reshape(b, nq, d), dtype=q.dtype)
 
     def backward(g):
+        qc = np.ascontiguousarray(qh)
         gh = np.ascontiguousarray(
             g.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
         dq = np.empty((b, nq, heads, dh), dtype=g.dtype)
@@ -571,30 +601,28 @@ def multihead_attention(qkv: Tensor, heads: int, visible: np.ndarray,
         for (lo, hi), p in zip(runs, probs):
             n = p.shape[-1]
             ds = gh[:, :, lo:hi] @ v[:, :, :n].swapaxes(-1, -2)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
             ds *= p
             ds *= inv_sqrt
-            dq[:, lo:hi] = (ds @ k[:, :, :n]).transpose(0, 2, 1, 3)
+            dq[:, lo:hi] = (ds @ k[..., :n].swapaxes(-1, -2)).transpose(0, 2, 1, 3)
             # for a one-row run these are outer products, which numpy's
             # matmul computes without BLAS, about 20x slower than multiply
             mm = np.multiply if hi - lo == 1 else np.matmul
-            dk[:, :, :n] += mm(ds.swapaxes(-1, -2), q[:, :, lo:hi])
+            dk[:, :, :n] += mm(ds.swapaxes(-1, -2), qc[:, :, lo:hi])
             dv[:, :, :n] += mm(p.swapaxes(-1, -2), gh[:, :, lo:hi])
+        if q._needs_grad():
+            q._accumulate_owned(dq.reshape(b, nq, d))
         for src, lo in sources:
             if not src._needs_grad():
                 continue
             n = src.data.shape[1]
             keys = max(min(lo + n, seen) - lo, 0)  # rows of src among the keys
-            # every q, k and v row is written below
-            filled = src is qkv and keys == n and nq == n
-            dsrc = (np.empty if filled else np.zeros)((b, n, 3, heads, dh), dtype=g.dtype)
-            if src is qkv:
-                dsrc[:, n - nq:, 0] = dq
-            dsrc[:, :keys, 1] = dk[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
-            dsrc[:, :keys, 2] = dv[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
-            src._accumulate_owned(dsrc.reshape(b, n, threed))
+            dsrc = (np.empty if keys == n else np.zeros)((b, n, 2, heads, dh), dtype=g.dtype)
+            dsrc[:, :keys, 0] = dk[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
+            dsrc[:, :keys, 1] = dv[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
+            src._accumulate_owned(dsrc.reshape(b, n, 2 * d))
 
-    return _maybe_record(out, [src for src, _ in sources], backward)
+    return _maybe_record(out, [q] + [src for src, _ in sources], backward)
 
 
 # --------------------------------------------------------------------------

@@ -8,18 +8,20 @@ projected; scale 1 uses a learned start embedding. Attention for a depth
 position at scale k reaches the whole image prefix and depth scales
 strictly below k, so the scale-k logits are a function of (image tokens,
 z_{<k}) only. Every row sees a prefix of the sequence, so the mask is one
-count per row: row i attends to keys [0, visible[i]). The head reads only
-the depth rows, so the last block computes attention output, MLP and
-final norm for those rows alone.
+count per row: row i attends to keys [0, visible[i]). Each block projects
+only what some row reads. Keys and values exist for the rows below
+``attention_mask(K).max()``, since no row attends to the last scale. The
+head reads only the depth rows, so the last block computes queries,
+attention output, MLP and final norm for those rows alone.
 
 Decoding is greedy argmax per position, lowest index on ties. It runs
 the same ``forward`` as training, one scale per call, on the new rows
 only: each call gets those rows' counts and a per-block key/value cache
-of all earlier rows. This is exact because the mask is prefix-closed:
-every row a position may see comes before its own scale, so it is
-already in the cache when the position is decoded. Under a tape the
-cached rounds are recorded like a full forward, so the refinement regime
-takes its loss on the logits its own decode produced.
+of all earlier rows that are keys. This is exact because the mask is
+prefix-closed: every row a position may see comes before its own scale,
+so it is already in the cache when the position is decoded. Under a tape
+the cached rounds are recorded like a full forward, so the refinement
+regime takes its loss on the logits its own decode produced.
 """
 
 from __future__ import annotations
@@ -117,12 +119,16 @@ class VarModel:
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "VarModel":
         def hp(name):
-            return int(checkpoint.finite_entry(entries, "hp/" + name, ()))
+            return int(checkpoint.count_entry(entries, "hp/" + name, ()))
 
         vocab, c = checkpoint.entry(entries, "tok_emb", (None, None)).shape
+        width, heads = hp("width"), hp("heads")
+        if width % heads:
+            raise checkpoint.CheckpointError(
+                f"checkpoint entry 'hp/heads' must divide 'hp/width': "
+                f"{heads} does not divide {width}")
         cfg = VarConfig(schedule=ScaleSchedule.from_entries(entries), vocab=vocab,
-                        emb_dim=c, width=hp("width"), heads=hp("heads"),
-                        blocks=hp("blocks"))
+                        emb_dim=c, width=width, heads=heads, blocks=hp("blocks"))
         model = cls(cfg)
         checkpoint.restore(model.params, entries)
         return model
@@ -258,10 +264,15 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
     the inputs are whole sequences and ``visible`` their
     ``attention_mask``. With ``cache`` (one ``T.KVCache`` per block) they
     are the rows after the cached ones, and ``visible`` is their slice of
-    ``attention_mask(K)``; the cache gains the rows. The last block builds
-    keys and values for every row but runs everything after them on the
-    depth rows only, since the head reads nothing else. Either way the
-    call records on an active tape.
+    ``attention_mask(K)``; each cache advances by the rows. Each block
+    splits its ``qkv`` projection in two, by column slices of
+    ``qkv_w``/``qkv_b``. Keys and values are computed only for the rows
+    that are some row's key, the positions below ``attention_mask(K).max()``
+    (the last scale's rows are nobody's key), and the cache gains only
+    those. Queries are computed for every row except, in the last block,
+    the image rows: the head reads only the depth rows, so the last block
+    runs its queries, attention output, MLP and final norm on those alone.
+    Either way the call records on an active tape.
     """
     x = inputs
     length = x.data.shape[1]
@@ -270,18 +281,32 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
             f"mask length {len(visible)} != sequence length {length}")
     p = model.params
     cfg = model.config
-    first = 0 if cache is None else len(cache[0])  # position of row 0
+    d = cfg.width
+    first = 0 if cache is None else cache[0].rows  # position of row 0
     n_lead = min(max(model.n_image_tokens() - first, 0), length)  # image rows
+    n_keys = int(model.attention_mask(len(cfg.schedule)).max())
+    n_kv = min(max(n_keys - first, 0), length)  # rows some row reads as keys
     for blk in range(cfg.blocks):
         pre = f"block{blk}/"
         last = blk == cfg.blocks - 1
+        w, bias = p[pre + "qkv_w"], p[pre + "qkv_b"]
         h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        qkv = T.linear(h, p[pre + "qkv_w"], p[pre + "qkv_b"])
-        att = T.multihead_attention(qkv, cfg.heads,
+        if last and n_lead:
+            x = T.slice_axis(x, 1, n_lead, length)
+            hq = T.slice_axis(h, 1, n_lead, length)
+        else:
+            hq = h
+        q = T.linear(hq, T.slice_axis(w, 1, 0, d), T.slice_axis(bias, 0, 0, d))
+        kv = None
+        if n_kv:
+            hkv = h if n_kv == length else T.slice_axis(h, 1, 0, n_kv)
+            kv = T.linear(hkv, T.slice_axis(w, 1, d, 3 * d),
+                          T.slice_axis(bias, 0, d, 3 * d))
+        att = T.multihead_attention(q, kv, cfg.heads,
                                     visible[n_lead:] if last else visible,
                                     None if cache is None else cache[blk])
-        if last:
-            x = T.slice_axis(x, 1, n_lead, length)
+        if cache is not None:
+            cache[blk].rows += length
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
         h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
         h2 = T.gelu(T.linear(h2, p[pre + "mlp_w1"], p[pre + "mlp_b1"]))
@@ -301,9 +326,11 @@ def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
 
     One cached ``forward`` per scale with the new rows' slice of
     ``attention_mask(K)``: first the image prefix and the start row, whose
-    last block then runs on the start row alone, then each depth scale
-    against all earlier rows, which is exact because the mask is
-    prefix-closed. Each round embeds only its new rows, with the helpers
+    last block then asks a query of the start row alone, then each depth
+    scale against all earlier rows, which is exact because the mask is
+    prefix-closed. The last round computes no keys or values, since no
+    row reads them, so the caches end with ``attention_mask(K).max()``
+    keys. Each round embeds only its new rows, with the helpers
     of ``embed_sequence``, from a composition that gains one ``eta_batch``
     per decoded scale. That add is the one composition kept outside
     ``VqModel.compositions``, since each round's map is the argmax of the

@@ -85,7 +85,7 @@ class ScaleSchedule:
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "ScaleSchedule":
         return cls(tuple((int(h), int(w))
-                         for h, w in checkpoint.finite_entry(entries, "schedule", (None, 2))))
+                         for h, w in checkpoint.count_entry(entries, "schedule", (None, 2))))
 
 
 DEFAULT_SCHEDULE = ScaleSchedule(((1, 1), (2, 2), (4, 4), (8, 8)))
@@ -172,7 +172,7 @@ class VqModel:
         cb = checkpoint.finite_entry(entries, "codebook", (None, None))
         model = cls(schedule=ScaleSchedule.from_entries(entries),
                     codebook_size=cb.shape[0], emb_dim=cb.shape[1],
-                    raster=int(checkpoint.finite_entry(entries, "hp/raster", ())))
+                    raster=int(checkpoint.count_entry(entries, "hp/raster", ())))
         checkpoint.restore(model.params, entries)
         model.codebook = Codebook(cb)
         return model

@@ -161,75 +161,83 @@ def depthart_two_pass(model, vq, batch):
     return loss.item(), grads
 
 
-def dense_attention(qkv, heads, visible, cache=None):
+def dense_attention(q, kv, heads, visible, cache=None):
     """``T.multihead_attention`` as one dense masked softmax: the counts are
     expanded to an additive ``[len(visible), keys]`` mask of 0 and -inf,
     every query row scores every key, and the mask is added before the
-    softmax. Records on an active tape, with the same gradient routing."""
-    b, length, threed = qkv.data.shape
-    d = threed // 3
+    softmax. The cache holds row-major keys of its own. Records on an
+    active tape, with the same gradient routing."""
+    b, nq, d = q.data.shape
     dh = d // heads
     visible = np.asarray(visible)
-    nq = len(visible)
-    arr = qkv.data.reshape(b, length, 3, heads, dh)
-    q = np.ascontiguousarray(arr[:, length - nq:, 0].transpose(0, 2, 1, 3))
-    k = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
-    v = np.ascontiguousarray(arr[:, :, 2].transpose(0, 2, 1, 3))
-    sources = [(qkv, 0)]
+    qh = np.ascontiguousarray(q.data.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
+    sources = []
+    if kv is None:
+        k, v = cache.k, cache.v
+    else:
+        nk = kv.data.shape[1]
+        arr = kv.data.reshape(b, nk, 2, heads, dh)
+        k = np.ascontiguousarray(arr[:, :, 0].transpose(0, 2, 1, 3))
+        v = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
+        sources = [(kv, 0)]
     if cache is not None:
-        first = len(cache)
-        if cache.k is not None:
+        if kv is not None and cache.k is not None:
+            first = cache.k.shape[2]
             k = np.concatenate([cache.k, k], axis=2)
             v = np.concatenate([cache.v, v], axis=2)
+        else:
+            first = 0
         cache.k, cache.v = k, v
-        if T.active_tape() is not None and qkv._needs_grad():
-            cache.rounds.append((qkv, first))
+        if kv is not None and T.active_tape() is not None and kv._needs_grad():
+            cache.rounds.append((kv, first))
         sources = list(cache.rounds)
     n_keys = k.shape[2]
     mask = np.where(np.arange(n_keys)[None, :] < visible[:, None], 0.0, -np.inf)
     inv_sqrt = 1.0 / math.sqrt(dh)
-    p = q @ k.swapaxes(-1, -2)
+    p = qh @ k.swapaxes(-1, -2)
     p *= inv_sqrt
     p += mask.astype(p.dtype)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     heads_out = p @ v
-    out = T.Tensor(heads_out.transpose(0, 2, 1, 3).reshape(b, nq, d), dtype=qkv.dtype)
+    out = T.Tensor(heads_out.transpose(0, 2, 1, 3).reshape(b, nq, d), dtype=q.dtype)
 
     def backward(g):
         gh = np.ascontiguousarray(g.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
         dp = gh @ v.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         ds *= inv_sqrt
-        dk = ds.swapaxes(-1, -2) @ q
+        dk = ds.swapaxes(-1, -2) @ qh
         dv = p.swapaxes(-1, -2) @ gh
+        if q._needs_grad():
+            q._accumulate_owned((ds @ k).transpose(0, 2, 1, 3).reshape(b, nq, d))
         for src, lo in sources:
             if not src._needs_grad():
                 continue
             n = src.data.shape[1]
-            dsrc = np.zeros((b, n, 3, heads, dh), dtype=g.dtype)
-            if src is qkv:
-                dsrc[:, n - nq:, 0] = (ds @ k).transpose(0, 2, 1, 3)
-            dsrc[:, :, 1] = dk[:, :, lo:lo + n].transpose(0, 2, 1, 3)
-            dsrc[:, :, 2] = dv[:, :, lo:lo + n].transpose(0, 2, 1, 3)
-            src._accumulate_owned(dsrc.reshape(b, n, threed))
+            dsrc = np.zeros((b, n, 2, heads, dh), dtype=g.dtype)
+            dsrc[:, :, 0] = dk[:, :, lo:lo + n].transpose(0, 2, 1, 3)
+            dsrc[:, :, 1] = dv[:, :, lo:lo + n].transpose(0, 2, 1, 3)
+            src._accumulate_owned(dsrc.reshape(b, n, 2 * d))
 
-    return T._maybe_record(out, [src for src, _ in sources], backward)
+    return T._maybe_record(out, [q] + [src for src, _ in sources], backward)
 
 
 def forward_all_rows(model, inputs, visible):
     """Logits of ``var.forward`` on a whole sequence computed the long way:
-    every block, the last one included, runs all rows through
-    ``dense_attention``, and the depth rows are sliced out after the final
-    layer norm."""
+    every block, the last one included, projects every row to a packed
+    ``qkv`` and runs all of them through ``dense_attention``, and the depth
+    rows are sliced out after the final layer norm."""
     p = model.params
     x = inputs
     for blk in range(model.config.blocks):
         pre = f"block{blk}/"
         h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
         qkv = T.linear(h, p[pre + "qkv_w"], p[pre + "qkv_b"])
-        att = dense_attention(qkv, model.config.heads, visible)
+        d = qkv.shape[-1] // 3
+        att = dense_attention(T.slice_axis(qkv, 2, 0, d), T.slice_axis(qkv, 2, d, 3 * d),
+                              model.config.heads, visible)
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
         h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
         h2 = T.gelu(T.linear(h2, p[pre + "mlp_w1"], p[pre + "mlp_b1"]))

@@ -331,22 +331,43 @@ def test_eval_with_malformed_checkpoint_is_a_data_error(workspace, tmp_path,
     assert code == 3
 
 
-@pytest.mark.parametrize("which,name", [
-    ("model", "block0/qkv_w"), ("model", "hp/width"),
-    ("vq", "codebook"), ("vq", "enc/w1"), ("vq", "schedule"), ("vq", "hp/raster")])
+def entry_case(which, name, value, message, tag=""):
+    return pytest.param(which, name, value, message,
+                        id=f"{which}-{name}" + (f"-{tag}" if tag else ""))
+
+
+NOT_A_COUNT = "must hold positive whole numbers"
+
+
+@pytest.mark.parametrize("which,name,value,message", [
+    entry_case("model", "block0/qkv_w", np.nan, "holds a non-finite value"),
+    entry_case("model", "hp/width", np.nan, "holds a non-finite value"),
+    entry_case("vq", "codebook", np.nan, "holds a non-finite value"),
+    entry_case("vq", "enc/w1", np.nan, "holds a non-finite value"),
+    entry_case("vq", "schedule", np.nan, "holds a non-finite value"),
+    entry_case("vq", "hp/raster", np.nan, "holds a non-finite value"),
+    entry_case("model", "hp/heads", 0.0, NOT_A_COUNT, "zero"),
+    entry_case("model", "hp/heads", 2.5, NOT_A_COUNT, "fraction"),
+    entry_case("model", "hp/blocks", -1.0, NOT_A_COUNT, "negative"),
+    entry_case("model", "hp/heads", 3.0, "must divide 'hp/width'", "not_a_divisor"),
+    entry_case("vq", "schedule", 1.5, NOT_A_COUNT, "fraction"),
+    entry_case("vq", "hp/raster", 0.0, NOT_A_COUNT, "zero")])
 def test_eval_with_non_finite_checkpoint_entry_is_a_data_error(workspace, tmp_path,
-                                                                capsys, which, name):
+                                                                capsys, which, name,
+                                                                value, message):
+    # non-finite values anywhere, and hyperparameters that are not usable
+    # counts, exit 3 with the entry named
     paths = {"model": str(workspace / "tf" / "model.dart"),
              "vq": str(workspace / "vq" / "vqvae.dart")}
     entries = checkpoint.load(paths[which])
-    entries[name] = with_pixel(np.nan)(entries[name])
-    paths[which] = str(tmp_path / "nan.dart")
+    entries[name] = with_pixel(value)(entries[name])
+    paths[which] = str(tmp_path / "bad.dart")
     checkpoint.save(paths[which], entries)
     code = cli.main(["eval", "--model", paths["model"], "--vq", paths["vq"],
                      "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "x.csv")])
     assert code == 3
-    assert f"{name!r} holds a non-finite value" in capsys.readouterr().err
+    assert f"{name!r} {message}" in capsys.readouterr().err
 
 
 def test_eval_writes_per_scale_curve(workspace, tmp_path):
@@ -400,10 +421,14 @@ def test_kill_leaves_loadable_checkpoint(workspace, tmp_path):
     cfg.write_text("regime=tf\nlr=1e-3\nwd=1e-2\nbatch=4\nsteps=500\n"
                    "decay_period=100\ndecay_gamma=0.8\nseed=0\n"
                    f"data_dir={workspace / 'data'}\nout_dir={out}\n")
+    # the child imports the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "depthart.cli", "train-var",
          "--config", str(cfg), "--vq", str(workspace / "vq" / "vqvae.dart")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
     ckpt = out / "ckpt_latest.dart"
     deadline = time.time() + 120
     try:

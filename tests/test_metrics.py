@@ -314,6 +314,16 @@ def test_eval_metrics_match_denormalized_oracle(eval_setup):
     assert curve[-1][1] == got.absrel
 
 
+def test_curve_last_point_is_the_report_absrel_past_eight_samples(eval_setup):
+    # np.mean adds through eight interleaved partial sums, so past 8
+    # samples a sum in sample order can differ from it in the last bit (on
+    # these 16 scenes one does); the curve and the report share one mean
+    model, vq, samples = eval_setup
+    more = samples + [data.render_scene(data.SceneSpec.from_seed(s)) for s in range(6, 16)]
+    report, curve, _ = metrics.evaluate_scales(model, vq, more, "m", "d")
+    assert curve[-1][1] == report.rows[0].absrel
+
+
 def test_scale_rasters_read_no_depth(eval_setup):
     # every scale's rasters come from the images alone, and the last
     # scale's are predict_depth_rasters'

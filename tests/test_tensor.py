@@ -250,6 +250,14 @@ def test_layer_norm_grad():
     fd_gradcheck(lambda x, g, b: T.layer_norm(x, g, b), [r(3, 6), r(6), r(6)])
 
 
+def test_layer_norm_taped_equals_untaped():
+    x = T.Tensor(r(6, 16), requires_grad=True)
+    gain, bias = T.Tensor(r(16), requires_grad=True), T.Tensor(r(16))
+    with T.Tape():
+        taped = T.layer_norm(x, gain, bias).data
+    assert taped.tobytes() == T.layer_norm(x, gain, bias).data.tobytes()
+
+
 def test_gelu_values_and_grad():
     y = T.gelu(T.Tensor(np.array([0.0])))
     assert y.data[0] == pytest.approx(0.0)
@@ -311,32 +319,51 @@ def block_causal_mask(blocks):
     return np.repeat(np.cumsum(blocks), blocks)
 
 
+def packed_attention(qkv, heads, visible, cache=None, op=None):
+    """``op`` (``T.multihead_attention`` by default) on a packed ``[B, L, 3D]``
+    tensor: the queries are the q columns of its last ``len(visible)`` rows
+    and the keys/values the k and v columns of every row, taken as taped
+    slices so that gradients reach the packed rows."""
+    length, d = qkv.shape[1], qkv.shape[2] // 3
+    q = T.slice_axis(T.slice_axis(qkv, 2, 0, d), 1, max(length - len(visible), 0), length)
+    kv = T.slice_axis(qkv, 2, d, 3 * d)
+    return (op or T.multihead_attention)(q, kv, heads, visible, cache)
+
+
 def test_attention_grad():
     mask = block_causal_mask([2, 1, 2])
-    fd_gradcheck(lambda qkv: T.multihead_attention(qkv, 2, mask),
+    fd_gradcheck(lambda qkv: packed_attention(qkv, 2, mask),
                  [r(2, 5, 3 * 4)])
 
 
 def test_cached_attention_matches_masked():
     mask = block_causal_mask([3, 2, 1, 4])
     qkv = T.Tensor(r(2, 10, 3 * 6))
-    full = T.multihead_attention(qkv, 3, mask).data
+    full = packed_attention(qkv, 3, mask).data
     cache = T.KVCache()
     parts = []
     for lo, hi in ((0, 3), (3, 5), (5, 6), (6, 10)):
         rows = T.Tensor(qkv.data[:, lo:hi])
-        parts.append(T.multihead_attention(rows, 3, mask[lo:hi], cache).data)
+        parts.append(packed_attention(rows, 3, mask[lo:hi], cache).data)
     assert len(cache) == 10
     assert np.allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
 
-def cached_rounds(qkv, heads, mask, bounds):
+def cached_rounds(qkv, heads, mask, bounds, op=None):
     """Attention of ``qkv`` run round by round through a KV cache, each
-    round on a taped slice of the rows, joined back to [B, L, D]."""
+    round on a taped slice of the rows, joined back to [B, L, D]. As in
+    decoding, a round passes keys and values only for its rows that are
+    some row's key, the positions below ``mask.max()``, and none if it
+    has no such row."""
     cache = T.KVCache()
-    parts = [T.multihead_attention(T.slice_axis(qkv, 1, lo, hi), heads,
-                                   mask[lo:hi], cache)
-             for lo, hi in bounds]
+    d, n_keys = qkv.shape[2] // 3, int(mask.max())
+    parts = []
+    for lo, hi in bounds:
+        rows = T.slice_axis(qkv, 1, lo, hi)
+        keys = min(max(n_keys - lo, 0), hi - lo)
+        kv = T.slice_axis(T.slice_axis(rows, 1, 0, keys), 2, d, 3 * d) if keys else None
+        parts.append((op or T.multihead_attention)(
+            T.slice_axis(rows, 2, 0, d), kv, heads, mask[lo:hi], cache))
     return T.concat(parts, axis=1)
 
 
@@ -348,7 +375,7 @@ def test_cached_attention_under_tape_matches_masked_grad():
     data = r(2, 10, 3 * 6).astype(np.float32)
     w = r(2, 10, 6).astype(np.float32)
     grads = []
-    for run in (lambda x: T.multihead_attention(x, 3, mask),
+    for run in (lambda x: packed_attention(x, 3, mask),
                 lambda x: cached_rounds(x, 3, mask, bounds)):
         qkv = T.Tensor(data, requires_grad=True)
         with T.Tape():
@@ -361,43 +388,55 @@ def test_cached_attention_under_tape_matches_masked_grad():
                  [r(2, 5, 3 * 4)])
 
 
-def attention_and_grad(op, data, w, heads, visible, bounds=None):
-    """Output of ``op`` over float32 ``data`` and the ``qkv`` gradient of
-    ``sum(w * output)``; with ``bounds`` the rows run as cached rounds."""
+def attention_and_grad(op, data, w, heads, visible, bounds=None, taped=True):
+    """Output of ``op`` over float32 packed ``data`` and, when ``taped``, the
+    ``qkv`` gradient of ``sum(w * output)``; with ``bounds`` the rows run as
+    cached rounds."""
     qkv = T.Tensor(data, requires_grad=True)
-    with T.Tape():
+
+    def run():
         if bounds is None:
-            out = op(qkv, heads, visible)
-        else:
-            cache = T.KVCache()
-            out = T.concat([op(T.slice_axis(qkv, 1, lo, hi), heads, visible[lo:hi], cache)
-                            for lo, hi in bounds], axis=1)
+            return packed_attention(qkv, heads, visible, op=op)
+        return cached_rounds(qkv, heads, visible, bounds, op=op)
+
+    if not taped:
+        return run().data, None
+    with T.Tape():
+        out = run()
         T.sum_all(T.mul(out, T.Tensor(w))).backward()
     return out.data, qkv.grad
 
 
 DEFAULT_COUNTS = VarModel(VarConfig(schedule=DEFAULT_SCHEDULE)).attention_mask(
     len(DEFAULT_SCHEDULE))
+DECODING_ROUNDS = ((0, 86), (86, 90), (90, 106), (106, 170))
 
 
-@pytest.mark.parametrize("case", ["all_rows", "query_subset", "cached_rounds"])
+@pytest.mark.parametrize("case", ["all_rows", "query_subset", "cached_rounds",
+                                  "untaped_cached_rounds_b8"])
 def test_attention_matches_dense_oracle(case):
     # the default model's real counts at B=4: outputs and qkv gradients
-    # within 1e-6 of one dense masked softmax (measured worst: 5.1e-7)
-    counts, bounds = DEFAULT_COUNTS, None
+    # within 1e-6 of one dense masked softmax (measured worst: 7.7e-7); and
+    # untaped at B=8, the shape of an eval decode, whose last round adds no
+    # keys, outputs within the same bound
+    counts, bounds, batch, taped = DEFAULT_COUNTS, None, 4, True
     if case == "query_subset":
         counts = counts[-85:]  # the depth rows, as in the last block
     elif case == "cached_rounds":
-        bounds = ((0, 86), (86, 90), (90, 106), (106, 170))  # decoding rounds
+        bounds = DECODING_ROUNDS
+    elif case == "untaped_cached_rounds_b8":
+        bounds, batch, taped = DECODING_ROUNDS, 8, False
     gen = np.random.default_rng(7)
-    data = gen.standard_normal((4, 170, 3 * 128)).astype(np.float32)
-    w = gen.standard_normal((4, len(counts), 128)).astype(np.float32)
-    out, grad = attention_and_grad(T.multihead_attention, data, w, 4, counts, bounds)
+    data = gen.standard_normal((batch, 170, 3 * 128)).astype(np.float32)
+    w = gen.standard_normal((batch, len(counts), 128)).astype(np.float32)
+    out, grad = attention_and_grad(T.multihead_attention, data, w, 4, counts, bounds,
+                                   taped)
     ref_out, ref_grad = attention_and_grad(oracle.dense_attention, data, w, 4, counts,
-                                           bounds)
-    assert out.shape == (4, len(counts), 128)
+                                           bounds, taped)
+    assert out.shape == (batch, len(counts), 128)
     assert np.abs(out - ref_out).max() <= 1e-6
-    assert np.abs(grad - ref_grad).max() <= 1e-6
+    if taped:
+        assert np.abs(grad - ref_grad).max() <= 1e-6
     if case == "query_subset":  # rows asked for no query still pass on keys
         assert np.all(grad[:, :85, :128] == 0)
         assert np.abs(grad[:, :85, 128:]).max() > 0
@@ -405,13 +444,28 @@ def test_attention_matches_dense_oracle(case):
 
 def test_attention_query_subset_grad():
     counts = block_causal_mask([2, 1, 2])[-3:]
-    fd_gradcheck(lambda qkv: T.multihead_attention(qkv, 2, counts), [r(2, 5, 3 * 4)])
+    fd_gradcheck(lambda qkv: packed_attention(qkv, 2, counts), [r(2, 5, 3 * 4)])
 
 
 @pytest.mark.parametrize("counts", [[3, 0], [3, 6], [2, 2, 2, 2, 2, 2]])
 def test_attention_rejects_counts_outside_the_keys(counts):
     with pytest.raises(T.DimensionError):
-        T.multihead_attention(T.Tensor(r(1, 5, 3 * 4)), 2, np.array(counts))
+        packed_attention(T.Tensor(r(1, 5, 3 * 4)), 2, np.array(counts))
+
+
+def test_attention_taped_equals_untaped():
+    # the untaped call never normalizes its probabilities, the taped one
+    # does after taking its output; the outputs agree bit for bit
+    counts = DEFAULT_COUNTS
+    gen = np.random.default_rng(8)
+    data = gen.standard_normal((2, 170, 3 * 128)).astype(np.float32)
+    for bounds in (None, DECODING_ROUNDS):
+        taped, _ = attention_and_grad(T.multihead_attention, data,
+                                      np.ones((2, 170, 128), np.float32), 4, counts,
+                                      bounds)
+        untaped, _ = attention_and_grad(T.multihead_attention, data, None, 4, counts,
+                                        bounds, taped=False)
+        assert taped.tobytes() == untaped.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +540,7 @@ def test_forward_determinism_bit_identical():
         lambda: T.gelu(T.Tensor(a)).data,
         lambda: T.layer_norm(T.Tensor(a), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))).data,
         lambda: T.resize_bilinear(T.Tensor(a), (5, 5)).data,
-        lambda: T.multihead_attention(T.Tensor(qkv), 2, mask).data,
+        lambda: packed_attention(T.Tensor(qkv), 2, mask).data,
     ]
     for op in ops:
         assert op().tobytes() == op().tobytes()
