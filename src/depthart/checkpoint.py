@@ -4,10 +4,14 @@ Layout: magic ``DART`` (4 bytes), version u32 LE, entry count u32 LE.
 Per entry: name length u16 LE, UTF-8 name, rank u8, one u32 LE per dim,
 then the f32 LE payload. Everything, hyperparameters included, is stored
 as a named float tensor (scalars are rank 0).
+
+A training run writes its loss curve beside its checkpoints, as CSV
+``step,loss,lr``, even when it stops early (``write_loss_curve``).
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import struct
@@ -29,6 +33,15 @@ class CheckpointError(ValueError):
 def rolling_period(total_steps: int) -> int:
     """Steps between rolling checkpoints of a training run."""
     return 1000 if total_steps >= 5000 else max(1, total_steps // 5)
+
+
+def write_loss_curve(path: str, curve: list[tuple[int, float, float]]) -> None:
+    """Write curve rows (step, loss, lr) as CSV with header ``step,loss,lr``."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["step", "loss", "lr"])
+        for step, loss, lr in curve:
+            w.writerow([step, repr(float(loss)), repr(float(lr))])
 
 
 def save(path: str, entries: dict[str, np.ndarray]) -> None:

@@ -37,8 +37,7 @@ from .checkpoint import CheckpointError  # noqa: E402
 from .data import DataError, depth_rasters, load_manifest, make_dataset  # noqa: E402
 from .metrics import (METRIC_COLUMNS, MetricError, MetricsReport,  # noqa: E402
                       evaluate_scales, rank_models, write_scale_curve_csv)
-from .training import (ConfigError, TrainConfig, fit, read_config,  # noqa: E402
-                       write_loss_curve)
+from .training import ConfigError, TrainConfig, fit, read_config  # noqa: E402
 from .var import VarConfig, VarModel  # noqa: E402
 from .vq import (DivergenceError, ScheduleError, VqModel, VqTrainConfig,  # noqa: E402
                  train_vqvae)
@@ -112,10 +111,9 @@ def cmd_train_vqvae(args) -> int:
     model, curve = train_vqvae(rasters, masks, cfg, out_dir=out_dir)
     ckpt = os.path.join(out_dir, "vqvae.dart")
     model.save(ckpt)
-    curve_path = os.path.join(out_dir, "vqvae_loss.csv")
-    write_loss_curve(curve_path, [(s, l, cfg.lr) for s, l in curve])
     _write_manifest(os.path.join(out_dir, "run_manifest.json"), "train-vqvae",
-                    raw, cfg.seed, [ckpt, curve_path], time.monotonic() - t0)
+                    raw, cfg.seed, [ckpt, os.path.join(out_dir, "vqvae_loss.csv")],
+                    time.monotonic() - t0)
     print(f"vq-vae trained, final loss {curve[-1][1]:.5f}, checkpoint {ckpt}")
     return EXIT_OK
 

@@ -118,10 +118,10 @@ def plane_metrics(pred_aligned: np.ndarray, sample: DepthSample) -> tuple[float,
     usable = 0
     fla_sum = 0.0
     ori_sum = 0.0
-    pts_all = backproject(np.asarray(pred_aligned, np.float64),
-                          sample.intrinsics)
-    for plane in sample.planes:
-        m = plane.mask & sample.mask & (np.asarray(pred_aligned) > 0)
+    pts_all = backproject(np.asarray(pred_aligned, np.float64))
+    valid = sample.mask & (np.asarray(pred_aligned) > 0)
+    for i, gt_normal in enumerate(sample.plane_params[:, :3]):
+        m = valid & (sample.plane_labels == i + 1)
         if m.sum() < MIN_PLANE_PIXELS:
             continue
         fit = fit_plane_tls(pts_all[m])
@@ -130,7 +130,7 @@ def plane_metrics(pred_aligned: np.ndarray, sample: DepthSample) -> tuple[float,
         normal, offset = fit
         dist = pts_all[m] @ normal + offset
         fla_sum += math.sqrt(float(np.mean(dist * dist))) * 100.0
-        gt_n = plane.normal / np.linalg.norm(plane.normal)
+        gt_n = gt_normal / np.linalg.norm(gt_normal)
         cosang = abs(float(normal @ gt_n))
         ori_sum += math.degrees(math.acos(min(1.0, max(-1.0, cosang))))
         usable += 1

@@ -13,7 +13,6 @@ are constants: no gradient flows through the argmax.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from dataclasses import dataclass
@@ -262,16 +261,8 @@ def fit(model: VarModel, vq: VqModel, dataset: TrainingSet | list[DepthSample],
                 model.save(os.path.join(out_dir, "ckpt_latest.dart"))
     finally:
         if out_dir:
-            write_loss_curve(os.path.join(out_dir, "loss.csv"), curve)
+            checkpoint.write_loss_curve(os.path.join(out_dir, "loss.csv"), curve)
     if out_dir:
         model.save(os.path.join(out_dir, "model.dart"))
     elapsed = time.monotonic() - t0
     return model, curve, elapsed
-
-
-def write_loss_curve(path: str, curve: list[tuple[int, float, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["step", "loss", "lr"])
-        for step, loss, lr in curve:
-            w.writerow([step, repr(float(loss)), repr(float(lr))])

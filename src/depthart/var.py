@@ -102,8 +102,17 @@ class VarModel:
         p["head_w"] = normal(d, config.vocab)
         p["head_b"] = zeros(config.vocab)
         self.params = p
-        self._mask_cache: dict[int, np.ndarray] = {}
-        self._ids_cache: dict[int, np.ndarray] = {}
+        # The layout of the K-scale sequence. One of k depth scales is its
+        # first ``_ends[k]`` rows, so every k reads slices of these.
+        tokens = config.schedule.tokens_per_scale()
+        n_img = sum(tokens)
+        starts = np.cumsum([0] + tokens).tolist()
+        self._depth_slices = list(zip(starts[:-1], starts[1:]))
+        self._ends = [n_img + s for s in starts]
+        self._visible = np.repeat(np.asarray([n_img] + self._ends[:-1], np.int64),
+                                  [n_img] + tokens)
+        self._visible.flags.writeable = False  # shared by every caller
+        self._ids = np.repeat(np.tile(np.arange(k, dtype=np.int64), 2), tokens * 2)
 
     # -- persistence --------------------------------------------------------
 
@@ -147,43 +156,17 @@ class VarModel:
 
     def depth_slices(self, k_max: int) -> list[tuple[int, int]]:
         """(start, stop) of each depth scale within the depth logits block."""
-        sizes = self.config.schedule.tokens_per_scale()[:k_max]
-        out, off = [], 0
-        for n in sizes:
-            out.append((off, off + n))
-            off += n
-        return out
+        return self._depth_slices[:k_max]
 
     def attention_mask(self, k_max: int) -> np.ndarray:
         """Visible-key counts [L] of a sequence holding k_max depth scales:
         row i attends to keys [0, visible[i]). Image rows see the whole
         image; depth scale k sees the image and depth scales < k."""
-        hit = self._mask_cache.get(k_max)
-        if hit is not None:
-            return hit
-        tokens = self.config.schedule.tokens_per_scale()
-        n_img = sum(tokens)
-        counts = [n_img] * n_img
-        for k in range(k_max):
-            counts += [n_img + sum(tokens[:k])] * tokens[k]
-        visible = np.asarray(counts, np.int64)
-        visible.flags.writeable = False  # shared by every caller
-        self._mask_cache[k_max] = visible
-        return visible
+        return self._visible[:self._ends[k_max]]
 
     def _static_ids(self, k_max: int) -> np.ndarray:
-        hit = self._ids_cache.get(k_max)
-        if hit is not None:
-            return hit
-        tokens = self.config.schedule.tokens_per_scale()
-        ids = []
-        for k, n in enumerate(tokens):
-            ids += [k] * n
-        for k in range(k_max):
-            ids += [k] * tokens[k]
-        out = np.asarray(ids, np.int64)
-        self._ids_cache[k_max] = out
-        return out
+        """Scale index [L] of every row of a sequence of k_max depth scales."""
+        return self._ids[:self._ends[k_max]]
 
 
 # --------------------------------------------------------------------------

@@ -169,10 +169,18 @@ class VqModel:
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "VqModel":
+        """The model a checkpoint holds; CheckpointError unless its schedule
+        ends at the encoder's output, ceil(raster / 4) on each side."""
         cb = checkpoint.finite_entry(entries, "codebook", (None, None))
-        model = cls(schedule=ScaleSchedule.from_entries(entries),
-                    codebook_size=cb.shape[0], emb_dim=cb.shape[1],
-                    raster=int(checkpoint.count_entry(entries, "hp/raster", ())))
+        schedule = ScaleSchedule.from_entries(entries)
+        raster = int(checkpoint.count_entry(entries, "hp/raster", ()))
+        side = -(-raster // 4)  # two stride-2 convs with padding 1
+        if schedule.latent != (side, side):
+            raise checkpoint.CheckpointError(
+                f"checkpoint entry 'schedule' must end at the encoder's output "
+                f"{(side, side)} of 'hp/raster' {raster}, not {schedule.latent}")
+        model = cls(schedule=schedule, codebook_size=cb.shape[0],
+                    emb_dim=cb.shape[1], raster=raster)
         checkpoint.restore(model.params, entries)
         model.codebook = Codebook(cb)
         return model
@@ -370,7 +378,9 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
     Returns (model, loss_curve) where the curve rows are (step, loss).
     Raises DivergenceError if the loss goes non-finite and DataError if the
     rasters are not the model's size. With ``out_dir`` set, a rolling
-    checkpoint is written periodically.
+    checkpoint is written periodically, and the curve as
+    ``vqvae_loss.csv`` (rows step, loss, lr) at the end, also on
+    divergence.
     """
     if rasters.shape[0] == 0:
         raise ValueError("train_vqvae: empty dataset")
@@ -389,64 +399,69 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
     def batch_indices(step):
         return rng.integers(0, n, size=min(config.batch, n))
 
-    # phase 1: reconstruction only, no quantization in the loop
-    for step in range(config.warmup_steps):
-        sel = batch_indices(step)
-        x, m = rasters[sel], masks[sel]
-        with T.Tape():
-            recon = model.decode(model.encode(Tensor(x)))
-            loss = _masked_mse(recon, x, m)
-            check_finite(loss)
-            loss.backward()
-        opt.step()
-        curve.append((step, loss.item()))
+    try:
+        # phase 1: reconstruction only, no quantization in the loop
+        for step in range(config.warmup_steps):
+            sel = batch_indices(step)
+            x, m = rasters[sel], masks[sel]
+            with T.Tape():
+                recon = model.decode(model.encode(Tensor(x)))
+                loss = _masked_mse(recon, x, m)
+                check_finite(loss)
+                loss.backward()
+            opt.step()
+            curve.append((step, loss.item()))
 
-    # k-means codebook init over warm-up encoder outputs
-    sel = rng.choice(n, size=min(KMEANS_SAMPLES, n), replace=False)
-    feats = model.encode_batch(rasters[sel])
-    pts = _rows(feats).astype(np.float64)
-    model.codebook = Codebook(_kmeans(pts, model.codebook.size, rng))
+        # k-means codebook init over warm-up encoder outputs
+        sel = rng.choice(n, size=min(KMEANS_SAMPLES, n), replace=False)
+        feats = model.encode_batch(rasters[sel])
+        pts = _rows(feats).astype(np.float64)
+        model.codebook = Codebook(_kmeans(pts, model.codebook.size, rng))
 
-    # phase 2: multi-scale residual VQ with straight-through + EMA updates
-    ema_count = np.ones(model.codebook.size, np.float64)
-    ema_sum = model.codebook.vectors.astype(np.float64).copy()
-    v = model.codebook.size
-    for step in range(config.warmup_steps, config.steps):
-        sel = batch_indices(step)
-        x, m = rasters[sel], masks[sel]
-        assigned, rows = [], []  # per scale, in schedule order
-        with T.Tape():
-            f = model.encode(Tensor(x))
-            acc: Optional[Tensor] = None
-            commit: Optional[Tensor] = None
-            for k, (h, w) in enumerate(model.schedule.sizes):
-                resid = f if acc is None else T.sub(f, acc)
-                s_in = T.resize_bilinear(resid, (h, w))
-                idx = model.nearest_batch(s_in.data, (h, w))
-                emb = _embed(model.codebook, idx, (h, w))
-                assigned.append(idx.reshape(-1))
-                rows.append(_rows(s_in.data))
-                q = T.add(s_in, Tensor(emb - s_in.data))  # straight-through
-                contrib = model.eta_features(q)
-                acc = contrib if acc is None else T.add(acc, contrib)
-                d = T.sub(s_in, Tensor(emb))
-                c = T.mean_all(T.mul(d, d))
-                commit = c if commit is None else T.add(commit, c)
-            recon = model.decode(acc)
-            loss = T.add(_masked_mse(recon, x, m),
-                         T.scale(commit, COMMITMENT / len(model.schedule)))
-            check_finite(loss)
-            loss.backward()
-        opt.step()
-        # EMA codebook update from this step's assignments
-        cnt, sm = _cluster_sums(np.concatenate(assigned), np.concatenate(rows), v)
-        d = EMA_DECAY
-        ema_count = d * ema_count + (1 - d) * cnt
-        ema_sum = d * ema_sum + (1 - d) * sm
-        total = ema_count.sum()
-        smoothed = (ema_count + 1e-5) / (total + v * 1e-5) * total
-        model.codebook = Codebook((ema_sum / smoothed[:, None]).astype(np.float32))
-        curve.append((step, loss.item()))
-        if ckpt_path and (step + 1) % ckpt_period == 0:
-            model.save(ckpt_path)
+        # phase 2: multi-scale residual VQ with straight-through + EMA updates
+        ema_count = np.ones(model.codebook.size, np.float64)
+        ema_sum = model.codebook.vectors.astype(np.float64).copy()
+        v = model.codebook.size
+        for step in range(config.warmup_steps, config.steps):
+            sel = batch_indices(step)
+            x, m = rasters[sel], masks[sel]
+            assigned, rows = [], []  # per scale, in schedule order
+            with T.Tape():
+                f = model.encode(Tensor(x))
+                acc: Optional[Tensor] = None
+                commit: Optional[Tensor] = None
+                for k, (h, w) in enumerate(model.schedule.sizes):
+                    resid = f if acc is None else T.sub(f, acc)
+                    s_in = T.resize_bilinear(resid, (h, w))
+                    idx = model.nearest_batch(s_in.data, (h, w))
+                    emb = _embed(model.codebook, idx, (h, w))
+                    assigned.append(idx.reshape(-1))
+                    rows.append(_rows(s_in.data))
+                    q = T.add(s_in, Tensor(emb - s_in.data))  # straight-through
+                    contrib = model.eta_features(q)
+                    acc = contrib if acc is None else T.add(acc, contrib)
+                    d = T.sub(s_in, Tensor(emb))
+                    c = T.mean_all(T.mul(d, d))
+                    commit = c if commit is None else T.add(commit, c)
+                recon = model.decode(acc)
+                loss = T.add(_masked_mse(recon, x, m),
+                             T.scale(commit, COMMITMENT / len(model.schedule)))
+                check_finite(loss)
+                loss.backward()
+            opt.step()
+            # EMA codebook update from this step's assignments
+            cnt, sm = _cluster_sums(np.concatenate(assigned), np.concatenate(rows), v)
+            d = EMA_DECAY
+            ema_count = d * ema_count + (1 - d) * cnt
+            ema_sum = d * ema_sum + (1 - d) * sm
+            total = ema_count.sum()
+            smoothed = (ema_count + 1e-5) / (total + v * 1e-5) * total
+            model.codebook = Codebook((ema_sum / smoothed[:, None]).astype(np.float32))
+            curve.append((step, loss.item()))
+            if ckpt_path and (step + 1) % ckpt_period == 0:
+                model.save(ckpt_path)
+    finally:
+        if out_dir:
+            checkpoint.write_loss_curve(os.path.join(out_dir, "vqvae_loss.csv"),
+                                        [(s, l, config.lr) for s, l in curve])
     return model, curve

@@ -19,8 +19,7 @@ def synth_samples(n, res=16, seed=0):
         depth = smooth_field(rng, res, 1.5, 6.0).astype(np.float32)
         shade = smooth_field(rng, res, 0.1, 0.9)
         image = np.stack([shade * c for c in rng.uniform(0.4, 1.0, 3)])
-        mask = np.ones((res, res), bool)
         out.append(DepthSample(image=image.astype(np.float32), depth=depth,
-                               mask=mask, intrinsics=(res, res, res / 2 - 0.5,
-                                                      res / 2 - 0.5)))
+                               plane_labels=np.zeros((res, res), np.int64),
+                               plane_params=np.zeros((0, 4))))
     return out

@@ -142,7 +142,7 @@ def test_eval_round_trip_and_outputs(workspace, tmp_path):
 def test_eval_schedule_mismatch_names_both(workspace, tmp_path, capsys):
     from depthart.vq import ScaleSchedule
     other = VqModel(schedule=ScaleSchedule(((1, 1), (2, 2))), codebook_size=64,
-                    emb_dim=16, raster=32, seed=0)
+                    emb_dim=16, raster=8, seed=0)
     other_path = tmp_path / "othervq.dart"
     other.save(str(other_path))
     code = cli.main(["eval", "--model", str(workspace / "tf" / "model.dart"),
@@ -263,13 +263,14 @@ def test_eval_on_five_column_manifest_asks_to_rerun_gen_data(workspace, tmp_path
 
 def half_size_copy(src, dst):
     """A copy of dataset ``src`` at ``dst`` whose rasters are 16x16: each
-    sample keeps every other row and column, and no planes."""
+    sample keeps every other row and column of its image, depth and plane
+    labels."""
     shutil.copytree(src, dst)
     for split in ("train", "eval"):
         for i, s in enumerate(load_manifest(str(src), split)):
             save_sample(str(dst), f"{split}_{i:05d}", DepthSample(
                 image=s.image[:, ::2, ::2], depth=s.depth[::2, ::2],
-                mask=s.mask[::2, ::2], intrinsics=s.intrinsics))
+                plane_labels=s.plane_labels[::2, ::2], plane_params=s.plane_params))
     return dst
 
 
@@ -351,16 +352,20 @@ NOT_A_COUNT = "must hold positive whole numbers"
     entry_case("model", "hp/blocks", -1.0, NOT_A_COUNT, "negative"),
     entry_case("model", "hp/heads", 3.0, "must divide 'hp/width'", "not_a_divisor"),
     entry_case("vq", "schedule", 1.5, NOT_A_COUNT, "fraction"),
-    entry_case("vq", "hp/raster", 0.0, NOT_A_COUNT, "zero")])
+    entry_case("vq", "hp/raster", 0.0, NOT_A_COUNT, "zero"),
+    entry_case("vq", "schedule", np.array([[1, 1], [2, 2], [4, 4], [16, 16]], np.float32),
+               "must end at the encoder's output (8, 8) of 'hp/raster' 32",
+               "past_encoder")])
 def test_eval_with_non_finite_checkpoint_entry_is_a_data_error(workspace, tmp_path,
                                                                 capsys, which, name,
                                                                 value, message):
-    # non-finite values anywhere, and hyperparameters that are not usable
-    # counts, exit 3 with the entry named
+    # non-finite values anywhere, hyperparameters that are not usable
+    # counts, and a schedule the encoder cannot feed exit 3 with the entry
+    # named; an array value replaces the whole entry
     paths = {"model": str(workspace / "tf" / "model.dart"),
              "vq": str(workspace / "vq" / "vqvae.dart")}
     entries = checkpoint.load(paths[which])
-    entries[name] = with_pixel(value)(entries[name])
+    entries[name] = value if np.ndim(value) else with_pixel(value)(entries[name])
     paths[which] = str(tmp_path / "bad.dart")
     checkpoint.save(paths[which], entries)
     code = cli.main(["eval", "--model", paths["model"], "--vq", paths["vq"],
@@ -413,6 +418,19 @@ def test_divergence_exit_code(workspace, tmp_path):
     assert code == 4
     assert (tmp_path / "x" / "loss.csv").exists()       # diagnostic retained
     assert (tmp_path / "x" / "ckpt_latest.dart").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_vqvae_divergence_keeps_loss_curve(workspace, tmp_path):
+    cfg = tmp_path / "explode.cfg"
+    cfg.write_text(f"lr=1e18\nbatch=4\nsteps=40\nseed=0\n"
+                   f"data_dir={workspace / 'data'}\nout_dir={tmp_path / 'x'}\n")
+    assert cli.main(["train-vqvae", "--config", str(cfg)]) == 4
+    lines = (tmp_path / "x" / "vqvae_loss.csv").read_text().splitlines()
+    assert lines[0] == "step,loss,lr"
+    assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(len(lines) - 1)]
+    assert all(ln.endswith(",1e+18") for ln in lines[1:])
+    assert (tmp_path / "x" / "vqvae_ckpt_latest.dart").exists()
 
 
 def test_kill_leaves_loadable_checkpoint(workspace, tmp_path):

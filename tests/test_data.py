@@ -31,7 +31,7 @@ def test_floor_only_scene_rows_constant():
     # We verify the analytic property on the floor plane directly: along a
     # pixel row, z-depth varies only with the vertical pixel coordinate when
     # the camera has no roll, so each row of floor pixels is constant in x.
-    spec = SceneSpec(seed=0, n_primitives=1, objects=(),
+    spec = SceneSpec(seed=0, objects=(),
                      floor_albedo=(0.5, 0.5, 0.5),
                      eye=(0.0, 2.0, 0.0), target=(0.0, 0.0, -4.0),
                      light=(0.0, 1.0, 0.0))
@@ -45,13 +45,15 @@ def test_floor_only_scene_rows_constant():
 
 def test_sphere_center_depth_analytic():
     z, r = 4.0, 0.8
-    spec = SceneSpec(seed=1, n_primitives=2,
+    spec = SceneSpec(seed=1,
                      objects=(("sphere", (0.0, 2.0, -z), r, (0.8, 0.2, 0.2)),),
                      floor_albedo=(0.5, 0.5, 0.5),
                      eye=(0.0, 2.0, 0.0), target=(0.0, 2.0, -8.0),
                      light=(0.2, 1.0, 0.1))
     sample = render_scene(spec)
-    fx, fy, cx, cy = sample.intrinsics
+    h, w = sample.depth.shape
+    fx = fy = w
+    cx, cy = (w - 1) / 2, (h - 1) / 2
     # nearest pixel to the optical axis; compare against the exact
     # ray-sphere intersection for that pixel's actual ray
     u = int(round(cx))
@@ -82,7 +84,7 @@ def test_sphere_center_depth_analytic():
 def test_explicit_spec_with_unusable_view_raises(count_calls):
     # a hand-built camera looking at the sky sees nothing; the caller's
     # scene must not be swapped for a random re-seeded one
-    spec = SceneSpec(seed=0, n_primitives=1, objects=(),
+    spec = SceneSpec(seed=0, objects=(),
                      floor_albedo=(0.5, 0.5, 0.5),
                      eye=(0.0, 2.0, 0.0), target=(0.0, 10.0, -4.0),
                      light=(0.0, 1.0, 0.0))
@@ -92,51 +94,39 @@ def test_explicit_spec_with_unusable_view_raises(count_calls):
     assert len(calls) == 1
 
 
-def test_seeded_spec_with_unusable_view_is_retried(monkeypatch):
-    # a seed's own scene is still regenerated from a perturbed seed
-    rendered = []
-    real = data._render_once
-
-    def blank_first(spec):
-        sample = real(spec)
-        if not rendered:
-            sample.mask[:] = False
-        rendered.append(spec)
-        return sample
-
-    monkeypatch.setattr(data, "_render_once", blank_first)
-    spec = SceneSpec.from_seed(42)
-    sample = render_scene(spec)
-    assert rendered == [spec, SceneSpec.from_seed(42 + 1_000_003)]
-    assert sample.mask.mean() >= data.MIN_VALID_FRACTION
-
-
 def test_plane_annotations_consistent_with_depth():
     for seed in [3, 17, 101, 999]:
         sample = render_scene(SceneSpec.from_seed(seed))
-        pts = backproject(sample.depth.astype(np.float64), sample.intrinsics)
-        assert sample.planes, "every accepted scene carries a plane"
-        for p in sample.planes:
-            resid = np.abs(pts[p.mask] @ p.normal + p.offset)
+        pts = backproject(sample.depth.astype(np.float64))
+        assert len(sample.plane_params), "every accepted scene carries a plane"
+        for i, (*normal, offset) in enumerate(sample.plane_params):
+            resid = np.abs(pts[sample.plane_labels == i + 1] @ normal + offset)
             assert resid.max() < 1e-4
         assert sample.depth[sample.mask].min() > 0
         assert np.all(sample.depth[~sample.mask] == 0)
         assert sample.image.min() >= 0 and sample.image.max() <= 1
 
 
+def test_backproject_uses_the_pinhole_of_its_raster():
+    # focal length W pixels and principal point ((W-1)/2, (H-1)/2) at any size
+    pts = backproject(np.full((5, 7), 2.0))
+    assert pts[2, 3].tolist() == [0.0, 0.0, 2.0]
+    assert pts[0, 0].tolist() == pytest.approx([-3 / 7 * 2, -2 / 7 * 2, 2.0])
+    assert pts[4, 6].tolist() == pytest.approx([3 / 7 * 2, 2 / 7 * 2, 2.0])
+
+
 def test_plane_masks_disjoint_and_valid():
-    # each pixel belongs to the one face the z-buffer kept, so no two
-    # annotated planes share a pixel and none reaches an invalid one; the
-    # valid pixels are the positive depths, so the mask need not be stored
+    # each pixel carries one label, that of the face the z-buffer kept, so
+    # planes are disjoint by construction; every plane is big enough and
+    # none reaches an invalid pixel
     for seed in range(64):
         sample = render_scene(SceneSpec.from_seed(seed))
-        assert np.array_equal(sample.mask, sample.depth > 0)
-        covered = np.zeros(sample.mask.shape, int)
-        for p in sample.planes:
-            assert p.mask.sum() >= data.MIN_PLANE_PIXELS
-            covered += p.mask
-        assert covered.max() <= 1
-        assert not (covered.astype(bool) & ~sample.mask).any()
+        labels = sample.plane_labels
+        assert labels.dtype == np.int64 and labels.shape == sample.depth.shape
+        counts = np.bincount(labels.reshape(-1), minlength=len(sample.plane_params) + 1)
+        assert len(counts) == len(sample.plane_params) + 1
+        assert (counts[1:] >= data.MIN_PLANE_PIXELS).all()
+        assert not ((labels > 0) & ~sample.mask).any()
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +229,11 @@ def test_sample_round_trip(tmp_path):
     assert np.array_equal(back.mask, sample.mask)
     # image quantized to 8 bits on disk
     assert np.abs(back.image - sample.image).max() <= 0.5 / 255 + 1e-6
-    assert len(back.planes) == len(sample.planes)
-    for a, b in zip(back.planes, sample.planes):
-        assert np.array_equal(a.mask, b.mask)
-        assert np.allclose(a.normal, b.normal)
-        assert a.offset == pytest.approx(b.offset, abs=1e-12)
+    assert back.plane_labels.dtype == np.int64
+    assert np.array_equal(back.plane_labels, sample.plane_labels)
+    assert back.plane_params.shape == sample.plane_params.shape
+    assert np.allclose(back.plane_params[:, :3], sample.plane_params[:, :3])
+    assert np.allclose(back.plane_params[:, 3], sample.plane_params[:, 3], rtol=0, atol=1e-12)
 
 
 def small_sample():
@@ -253,9 +243,8 @@ def small_sample():
     return DepthSample(image=r.random((3, 5, 7)).astype(np.float32),
                        depth=np.where(mask, r.uniform(1.0, 5.0, (5, 7)), 0.0)
                        .astype(np.float32),
-                       mask=mask, intrinsics=(7.0, 7.0, 3.0, 2.0),
-                       planes=[data.PlaneAnnotation(mask=mask, normal=np.array([0.0, 1.0, 0.0]),
-                                                    offset=-1.25)])
+                       plane_labels=mask.astype(np.int64),
+                       plane_params=np.array([[0.0, 1.0, 0.0, -1.25]]))
 
 
 def saved_with(tmp_path, sample, **entries):
@@ -306,7 +295,7 @@ def test_wrong_plane_params_width_raises_data_error(tmp_path):
 
 def test_out_of_range_plane_labels_raise_data_error(tmp_path):
     sample = render_scene(SceneSpec.from_seed(7))
-    n = len(sample.planes)
+    n = len(sample.plane_params)
     labels = checkpoint.load(saved_with(tmp_path, sample))["plane_labels"]
     assert n and (labels == 0).any()
     for bad in (n + 1, -1, 0.5, np.nan):

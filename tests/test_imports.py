@@ -9,6 +9,9 @@ package has no linter dependency.
 - Every parameter default is set by some call: a call of the same name in
   the package, the benchmark harness or the tests passes the parameter,
   so a value no caller varies is a constant, not a parameter.
+- Every dataclass field is read: its name is read as an attribute
+  somewhere in the package or the benchmark harness, so no field is only
+  ever written.
 - The ``Subcommands:`` line of the ``cli`` docstring names exactly the
   subcommands ``build_parser`` adds, in the same order.
 """
@@ -191,6 +194,45 @@ def test_every_default_is_set_by_some_call():
                for d in (PACKAGE, ROOT / "perfbench", ROOT / "tests")
                for p in sorted(d.glob("*.py"))]
     assert unset_defaults(modules, callers) == []
+
+
+def dataclass_fields(module: str, source: str) -> list[str]:
+    """``module.Class.field`` of each annotated field of each class that
+    ``dataclass`` decorates, called or not."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", None) == "dataclass" or getattr(d, "attr", None) == "dataclass"
+               for d in decorators):
+            out += [f"{module}.{node.name}.{n.target.id}" for n in node.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    return out
+
+
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    read = {n.attr for src in readers for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(name for module, src in modules.items()
+                  for name in dataclass_fields(module, src)
+                  if name.rsplit(".", 1)[-1] not in read)
+
+
+def test_unread_fields_detected():
+    src = ("@dataclass\nclass A:\n    x: int\n    y: int = 0\n    k = 3\n"
+           "@dataclasses.dataclass(frozen=True)\nclass B:\n    z: int\n"
+           "class C:\n    w: int\n")
+    caller = "print(a.x, a.k)\nb.z = 1\nw = 2\n"
+    assert unread_fields({"m": src}, [src, caller]) == ["m.A.y", "m.B.z"]
+
+
+def test_every_dataclass_field_is_read():
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8")
+               for d in (ROOT / "src", ROOT / "perfbench") for p in sorted(d.rglob("*.py"))]
+    assert unread_fields(modules, readers) == []
 
 
 def documented_and_parsed_subcommands(source: str) -> tuple[list[str], list[str]]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from depthart import data, metrics
-from depthart.data import FX, FY, CX, CY, DepthSample, PlaneAnnotation
+from depthart.data import DepthSample
 from depthart.metrics import (METRIC_COLUMNS, DatasetRow, MetricsReport, absrel,
                               align_scale, delta1_err, fit_plane_tls,
                               plane_metrics, rank_models)
@@ -137,10 +137,9 @@ def wall_sample(z=5.0):
     """Synthetic fronto-parallel wall at camera depth z; n.(p) - z = 0."""
     h = w = 32
     depth = np.full((h, w), z, np.float32)
-    mask = np.ones((h, w), bool)
-    plane = PlaneAnnotation(mask.copy(), np.array([0.0, 0.0, 1.0]), -z)
     return DepthSample(image=np.zeros((3, h, w), np.float32), depth=depth,
-                       mask=mask, intrinsics=(FX, FY, CX, CY), planes=[plane])
+                       plane_labels=np.ones((h, w), np.int64),
+                       plane_params=np.array([[0.0, 0.0, 1.0, -z]]))
 
 
 def test_plane_metrics_perfect():
@@ -167,7 +166,8 @@ def test_plane_metrics_known_tilt():
     p0 = np.array([0.0, 0.0, 5.0])  # rotation axis passes through this point
     d_new = -float(n_new @ p0)
     u, v = np.meshgrid(np.arange(32), np.arange(32), indexing="xy")
-    dirs = np.stack([(u - CX) / FX, (v - CY) / FY, np.ones_like(u, float)], -1)
+    # the pinhole of a 32 x 32 raster: focal length 32, centre (15.5, 15.5)
+    dirs = np.stack([(u - 15.5) / 32, (v - 15.5) / 32, np.ones_like(u, float)], -1)
     pred = (-d_new) / (dirs @ n_new)
     _, ori = plane_metrics(pred.astype(np.float32), s)
     assert ori == pytest.approx(7.0, abs=0.5)
@@ -176,8 +176,7 @@ def test_plane_metrics_known_tilt():
 def test_plane_metrics_normal_sign_invariance():
     s = wall_sample()
     flipped = wall_sample()
-    flipped.planes[0].normal = -flipped.planes[0].normal
-    flipped.planes[0].offset = -flipped.planes[0].offset
+    flipped.plane_params[0] = -flipped.plane_params[0]  # normal and offset
     a = plane_metrics(s.depth, s)
     b = plane_metrics(flipped.depth, flipped)
     assert a[1] == pytest.approx(b[1], abs=1e-9)
@@ -188,7 +187,7 @@ def test_plane_metrics_degenerate_skipped():
     # a mask covering a single pixel row of constant depth: collinear points
     m = np.zeros((32, 32), bool)
     m[5, 5:25] = True
-    s.planes = [PlaneAnnotation(m, np.array([0.0, 0.0, 1.0]), -5.0)]
+    s.plane_labels = m.astype(np.int64)
     with pytest.raises(metrics.MetricError):
         plane_metrics(s.depth, s)
 
@@ -289,9 +288,12 @@ def eval_setup():
 def test_prediction_reads_no_labels(eval_setup):
     model, vq, samples = eval_setup
     r = np.random.default_rng(15)
-    blind = [DepthSample(image=s.image, depth=r.uniform(0.5, 50.0, s.depth.shape)
-                         .astype(np.float32), mask=r.uniform(size=s.mask.shape) < 0.1,
-                         intrinsics=s.intrinsics, planes=s.planes) for s in samples]
+    blind = [DepthSample(image=s.image,
+                         depth=np.where(r.uniform(size=s.depth.shape) < 0.1,
+                                        r.uniform(0.5, 50.0, s.depth.shape), 0.0)
+                         .astype(np.float32),
+                         plane_labels=s.plane_labels, plane_params=s.plane_params)
+             for s in samples]
     for a, b in zip(metrics.predict_depth_rasters(model, vq, samples),
                     metrics.predict_depth_rasters(model, vq, blind)):
         assert a.tobytes() == b.tobytes()
@@ -329,7 +331,8 @@ def test_scale_rasters_read_no_depth(eval_setup):
     # scale's are predict_depth_rasters'
     model, vq, samples = eval_setup
     zeroed = [DepthSample(image=s.image, depth=np.zeros_like(s.depth),
-                          mask=np.zeros_like(s.mask), intrinsics=s.intrinsics)
+                          plane_labels=np.zeros_like(s.plane_labels),
+                          plane_params=np.zeros((0, 4)))
               for s in samples]
     got = list(metrics.predict_scale_rasters(model, vq, samples))
     blind = list(metrics.predict_scale_rasters(model, vq, zeroed))
