@@ -16,11 +16,9 @@ import math
 import os
 import struct
 import tempfile
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-
-from .tensor import Tensor
 
 MAGIC = b"DART"
 VERSION = 1
@@ -146,8 +144,15 @@ def count_entry(entries: dict[str, np.ndarray], name: str,
     return arr.astype(np.int64)
 
 
-def restore(params: dict[str, Tensor], entries: dict[str, np.ndarray]) -> None:
-    """Replace each parameter by its entry, checked against the parameter's
-    shape and for finite values."""
-    for name, init in params.items():
-        params[name] = Tensor(finite_entry(entries, name, init.shape), requires_grad=True)
+def parameter(entries: Optional[dict[str, np.ndarray]], name: str, shape: tuple[int, ...],
+              draw: Callable[[tuple[int, ...]], np.ndarray]) -> np.ndarray:
+    """``draw(shape)`` or, given ``entries`` (a loaded checkpoint), its entry
+    ``name`` checked against ``shape`` and for finite values, drawing nothing."""
+    return draw(shape) if entries is None else finite_entry(entries, name, shape)
+
+
+def only_entries(entries: dict[str, np.ndarray], written: dict[str, np.ndarray]) -> None:
+    """CheckpointError naming the first entry not in ``written``, what its model saves."""
+    for name in entries:
+        if name not in written:
+            raise CheckpointError(f"checkpoint entry {name!r} is not read by its model")

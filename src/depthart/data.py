@@ -19,9 +19,9 @@ four float32 entries:
   image         [3, H, W]  8-bit values round(clip(x, 0, 1) * 255)
   depth         [H, W]     meters, finite and non-negative; 0 where invalid,
                            so the mask is depth > 0
-  plane_labels  [H, W]     0 for no plane, i + 1 for plane i
+  plane_labels  [H, W]     0 for no plane, i + 1 for plane i; n <= 255
   plane_params  [n, 8]     per plane the float64 (nx, ny, nz, d), camera
-                           frame, stored as its bytes
+                           frame, stored as its bytes; finite, normal nonzero
 and ``manifest.tsv``, UTF-8 lines "split<TAB>file".
 """
 
@@ -39,6 +39,7 @@ EPS_NORM = 1e-6          # epsilon in the depth normalization
 PERCENTILE = 98.0
 AMBIENT = 0.18
 MIN_PLANE_PIXELS = 16     # smallest plane that is annotated and scored
+MAX_PLANES = 255          # plane labels are uint8; a 32 x 32 raster holds 64 planes
 MIN_VALID_FRACTION = 0.55
 
 
@@ -52,7 +53,7 @@ class DepthSample:
 
     image: np.ndarray         # float32 [3, H, W] in [0, 1]; 8-bit on disk
     depth: np.ndarray         # float32 [H, W], meters; 0 where invalid
-    plane_labels: np.ndarray  # int64 [H, W]: 0 for no plane, i + 1 for plane i
+    plane_labels: np.ndarray  # uint8 [H, W]: 0 for no plane, i + 1 for plane i
     plane_params: np.ndarray  # float64 [n, 4]: plane i's (nx, ny, nz, d) with
     #                           n . p + d == 0 on it, camera frame
 
@@ -248,7 +249,7 @@ def _render_once(spec: SceneSpec) -> DepthSample:
     image = np.where(valid[..., None],
                      np.asarray(albedos)[best_id] * shade[..., None], 0.0)
 
-    labels = np.zeros(best_t.shape, np.int64)
+    labels = np.zeros(best_t.shape, np.uint8)
     params = []
     for pid, prim_planes in enumerate(face_planes):
         for face, (n_world, d_world) in enumerate(prim_planes):
@@ -355,10 +356,15 @@ def load_sample(path: str) -> DepthSample:
         raise DataError(f"{path}: depth values must be finite and non-negative")
     if not (image == np.clip(np.round(image), 0, 255)).all():
         raise DataError(f"{path}: image values are not 8-bit integers")
+    if len(params) > MAX_PLANES:
+        raise DataError(f"{path}: {len(params)} planes, more than {MAX_PLANES}")
+    length = np.linalg.norm(params[:, :3], axis=1)  # what the metrics divide by
+    if not (np.isfinite(params).all() and ((length > 0) & (length < np.inf)).all()):
+        raise DataError(f"{path}: plane parameters must be finite, normals nonzero")
     if not np.isin(labels, np.arange(len(params) + 1)).all():
         raise DataError(f"{path}: plane labels outside 0..{len(params)}")
     return DepthSample(image=image / np.float32(255), depth=depth,
-                       plane_labels=labels.astype(np.int64), plane_params=params)
+                       plane_labels=labels.astype(np.uint8), plane_params=params)
 
 
 EVAL_SEED_OFFSET = 500_000

@@ -496,15 +496,16 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 class KVCache:
-    """Keys and values of the rows one attention layer has cached, for
-    incremental decoding. Keys are stored key-major, ``k[B, H, dh, L]``, so
-    a score GEMM reads a contiguous prefix of each row; values are
-    ``v[B, H, L, dh]``. ``len()`` counts the L cached keys. ``rows`` counts
-    the sequence rows the layer has seen, which its caller advances; it
-    exceeds the keys once rows arrive that no later row reads, and those
-    are never cached. Under a tape the cache also keeps each round's ``kv``
-    Tensor with the position of its first key, so that later rounds can
-    send key/value gradients back to the rows they attended to."""
+    """Keys and values of the rows one attention layer has seen (a fresh
+    one for a ``multihead_attention`` call given none). Keys are stored
+    key-major, ``k[B, H, dh, L]``, so a score GEMM reads a contiguous prefix
+    of each row; values are ``v[B, H, L, dh]``. ``len()`` counts the L
+    cached keys. ``rows`` counts the sequence rows the layer has seen,
+    which its caller advances; it exceeds the keys once rows arrive that no
+    later row reads, and those are never cached. Under a tape the cache
+    also keeps each round's ``kv`` Tensor with the position of its first
+    key, so that later rounds can send key/value gradients back to the
+    rows they attended to."""
 
     def __init__(self) -> None:
         self.k: Optional[np.ndarray] = None
@@ -523,19 +524,19 @@ def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
     ``kv[B, M, 2D]`` (keys in the first D columns), where query row i sees
     only the first ``visible[i]`` keys. The output is ``[B, N, D]``.
 
-    The keys are those of ``cache``, when given, followed by the rows of
-    ``kv``; the cache gains them. ``kv`` may be None when a cache is given
-    and the call adds no keys. Each run of query rows with equal counts
-    scores, exponentiates and averages its own key prefix, so no score is
-    computed for a key a row may not see. The output is divided by the
-    row sums of the exponentials, and the ``[B, H, r, n]`` probabilities
-    are normalized only on a tape, where the backward pass keeps them
-    (Dao et al., FlashAttention, 2022); the output's bits are the same
-    either way. The whole block is one tape record, which keeps the
-    training loop off the Python floor. Recorded on a tape, the backward
-    pass sends the query gradient to ``q`` and the key/value gradient of
-    every visible key to the ``kv`` rows it came from, earlier rounds'
-    rows included.
+    The keys are those of ``cache`` followed by the rows of ``kv``, and the
+    cache gains them; without a cache the call runs over a fresh empty
+    one, so the keys are the rows of ``kv``. ``kv`` may be None when the
+    call adds no keys. Each run of query rows with equal counts scores,
+    exponentiates and averages its own key prefix, so no score is computed
+    for a key a row may not see. The output is divided by the row sums of
+    the exponentials, and the ``[B, H, r, n]`` probabilities are normalized
+    only on a tape, where the backward pass keeps them (Dao et al.,
+    FlashAttention, 2022); the output's bits are the same either way. The
+    whole block is one tape record, which keeps the training loop off the
+    Python floor. Recorded on a tape, the backward pass sends the query
+    gradient to ``q`` and the key/value gradient of every visible key to
+    the ``kv`` rows it came from, earlier rounds' rows included.
     """
     if q.data.ndim != 3 or q.data.shape[-1] % heads != 0:
         raise DimensionError("multihead_attention: expected q [B, N, D]")
@@ -545,34 +546,29 @@ def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
     if kv is not None and kv.data.shape != (b, nk, 2 * d):
         raise DimensionError(
             f"multihead_attention: kv {kv.shape} does not match q {q.shape}")
-    if kv is None and cache is None:
-        raise DimensionError("multihead_attention: no keys")
-    first = 0 if cache is None else len(cache)  # position of kv's first key
+    if cache is None:
+        cache = KVCache()
+    first = len(cache)  # position of kv's first key
     seen = int(visible.max()) if nq else 0  # keys any query sees
     if nq != len(visible) or (nq and (visible.min() < 1 or seen > first + nk)):
         raise DimensionError(
             f"multihead_attention: {nq} query rows need as many counts, "
             f"each in [1, {first + nk}]")
     qh = q.data.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
-    if kv is None:
-        k, v = cache.k, cache.v
-    else:
+    if kv is not None:
         arr = kv.data.reshape(b, nk, 2, heads, dh)
         k = arr[:, :, 0].transpose(0, 2, 3, 1)
         v = arr[:, :, 1].transpose(0, 2, 1, 3)
-        if cache is not None and cache.k is not None:
-            k = np.concatenate([cache.k, k], axis=3)
-            v = np.concatenate([cache.v, v], axis=2)
+        if cache.k is None:
+            cache.k, cache.v = np.ascontiguousarray(k), np.ascontiguousarray(v)
         else:
-            k, v = np.ascontiguousarray(k), np.ascontiguousarray(v)
-    sources = [] if kv is None else [(kv, 0)]  # (kv rows, position of their first key)
-    if cache is not None:
-        cache.k, cache.v = k, v
-        if kv is not None and active_tape() is not None and kv._needs_grad():
+            cache.k = np.concatenate([cache.k, k], axis=3)
+            cache.v = np.concatenate([cache.v, v], axis=2)
+        if active_tape() is not None and kv._needs_grad():
             cache.rounds.append((kv, first))
-        sources = list(cache.rounds)
-    taped = active_tape() is not None and (
-        q._needs_grad() or any(src._needs_grad() for src, _ in sources))
+    k, v = cache.k, cache.v
+    rounds = cache.rounds[:]  # (kv rows, position of their first key); later calls append
+    taped = active_tape() is not None and (q._needs_grad() or bool(rounds))
     edges = [0, *(np.flatnonzero(np.diff(visible)) + 1).tolist(), nq] if nq else []
     runs = list(zip(edges[:-1], edges[1:]))  # query rows [lo, hi) of equal count
     inv_sqrt = 1.0 / math.sqrt(dh)
@@ -612,9 +608,7 @@ def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
             dv[:, :, :n] += mm(p.swapaxes(-1, -2), gh[:, :, lo:hi])
         if q._needs_grad():
             q._accumulate_owned(dq.reshape(b, nq, d))
-        for src, lo in sources:
-            if not src._needs_grad():
-                continue
+        for src, lo in rounds:
             n = src.data.shape[1]
             keys = max(min(lo + n, seen) - lo, 0)  # rows of src among the keys
             dsrc = (np.empty if keys == n else np.zeros)((b, n, 2, heads, dh), dtype=g.dtype)
@@ -622,7 +616,7 @@ def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
             dsrc[:, :keys, 1] = dv[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
             src._accumulate_owned(dsrc.reshape(b, n, 2 * d))
 
-    return _maybe_record(out, [q] + [src for src, _ in sources], backward)
+    return _maybe_record(out, [q] + [src for src, _ in rounds], backward)
 
 
 # --------------------------------------------------------------------------

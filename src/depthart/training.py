@@ -169,14 +169,12 @@ def depthart_targets_batch(z_idx: list[np.ndarray], f_depth: np.ndarray,
 # --------------------------------------------------------------------------
 
 
-def _scale_loss(model: VarModel, logits: Tensor,
-                targets: list[np.ndarray]) -> Tensor:
-    """Sum over scales of the per-token-averaged cross entropy."""
-    vocab = model.config.vocab
+def _scale_loss(blocks: list[Tensor], targets: list[np.ndarray]) -> Tensor:
+    """Sum over scales of the per-token-averaged cross entropy of logits
+    [B, n_k, V] against targets [B, n_k]; one block of each per scale."""
     total: Tensor | None = None
-    for (lo, hi), tgt in zip(model.depth_slices(len(targets)), targets):
-        block = T.slice_axis(logits, 1, lo, hi)
-        flat = T.reshape(block, (-1, vocab))
+    for block, tgt in zip(blocks, targets):
+        flat = T.reshape(block, (-1, block.shape[-1]))
         ce = T.softmax_cross_entropy(flat, tgt.reshape(-1))
         total = ce if total is None else T.add(total, ce)
     return total
@@ -190,7 +188,8 @@ def teacher_forcing_step(model: VarModel, vq: VqModel, batch: TrainingSet,
     with T.Tape():
         seq = embed_sequence(model, batch.image_tokens, feats)
         logits = forward(model, seq, model.attention_mask(k_total))
-        loss = _scale_loss(model, logits, batch.teacher)
+        loss = _scale_loss([T.slice_axis(logits, 1, lo, hi)
+                            for lo, hi in model.depth_slices(k_total)], batch.teacher)
         check_finite(loss)
         loss.backward()
     opt.step(lr)
@@ -201,14 +200,14 @@ def depthart_step(model: VarModel, vq: VqModel, batch: TrainingSet,
                   opt: AdamW, lr: float | None = None) -> float:
     """One refinement step on one tape: greedy inference records its
     rounds, dynamic targets are built from its predictions, and the loss
-    is taken on the logits the inference produced. The mask is
-    prefix-closed, so those are the logits of a full masked forward over
-    the predictions; the predictions themselves are argmax constants."""
+    is taken on the logits each round produced. The mask is prefix-closed,
+    so those are the logits of a full masked forward over the predictions;
+    the predictions themselves are argmax constants."""
     with T.Tape():
         round_logits: list[Tensor] = []
         z_idx = infer_batch(model, vq, batch.image_tokens, round_logits)
         targets = depthart_targets_batch(z_idx, batch.f_depth, vq)
-        loss = _scale_loss(model, T.concat(round_logits, axis=1), targets)
+        loss = _scale_loss(round_logits, targets)
         check_finite(loss)
         loss.backward()
     opt.step(lr)

@@ -49,58 +49,59 @@ class VarConfig:
 
 
 class VarModel:
-    """Transformer weights plus the scale layout they were built for."""
+    """Transformer weights plus the scale layout they were built for. Block
+    b projects queries with ``block{b}/q_w`` [D, D] and keys and values with
+    ``kv_w`` [D, 2D] (keys first), drawn as one [D, 3D] matrix. Given
+    ``entries`` (a loaded checkpoint), each parameter is its checked entry."""
 
     def __init__(self, config: VarConfig, seed: int = 0,
-                 codebook_init: np.ndarray | None = None):
+                 codebook_init: np.ndarray | None = None,
+                 entries: dict[str, np.ndarray] | None = None):
         self.config = config
         k = len(config.schedule)
         d = config.width
         c = config.emb_dim
         rng = np.random.default_rng(seed)
-
-        def normal(*shape):
-            return Tensor(rng.standard_normal(shape).astype(np.float32) * 0.02,
-                          requires_grad=True)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape, np.float32), requires_grad=True)
-
-        def ones(*shape):
-            return Tensor(np.ones(shape, np.float32), requires_grad=True)
-
         p: dict[str, Tensor] = {}
-        if codebook_init is not None:
-            p["tok_emb"] = Tensor(np.asarray(codebook_init, np.float32).copy(),
-                                  requires_grad=True)
-        else:
-            p["tok_emb"] = normal(config.vocab, c)
-        p["img_proj_w"] = normal(c, d)
-        p["img_proj_b"] = zeros(d)
-        p["depth_proj_w"] = normal(c, d)
-        p["depth_proj_b"] = zeros(d)
-        p["start_emb"] = normal(1, d)
-        p["scale_emb"] = normal(k, d)
+
+        def param(name, shape, draw):
+            p[name] = Tensor(checkpoint.parameter(entries, name, shape, draw),
+                             requires_grad=True)
+
+        def normal(shape):
+            return rng.standard_normal(shape).astype(np.float32) * 0.02
+
+        param("tok_emb", (config.vocab, c), normal if codebook_init is None
+              else lambda shape: np.asarray(codebook_init, np.float32).copy())
+        param("img_proj_w", (c, d), normal)
+        param("img_proj_b", (d,), np.zeros)
+        param("depth_proj_w", (c, d), normal)
+        param("depth_proj_b", (d,), np.zeros)
+        param("start_emb", (1, d), normal)
+        param("scale_emb", (k, d), normal)
         for ki, (h, w) in enumerate(config.schedule.sizes):
-            p[f"pos_emb/{ki}"] = normal(h * w, d)
+            param(f"pos_emb/{ki}", (h * w, d), normal)
         for b in range(config.blocks):
             pre = f"block{b}/"
-            p[pre + "ln1_g"] = ones(d)
-            p[pre + "ln1_b"] = zeros(d)
-            p[pre + "qkv_w"] = normal(d, 3 * d)
-            p[pre + "qkv_b"] = zeros(3 * d)
-            p[pre + "attn_w"] = normal(d, d)
-            p[pre + "attn_b"] = zeros(d)
-            p[pre + "ln2_g"] = ones(d)
-            p[pre + "ln2_b"] = zeros(d)
-            p[pre + "mlp_w1"] = normal(d, MLP_RATIO * d)
-            p[pre + "mlp_b1"] = zeros(MLP_RATIO * d)
-            p[pre + "mlp_w2"] = normal(MLP_RATIO * d, d)
-            p[pre + "mlp_b2"] = zeros(d)
-        p["ln_f_g"] = ones(d)
-        p["ln_f_b"] = zeros(d)
-        p["head_w"] = normal(d, config.vocab)
-        p["head_b"] = zeros(config.vocab)
+            param(pre + "ln1_g", (d,), np.ones)
+            param(pre + "ln1_b", (d,), np.zeros)
+            qkv = normal((d, 3 * d)) if entries is None else None
+            param(pre + "q_w", (d, d), lambda shape: qkv[:, :d].copy())
+            param(pre + "q_b", (d,), np.zeros)
+            param(pre + "kv_w", (d, 2 * d), lambda shape: qkv[:, d:].copy())
+            param(pre + "kv_b", (2 * d,), np.zeros)
+            param(pre + "attn_w", (d, d), normal)
+            param(pre + "attn_b", (d,), np.zeros)
+            param(pre + "ln2_g", (d,), np.ones)
+            param(pre + "ln2_b", (d,), np.zeros)
+            param(pre + "mlp_w1", (d, MLP_RATIO * d), normal)
+            param(pre + "mlp_b1", (MLP_RATIO * d,), np.zeros)
+            param(pre + "mlp_w2", (MLP_RATIO * d, d), normal)
+            param(pre + "mlp_b2", (d,), np.zeros)
+        param("ln_f_g", (d,), np.ones)
+        param("ln_f_b", (d,), np.zeros)
+        param("head_w", (d, config.vocab), normal)
+        param("head_b", (config.vocab,), np.zeros)
         self.params = p
         # The layout of the K-scale sequence. One of k depth scales is its
         # first ``_ends[k]`` rows, so every k reads slices of these.
@@ -120,9 +121,7 @@ class VarModel:
         e = {name: t.data for name, t in self.params.items()}
         cfg = self.config
         e |= cfg.schedule.to_entries()
-        e["hp/width"] = np.float32(cfg.width)
-        e["hp/heads"] = np.float32(cfg.heads)
-        e["hp/blocks"] = np.float32(cfg.blocks)
+        e |= {f"hp/{k}": np.float32(getattr(cfg, k)) for k in ("width", "heads", "blocks")}
         return e
 
     @classmethod
@@ -138,8 +137,8 @@ class VarModel:
                 f"{heads} does not divide {width}")
         cfg = VarConfig(schedule=ScaleSchedule.from_entries(entries), vocab=vocab,
                         emb_dim=c, width=width, heads=heads, blocks=hp("blocks"))
-        model = cls(cfg)
-        checkpoint.restore(model.params, entries)
+        model = cls(cfg, entries=entries)
+        checkpoint.only_entries(entries, model.to_entries())
         return model
 
     def save(self, path: str) -> None:
@@ -244,18 +243,17 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
     """Logits [B, N, V] for the depth positions among the input rows [B, L, D].
 
     ``visible`` holds the input rows' visible-key counts. Without ``cache``
-    the inputs are whole sequences and ``visible`` their
-    ``attention_mask``. With ``cache`` (one ``T.KVCache`` per block) they
-    are the rows after the cached ones, and ``visible`` is their slice of
-    ``attention_mask(K)``; each cache advances by the rows. Each block
-    splits its ``qkv`` projection in two, by column slices of
-    ``qkv_w``/``qkv_b``. Keys and values are computed only for the rows
-    that are some row's key, the positions below ``attention_mask(K).max()``
+    the inputs are whole sequences, ``visible`` their ``attention_mask``,
+    and the blocks start fresh caches. With ``cache`` (one ``T.KVCache``
+    per block) they are the rows after the cached ones, and ``visible`` is
+    their slice of ``attention_mask(K)``; each cache advances by the rows.
+    Each block projects keys and values (``kv_w``) only for the rows that
+    are some row's key, the positions below ``attention_mask(K).max()``
     (the last scale's rows are nobody's key), and the cache gains only
-    those. Queries are computed for every row except, in the last block,
-    the image rows: the head reads only the depth rows, so the last block
-    runs its queries, attention output, MLP and final norm on those alone.
-    Either way the call records on an active tape.
+    those. It projects queries (``q_w``) for every row except, in the last
+    block, the image rows: the head reads only the depth rows, so the last
+    block runs its queries, attention output, MLP and final norm on those
+    alone. Either way the call records on an active tape.
     """
     x = inputs
     length = x.data.shape[1]
@@ -264,32 +262,30 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
             f"mask length {len(visible)} != sequence length {length}")
     p = model.params
     cfg = model.config
-    d = cfg.width
-    first = 0 if cache is None else cache[0].rows  # position of row 0
+    if cache is None:
+        cache = [T.KVCache() for _ in range(cfg.blocks)]
+    first = cache[0].rows  # position of row 0
     n_lead = min(max(model.n_image_tokens() - first, 0), length)  # image rows
     n_keys = int(model.attention_mask(len(cfg.schedule)).max())
     n_kv = min(max(n_keys - first, 0), length)  # rows some row reads as keys
     for blk in range(cfg.blocks):
         pre = f"block{blk}/"
         last = blk == cfg.blocks - 1
-        w, bias = p[pre + "qkv_w"], p[pre + "qkv_b"]
         h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
         if last and n_lead:
             x = T.slice_axis(x, 1, n_lead, length)
             hq = T.slice_axis(h, 1, n_lead, length)
         else:
             hq = h
-        q = T.linear(hq, T.slice_axis(w, 1, 0, d), T.slice_axis(bias, 0, 0, d))
+        q = T.linear(hq, p[pre + "q_w"], p[pre + "q_b"])
         kv = None
         if n_kv:
             hkv = h if n_kv == length else T.slice_axis(h, 1, 0, n_kv)
-            kv = T.linear(hkv, T.slice_axis(w, 1, d, 3 * d),
-                          T.slice_axis(bias, 0, d, 3 * d))
+            kv = T.linear(hkv, p[pre + "kv_w"], p[pre + "kv_b"])
         att = T.multihead_attention(q, kv, cfg.heads,
                                     visible[n_lead:] if last else visible,
-                                    None if cache is None else cache[blk])
-        if cache is not None:
-            cache[blk].rows += length
+                                    cache[blk])
+        cache[blk].rows += length
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
         h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
         h2 = T.gelu(T.linear(h2, p[pre + "mlp_w1"], p[pre + "mlp_b1"]))
@@ -321,8 +317,8 @@ def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
     a full forward over the predictions would consume.
 
     Under a tape the rounds are recorded, and ``logits``, when given,
-    receives each round's [B, n_k, V] logits Tensor: joined, they are the
-    logits of one masked forward over the predictions, ready for a loss.
+    receives each round's [B, n_k, V] logits Tensor, its scale's block of
+    one masked forward over the predictions, ready for a per-scale loss.
     """
     schedule = model.config.schedule
     k_total = len(schedule)

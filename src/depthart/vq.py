@@ -119,44 +119,45 @@ class Codebook:
 HIDDEN = 32  # encoder/decoder conv width
 
 
-def _conv_init(rng, cout, cin, k):
-    std = (2.0 / (cin * k * k)) ** 0.5
-    return rng.standard_normal((cout, cin, k, k)).astype(np.float32) * std
+def _conv_init(rng, shape):
+    _, cin, kh, kw = shape
+    return rng.standard_normal(shape).astype(np.float32) * (2.0 / (cin * kh * kw)) ** 0.5
 
 
 class VqModel:
     """Encoder, decoder, shared codebook, and per-scale composition conv.
-
-    Immutable after training; safe for concurrent read-only use.
-    """
+    Given ``entries`` (a loaded checkpoint), every parameter and the
+    codebook is its checked entry. Immutable after training; safe for
+    concurrent read-only use."""
 
     def __init__(self, schedule: ScaleSchedule = DEFAULT_SCHEDULE,
                  codebook_size: int = 64, emb_dim: int = 16,
-                 raster: int = 32, seed: int = 0):
+                 raster: int = 32, seed: int = 0,
+                 entries: Optional[dict[str, np.ndarray]] = None):
         self.schedule = schedule
         self.raster = raster
         self.emb_dim = emb_dim
         rng = np.random.default_rng(seed)
         p = {}
-        p["enc/w1"] = Tensor(_conv_init(rng, HIDDEN, 1, 3), requires_grad=True)
-        p["enc/b1"] = Tensor(np.zeros(HIDDEN, np.float32), requires_grad=True)
-        p["enc/w2"] = Tensor(_conv_init(rng, HIDDEN, HIDDEN, 3), requires_grad=True)
-        p["enc/b2"] = Tensor(np.zeros(HIDDEN, np.float32), requires_grad=True)
-        p["enc/w3"] = Tensor(_conv_init(rng, emb_dim, HIDDEN, 3), requires_grad=True)
-        p["enc/b3"] = Tensor(np.zeros(emb_dim, np.float32), requires_grad=True)
-        p["dec/w1"] = Tensor(_conv_init(rng, HIDDEN, emb_dim, 3), requires_grad=True)
-        p["dec/b1"] = Tensor(np.zeros(HIDDEN, np.float32), requires_grad=True)
-        p["dec/w2"] = Tensor(_conv_init(rng, HIDDEN, HIDDEN, 3), requires_grad=True)
-        p["dec/b2"] = Tensor(np.zeros(HIDDEN, np.float32), requires_grad=True)
-        p["dec/w3"] = Tensor(_conv_init(rng, 1, HIDDEN, 3), requires_grad=True)
-        p["dec/b3"] = Tensor(np.zeros(1, np.float32), requires_grad=True)
-        eta = np.zeros((emb_dim, emb_dim, 3, 3), np.float32)
-        for c in range(emb_dim):
-            eta[c, c, 1, 1] = 1.0  # identity init, no bias: keeps eta linear
-        p["eta/w"] = Tensor(eta, requires_grad=True)
+
+        def param(name, shape, draw):
+            p[name] = Tensor(checkpoint.parameter(entries, name, shape, draw),
+                             requires_grad=True)
+
+        # channels into, between and out of the three 3x3 convs of each stack
+        for pre, ch in (("enc/", (1, HIDDEN, HIDDEN, emb_dim)),
+                        ("dec/", (emb_dim, HIDDEN, HIDDEN, 1))):
+            for i in range(3):
+                param(f"{pre}w{i + 1}", (ch[i + 1], ch[i], 3, 3),
+                      lambda shape: _conv_init(rng, shape))
+                param(f"{pre}b{i + 1}", (ch[i + 1],), np.zeros)
+        param("eta/w", (emb_dim, emb_dim, 3, 3),  # identity, no bias: keeps eta linear
+              lambda shape: np.pad(np.eye(emb_dim, dtype=np.float32)[..., None, None],
+                                   ((0, 0), (0, 0), (1, 1), (1, 1))))
         self.params = p
-        self.codebook = Codebook(
-            rng.standard_normal((codebook_size, emb_dim)).astype(np.float32))
+        self.codebook = Codebook(checkpoint.parameter(
+            entries, "codebook", (codebook_size, emb_dim),
+            lambda shape: rng.standard_normal(shape).astype(np.float32)))
 
     # -- persistence -------------------------------------------------------
 
@@ -171,7 +172,7 @@ class VqModel:
     def from_entries(cls, entries: dict[str, np.ndarray]) -> "VqModel":
         """The model a checkpoint holds; CheckpointError unless its schedule
         ends at the encoder's output, ceil(raster / 4) on each side."""
-        cb = checkpoint.finite_entry(entries, "codebook", (None, None))
+        codebook_size, emb_dim = checkpoint.entry(entries, "codebook", (None, None)).shape
         schedule = ScaleSchedule.from_entries(entries)
         raster = int(checkpoint.count_entry(entries, "hp/raster", ()))
         side = -(-raster // 4)  # two stride-2 convs with padding 1
@@ -179,10 +180,8 @@ class VqModel:
             raise checkpoint.CheckpointError(
                 f"checkpoint entry 'schedule' must end at the encoder's output "
                 f"{(side, side)} of 'hp/raster' {raster}, not {schedule.latent}")
-        model = cls(schedule=schedule, codebook_size=cb.shape[0],
-                    emb_dim=cb.shape[1], raster=raster)
-        checkpoint.restore(model.params, entries)
-        model.codebook = Codebook(cb)
+        model = cls(schedule, codebook_size, emb_dim, raster, entries=entries)
+        checkpoint.only_entries(entries, model.to_entries())
         return model
 
     def save(self, path: str) -> None:

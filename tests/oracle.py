@@ -153,7 +153,8 @@ def depthart_two_pass(model, vq, batch):
     with T.Tape():
         seq = var.embed_sequence(model, batch.image_tokens, feats)
         logits = var.forward(model, seq, model.attention_mask(k_total))
-        loss = training._scale_loss(model, logits, targets)
+        loss = training._scale_loss([T.slice_axis(logits, 1, lo, hi)
+                                     for lo, hi in model.depth_slices(k_total)], targets)
         loss.backward()
     grads = {name: p.grad for name, p in model.params.items()}
     for p in model.params.values():
@@ -226,17 +227,16 @@ def dense_attention(q, kv, heads, visible, cache=None):
 
 def forward_all_rows(model, inputs, visible):
     """Logits of ``var.forward`` on a whole sequence computed the long way:
-    every block, the last one included, projects every row to a packed
-    ``qkv`` and runs all of them through ``dense_attention``, and the depth
-    rows are sliced out after the final layer norm."""
+    every block, the last one included, projects every row to queries and
+    to keys and values and runs all of them through ``dense_attention``,
+    and the depth rows are sliced out after the final layer norm."""
     p = model.params
     x = inputs
     for blk in range(model.config.blocks):
         pre = f"block{blk}/"
         h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        qkv = T.linear(h, p[pre + "qkv_w"], p[pre + "qkv_b"])
-        d = qkv.shape[-1] // 3
-        att = dense_attention(T.slice_axis(qkv, 2, 0, d), T.slice_axis(qkv, 2, d, 3 * d),
+        att = dense_attention(T.linear(h, p[pre + "q_w"], p[pre + "q_b"]),
+                              T.linear(h, p[pre + "kv_w"], p[pre + "kv_b"]),
                               model.config.heads, visible)
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
         h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])

@@ -341,7 +341,7 @@ NOT_A_COUNT = "must hold positive whole numbers"
 
 
 @pytest.mark.parametrize("which,name,value,message", [
-    entry_case("model", "block0/qkv_w", np.nan, "holds a non-finite value"),
+    entry_case("model", "block0/q_w", np.nan, "holds a non-finite value"),
     entry_case("model", "hp/width", np.nan, "holds a non-finite value"),
     entry_case("vq", "codebook", np.nan, "holds a non-finite value"),
     entry_case("vq", "enc/w1", np.nan, "holds a non-finite value"),
@@ -361,18 +361,45 @@ def test_eval_with_non_finite_checkpoint_entry_is_a_data_error(workspace, tmp_pa
                                                                 value, message):
     # non-finite values anywhere, hyperparameters that are not usable
     # counts, and a schedule the encoder cannot feed exit 3 with the entry
-    # named; an array value replaces the whole entry
+    # named
+    code = eval_with_entry(workspace, tmp_path, which, name, value)
+    assert code == 3
+    assert f"{name!r} {message}" in capsys.readouterr().err
+
+
+def eval_with_entry(workspace, tmp_path, which, name, value):
+    """Exit code of ``eval`` with entry ``name`` of the model or VQ
+    checkpoint set to ``value``: a scalar goes into its first element, an
+    array replaces the whole entry."""
     paths = {"model": str(workspace / "tf" / "model.dart"),
              "vq": str(workspace / "vq" / "vqvae.dart")}
     entries = checkpoint.load(paths[which])
     entries[name] = value if np.ndim(value) else with_pixel(value)(entries[name])
     paths[which] = str(tmp_path / "bad.dart")
     checkpoint.save(paths[which], entries)
-    code = cli.main(["eval", "--model", paths["model"], "--vq", paths["vq"],
+    return cli.main(["eval", "--model", paths["model"], "--vq", paths["vq"],
                      "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "x.csv")])
+
+
+@pytest.mark.parametrize("which,name,value,message", [
+    entry_case("model", "hp/width", 100000.0,
+               "entry 'img_proj_w' has shape (16, 128), expected (16, 100000)", "huge"),
+    entry_case("vq", "codebook", np.zeros((1, 100000), np.float32),
+               "entry 'enc/w3' has shape (16, 32, 3, 3), expected (100000, 32, 3, 3)",
+               "huge_emb_dim"),
+    entry_case("model", "hp/blocks", 3.0, "entry 'block3/ln1_g' is not read", "fewer"),
+    entry_case("model", "hp/blocks", 5.0, "no entry 'block4/ln1_g'", "more")])
+def test_eval_with_entries_other_than_the_hyperparameters_imply_is_a_data_error(
+        workspace, tmp_path, capsys, which, name, value, message):
+    # every parameter entry is checked against the shape the hyperparameters
+    # imply before anything is allocated from them: a huge width or
+    # embedding size exits 3 naming the first misshapen entry, not with a
+    # failed allocation, and a file with more blocks than hp/blocks names
+    # the first block entry no block reads
+    code = eval_with_entry(workspace, tmp_path, which, name, value)
     assert code == 3
-    assert f"{name!r} {message}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_eval_writes_per_scale_curve(workspace, tmp_path):

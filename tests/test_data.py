@@ -122,7 +122,7 @@ def test_plane_masks_disjoint_and_valid():
     for seed in range(64):
         sample = render_scene(SceneSpec.from_seed(seed))
         labels = sample.plane_labels
-        assert labels.dtype == np.int64 and labels.shape == sample.depth.shape
+        assert labels.dtype == np.uint8 and labels.shape == sample.depth.shape
         counts = np.bincount(labels.reshape(-1), minlength=len(sample.plane_params) + 1)
         assert len(counts) == len(sample.plane_params) + 1
         assert (counts[1:] >= data.MIN_PLANE_PIXELS).all()
@@ -229,7 +229,7 @@ def test_sample_round_trip(tmp_path):
     assert np.array_equal(back.mask, sample.mask)
     # image quantized to 8 bits on disk
     assert np.abs(back.image - sample.image).max() <= 0.5 / 255 + 1e-6
-    assert back.plane_labels.dtype == np.int64
+    assert back.plane_labels.dtype == np.uint8
     assert np.array_equal(back.plane_labels, sample.plane_labels)
     assert back.plane_params.shape == sample.plane_params.shape
     assert np.allclose(back.plane_params[:, :3], sample.plane_params[:, :3])
@@ -291,6 +291,27 @@ def test_wrong_plane_params_width_raises_data_error(tmp_path):
         path = saved_with(tmp_path, small_sample(), plane_params=params)
         with pytest.raises(data.DataError, match="plane_params"):
             data.load_sample(path)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("row", [[np.nan, np.nan, np.nan, -1.25], [0.0, 1.0, 0.0, np.inf],
+                                 [0.0, 0.0, 0.0, -1.25], [1e300, 0.0, 0.0, -1.25]],
+                         ids=["nan_normal", "inf_offset", "zero_normal", "normal_length_overflows"])
+def test_unusable_plane_params_raise_data_error(tmp_path, row):
+    # plane_metrics divides by the normal's length and clamps the cosine, so
+    # a NaN normal would score a perfect prediction 90 degrees off; each row
+    # gives a NaN, zero or infinite length, or a non-finite offset
+    params = np.array([row]).view(np.float32)
+    path = saved_with(tmp_path, small_sample(), plane_params=params)
+    with pytest.raises(data.DataError, match="s.dart: plane parameters must be finite"):
+        data.load_sample(path)
+
+
+def test_more_planes_than_uint8_labels_hold_raise_data_error(tmp_path):
+    params = np.tile([[0.0, 1.0, 0.0, -1.25]], (256, 1)).view(np.float32)
+    path = saved_with(tmp_path, small_sample(), plane_params=params)
+    with pytest.raises(data.DataError, match="s.dart: 256 planes, more than 255"):
+        data.load_sample(path)
 
 
 def test_out_of_range_plane_labels_raise_data_error(tmp_path):

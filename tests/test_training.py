@@ -179,7 +179,9 @@ def test_loss_additivity(trained_tiny_vq, tiny_set):
                                          k_total)
     seq = var_mod.embed_sequence(model, batch.image_tokens, feats)
     logits = var_mod.forward(model, seq, model.attention_mask(k_total))
-    total = training._scale_loss(model, logits, batch.teacher).item()
+    total = training._scale_loss([T.slice_axis(logits, 1, lo, hi)
+                                  for lo, hi in model.depth_slices(k_total)],
+                                 batch.teacher).item()
     parts = 0.0
     for (lo, hi), tgt in zip(model.depth_slices(k_total), batch.teacher):
         block = logits.data[:, lo:hi, :].reshape(-1, model.config.vocab)
@@ -197,7 +199,9 @@ def test_one_hot_margin_loss_near_zero(trained_tiny_vq, tiny_set):
     flat_targets = np.concatenate([t.reshape(2, -1) for t in batch.teacher], axis=1)
     for b in range(2):
         logits[b, np.arange(n_depth), flat_targets[b]] = 20.0
-    loss = training._scale_loss(model, Tensor(logits), batch.teacher)
+    loss = training._scale_loss([Tensor(logits[:, lo:hi]) for lo, hi
+                                 in model.depth_slices(len(batch.teacher))],
+                                batch.teacher)
     assert loss.item() < 1e-6
 
 
@@ -242,6 +246,22 @@ def record_targets(monkeypatch):
     return calls
 
 
+def test_no_step_or_decode_slices_a_parameter(trained_tiny_vq, tiny_set, count_calls):
+    # each parameter is stored as the op that reads it takes it, so neither
+    # step nor an untaped decode carves one apart per call
+    vq = trained_tiny_vq
+    model = fresh_var(vq, seed=17)
+    batch = tiny_set.batch(np.arange(4))
+    params = [id(p) for p in model.params.values()]
+    calls = count_calls(T, "slice_axis")
+    opt = AdamW(model.params, lr=1e-4)
+    teacher_forcing_step(model, vq, batch, opt)
+    depthart_step(model, vq, batch, opt)
+    var_mod.infer_batch(model, vq, batch.image_tokens)
+    assert calls  # activations are still sliced
+    assert [a[0] for a in calls if id(a[0]) in params] == []
+
+
 def test_depthart_targets_are_dynamic(trained_tiny_vq, tiny_set, monkeypatch):
     vq = trained_tiny_vq
     model = fresh_var(vq, seed=12)
@@ -267,9 +287,9 @@ def test_exposure_alignment_step_predictions_match_inference(
     seen = []
     scale_loss = training._scale_loss
 
-    def recording(model_, logits, targets):
-        seen.append(logits.data.copy())
-        return scale_loss(model_, logits, targets)
+    def recording(blocks, targets):
+        seen.append(np.concatenate([b.data for b in blocks], axis=1))
+        return scale_loss(blocks, targets)
 
     monkeypatch.setattr(training, "_scale_loss", recording)
     calls = record_targets(monkeypatch)
