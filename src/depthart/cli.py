@@ -2,9 +2,10 @@
 
 Subcommands: gen-data, train-vqvae, train-var, eval, rank.
 Trainers read a key=value config file; flags win over file values. Every
-command that writes outputs writes a JSON run manifest next to them;
-``rank`` only prints. Exit codes: 0 ok, 2 usage error, 3 data error,
-4 numeric divergence.
+command that writes outputs writes a JSON run manifest next to them,
+which records the numeric environment (numpy, the BLAS and its version,
+DEPTHART_THREADS and the usable CPUs); ``rank`` only prints. Exit codes:
+0 ok, 2 usage error, 3 data error, 4 numeric divergence.
 
 DEPTHART_THREADS caps the numeric backend's thread pool; it must be set
 before the first numpy import, which this module guarantees for console
@@ -50,6 +51,19 @@ EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
 
+def _environment() -> dict:
+    """The numeric environment a run's bits depend on: the BLAS and how
+    many threads it may use."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            "DEPTHART_THREADS": os.environ.get("DEPTHART_THREADS"),
+            "cpus_usable": len(os.sched_getaffinity(0))}
+
+
 def _write_manifest(path: str, subcommand: str, config: dict, seed: int,
                     outputs: list[str], wall_time: float) -> None:
     for out in outputs:
@@ -60,6 +74,7 @@ def _write_manifest(path: str, subcommand: str, config: dict, seed: int,
         "config": config,
         "seed": seed,
         "build": BUILD_ID,
+        "environment": _environment(),
         "outputs": outputs,
         "wall_time_s": wall_time,
     }
@@ -158,7 +173,9 @@ def cmd_eval(args) -> int:
     t0 = time.monotonic()
     model, vq = _load_compatible(args.model, args.vq)
     samples = load_manifest(args.data, args.split)
-    name = args.name or os.path.splitext(os.path.basename(args.model))[0]
+    path = os.path.abspath(args.model)
+    name = args.name or "/".join((os.path.basename(os.path.dirname(path)),
+                                  os.path.splitext(os.path.basename(path))[0]))
     report, curve, floor = evaluate_scales(
         model, vq, samples, name,
         f"{os.path.basename(os.path.normpath(args.data))}/{args.split}")
@@ -249,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--split", default="eval")
-    ev.add_argument("--name")
+    ev.add_argument("--name", help="model name in the report "
+                                   "(default: DIR/STEM of --model)")
     ev.set_defaults(fn=cmd_eval)
 
     rk = sub.add_parser("rank", help="rank models by their eval CSVs")

@@ -26,10 +26,17 @@ no additive mask: it gets each query row's count of visible keys and
 never scores the keys beyond it. It takes the queries and the keys/values
 as two tensors, so a caller projects only the rows it reads.
 
+A recorded op keeps the arrays its backward pass reads, and every one
+stays alive until ``backward()``; the refinement step records several
+decode rounds on one tape. So the transformer's MLP, its largest
+per-layer activation, is one op, ``mlp``: it keeps the GELU output and
+slope at the hidden width, where a composition of ``linear``, ``gelu``,
+``linear`` and ``add`` kept the pre-activation, the gate and the output.
+
 Untaped, an op may skip work its backward pass would need: attention
-never normalizes its probabilities, and ``layer_norm`` and ``gelu`` work
-in place. A taped call computes its output the same way, so the two
-agree bit for bit.
+never normalizes its probabilities, ``layer_norm`` and ``gelu`` work
+in place, and ``mlp`` computes no GELU slope. A taped call computes its
+output the same way, so the two agree bit for bit.
 
 Each thread has its own stack of active tapes, so a tape records only
 the ops of the thread that opened it, and other threads may run
@@ -367,38 +374,105 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh form (GPT-2 convention): y = s x with s = (1 + tanh u) / 2
-    and u = c x (1 + a x^2). One fresh buffer, plus one keeping s for the
-    backward pass when the op is recorded; 8 passes over the array forward
-    and 9 backward."""
-    xd = x.data
-    s = xd * xd  # avoids slow float pow
+def _gelu_gate(x: np.ndarray) -> np.ndarray:
+    """The GELU gate s = (1 + tanh u) / 2 with u = c x (1 + a x^2), in one
+    fresh buffer over 7 passes."""
+    s = x * x  # avoids slow float pow
     s *= _GELU_C * _GELU_A
     s += _GELU_C
-    s *= xd
+    s *= x
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
+    return s
+
+
+def _gelu_slope(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """dy/dx of y = s x, given the gate s of x, in one fresh buffer:
+    s + x s (1 - s) 2 c (1 + 3 a x^2), as (1 - tanh^2 u) / 2 is 2 s (1 - s)."""
+    du = x * x
+    du *= 6.0 * _GELU_C * _GELU_A
+    du += 2.0 * _GELU_C
+    du *= x
+    du *= 1.0 - s
+    du *= s
+    du += s
+    return du
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU, tanh form (GPT-2 convention): y = s x with ``_gelu_gate`` s.
+    One fresh buffer, plus one keeping s for the backward pass when the op
+    is recorded; 8 passes over the array forward and 9 backward. The
+    transformer's MLP uses ``mlp``, which keeps the slope instead."""
+    xd = x.data
+    s = _gelu_gate(xd)
     recorded = active_tape() is not None and x._needs_grad()
     y = s * xd if recorded else np.multiply(s, xd, out=s)
     out = Tensor(y, dtype=x.dtype)
 
     def backward(g):
         if x._needs_grad():
-            # dy/dx = s + x s (1 - s) 2 c (1 + 3 a x^2), as (1 - tanh^2 u) / 2
-            # is 2 s (1 - s)
-            du = xd * xd
-            du *= 6.0 * _GELU_C * _GELU_A
-            du += 2.0 * _GELU_C
-            du *= xd
-            du *= 1.0 - s
-            du *= s
-            du += s
+            du = _gelu_slope(xd, s)
             du *= g
             x._accumulate_owned(du)
 
     return _maybe_record(out, (x,), backward)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        residual: Tensor) -> Tensor:
+    """``residual + gelu(x @ w1 + b1) @ w2 + b2`` over the last axis of
+    ``x``, as one tape record: a transformer block's MLP with its residual
+    add. The bits are those of ``add(residual, linear(gelu(linear(x, w1,
+    b1)), w2, b2))``.
+
+    Recorded, it keeps only what its backward pass reads: ``x``, the GELU
+    output y (for the ``w2`` gradient) and the GELU slope dy/du, which the
+    forward computes with ``gelu``'s backward sequence; the gradient then
+    needs only the multiply by the incoming one. The pre-activation u, the
+    gate and the projection output are dropped, so a recorded MLP holds two
+    hidden-width arrays where the composition held three. Untaped, no
+    slope is computed."""
+    d_in, hidden = w1.data.shape
+    d_out = w2.data.shape[1]
+    if (x.data.shape[-1] != d_in or b1.data.shape != (hidden,)
+            or w2.data.shape[0] != hidden or b2.data.shape != (d_out,)
+            or residual.data.shape != x.data.shape[:-1] + (d_out,)):
+        raise DimensionError(
+            f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
+            f"b2 {b2.shape} and residual {residual.shape} do not chain")
+    parents = (x, w1, b1, w2, b2, residual)
+    recorded = active_tape() is not None and any(t._needs_grad() for t in parents)
+    x2 = x.data.reshape(-1, d_in)
+    u = x2 @ w1.data
+    np.add(u, b1.data, out=u)
+    s = _gelu_gate(u)
+    du = _gelu_slope(u, s) if recorded else None
+    y = np.multiply(s, u, out=s)
+    del u  # freed before the projection allocates
+    o = y @ w2.data
+    np.add(o, b2.data, out=o)
+    out = Tensor(residual.data + o.reshape(residual.data.shape), dtype=x.dtype)
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        if residual._needs_grad():
+            residual._accumulate(g)
+        if w2._needs_grad():
+            w2._accumulate_owned(y.T @ g2)
+        if b2._needs_grad():
+            b2._accumulate_owned(g2.sum(axis=0))
+        dh = g2 @ w2.data.T
+        dh *= du
+        if x._needs_grad():
+            x._accumulate_owned((dh @ w1.data.T).reshape(x.data.shape))
+        if w1._needs_grad():
+            w1._accumulate_owned(x2.T @ dh)
+        if b1._needs_grad():
+            b1._accumulate_owned(dh.sum(axis=0))
+
+    return _maybe_record(out, parents, backward)
 
 
 LN_EPS = 1e-5  # added to the variance before the square root

@@ -253,7 +253,9 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
     those. It projects queries (``q_w``) for every row except, in the last
     block, the image rows: the head reads only the depth rows, so the last
     block runs its queries, attention output, MLP and final norm on those
-    alone. Either way the call records on an active tape.
+    alone. Either way the call records on an active tape. Each block's MLP
+    and its residual add are one ``T.mlp`` call, a single tape record that
+    keeps two hidden-width arrays.
     """
     x = inputs
     length = x.data.shape[1]
@@ -287,9 +289,9 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
                                     cache[blk])
         cache[blk].rows += length
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
-        h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
-        h2 = T.gelu(T.linear(h2, p[pre + "mlp_w1"], p[pre + "mlp_b1"]))
-        x = T.add(x, T.linear(h2, p[pre + "mlp_w2"], p[pre + "mlp_b2"]))
+        x = T.mlp(T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"]),
+                  p[pre + "mlp_w1"], p[pre + "mlp_b1"],
+                  p[pre + "mlp_w2"], p[pre + "mlp_b2"], x)
     x = T.layer_norm(x, p["ln_f_g"], p["ln_f_b"])
     return T.linear(x, p["head_w"], p["head_b"])
 

@@ -106,9 +106,10 @@ class Codebook:
     def nearest(self, flat: np.ndarray) -> np.ndarray:
         """Index of the L2-nearest entry per row; ties pick the lowest index."""
         f = np.asarray(flat, dtype=np.float32)
-        d = (f * f).sum(axis=1, keepdims=True) \
-            - 2.0 * (f @ self.vectors.T) \
-            + (self.vectors * self.vectors).sum(axis=1)[None, :]
+        d = f @ self.vectors.T  # then |f|^2 - 2 f.v + |v|^2, in place
+        d *= 2.0
+        np.subtract((f * f).sum(axis=1, keepdims=True), d, out=d)
+        d += (self.vectors * self.vectors).sum(axis=1)[None, :]
         return d.argmin(axis=1)
 
 
@@ -351,9 +352,11 @@ def _kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
     which has the bits of a per-cluster mean."""
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
+    sq, twice = (points * points).sum(1, keepdims=True), 2 * points
     for _ in range(KMEANS_ITERS):
-        d = (points * points).sum(1, keepdims=True) \
-            - 2 * points @ centers.T + (centers * centers).sum(1)[None, :]
+        d = twice @ centers.T  # then |p|^2 - 2 p.c + |c|^2, in place
+        np.subtract(sq, d, out=d)
+        d += (centers * centers).sum(1)[None, :]
         counts, sums = _cluster_sums(d.argmin(axis=1), points, k)
         centers = sums / np.maximum(counts, 1)[:, None]
         for j in np.flatnonzero(counts == 0):

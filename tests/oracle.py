@@ -225,6 +225,11 @@ def dense_attention(q, kv, heads, visible, cache=None):
     return T._maybe_record(out, [q] + [src for src, _ in sources], backward)
 
 
+def mlp(x, w1, b1, w2, b2, residual):
+    """``T.mlp`` composed of the ops it fuses."""
+    return T.add(residual, T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2))
+
+
 def forward_all_rows(model, inputs, visible):
     """Logits of ``var.forward`` on a whole sequence computed the long way:
     every block, the last one included, projects every row to queries and
@@ -239,9 +244,9 @@ def forward_all_rows(model, inputs, visible):
                               T.linear(h, p[pre + "kv_w"], p[pre + "kv_b"]),
                               model.config.heads, visible)
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
-        h2 = T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
-        h2 = T.gelu(T.linear(h2, p[pre + "mlp_w1"], p[pre + "mlp_b1"]))
-        x = T.add(x, T.linear(h2, p[pre + "mlp_w2"], p[pre + "mlp_b2"]))
+        x = mlp(T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"]),
+                p[pre + "mlp_w1"], p[pre + "mlp_b1"],
+                p[pre + "mlp_w2"], p[pre + "mlp_b2"], x)
     x = T.layer_norm(x, p["ln_f_g"], p["ln_f_b"])
     depth = T.slice_axis(x, 1, model.n_image_tokens(), x.shape[1])
     return T.linear(depth, p["head_w"], p["head_b"])

@@ -422,6 +422,37 @@ def test_eval_writes_per_scale_curve(workspace, tmp_path):
                      "--data", "d", "--out", "o"]) == 2
 
 
+def eval_run(workspace, run, out):
+    """``eval`` of run ``run``'s ``model.dart`` on the workspace data, with
+    the default model name."""
+    return cli.main(["eval", "--model", str(workspace / run / "model.dart"),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--data", str(workspace / "data"), "--out", str(out)])
+
+
+def test_every_manifest_records_the_numeric_environment(workspace, tmp_path):
+    assert eval_run(workspace, "tf", tmp_path / "report.csv") == 0
+    manifests = [workspace / d / "run_manifest.json" for d in ("data", "vq", "tf", "da")]
+    for path in manifests + [tmp_path / "report.csv.manifest.json"]:
+        env = json.loads(path.read_text())["environment"]
+        assert env.keys() == {"numpy", "blas", "blas_version",
+                              "DEPTHART_THREADS", "cpus_usable"}, path
+        assert env["numpy"] == np.__version__
+        assert env["blas"] and env["blas_version"]
+        assert env["DEPTHART_THREADS"] == os.environ.get("DEPTHART_THREADS")
+        assert env["cpus_usable"] >= 1
+
+
+def test_eval_default_names_tell_runs_apart(workspace, tmp_path, capsys):
+    reports = [tmp_path / "tf.csv", tmp_path / "da.csv"]
+    for run, out in zip(("tf", "da"), reports):
+        assert eval_run(workspace, run, out) == 0
+    capsys.readouterr()
+    assert cli.main(["rank"] + [str(p) for p in reports]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["tf/model", "da/model"]
+
+
 def test_eval_decodes_each_chunk_once(workspace, tmp_path, monkeypatch, count_calls):
     monkeypatch.setattr(metrics, "EVAL_CHUNK", 1)  # two chunks of the two eval samples
     decodes = count_calls(metrics, "infer_batch")

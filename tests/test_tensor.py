@@ -272,6 +272,36 @@ def test_gelu_taped_equals_untaped():
 
 
 # ---------------------------------------------------------------------------
+# transformer MLP
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(4, 170, 128), (1, 128)])
+def test_mlp_matches_the_composition_bit_for_bit(shape):
+    # output and all six gradients, taped and untaped, at the default
+    # model's B=4 teacher-forcing shape and on a one-row input
+    d = shape[-1]
+    gen = np.random.default_rng(7)
+    arrays = [gen.standard_normal(s).astype(np.float32) * scale for s, scale in
+              ((shape, 1.0), ((d, 4 * d), 0.1), ((4 * d,), 0.1),
+               ((4 * d, d), 0.1), ((d,), 0.1), (shape, 1.0))]
+    weights = T.Tensor(gen.standard_normal(shape))
+    results = []
+    for op in (T.mlp, oracle.mlp):
+        untaped = op(*[T.Tensor(a, requires_grad=True) for a in arrays]).data
+        inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+        with T.Tape():
+            out = op(*inputs)
+            T.sum_all(T.mul(out, weights)).backward()
+        results.append([untaped, out.data] + [t.grad for t in inputs])
+    for fused, ref in zip(*results):
+        assert fused.dtype == ref.dtype and fused.tobytes() == ref.tobytes()
+
+
+def test_mlp_grad():
+    fd_gradcheck(T.mlp, [r(2, 3, 4), r(4, 8), r(8), r(8, 4), r(4), r(2, 3, 4)])
+
+
+# ---------------------------------------------------------------------------
 # structural ops and elementwise
 # ---------------------------------------------------------------------------
 
@@ -292,6 +322,11 @@ def test_structural_grads():
 def test_shape_mismatch_raises():
     with pytest.raises(T.DimensionError):
         T.add(T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros((2, 3))))
+    x, w1, b1, w2, b2 = (T.Tensor(np.zeros(s)) for s in ((3, 4), (4, 8), (8,), (8, 4), (4,)))
+    with pytest.raises(T.DimensionError):
+        T.mlp(x, w1, b1, w2, b2, T.Tensor(np.zeros((3, 5))))
+    with pytest.raises(T.DimensionError):
+        T.mlp(x, w1, T.Tensor(np.zeros(4)), w2, b2, x)
 
 
 def test_linear_grad():

@@ -333,14 +333,17 @@ def test_steps_free_their_graph_without_the_cyclic_collector(
     """Every activation of a step dies by reference counting once the step
     returns: the tape must not keep a cycle through its records."""
     outputs = []
-    gelu = T.gelu
 
-    def spy(x):
-        out = gelu(x)
-        outputs.append(weakref.ref(out.data))
-        return out
+    def spy(op):
+        def spied(*args):
+            out = op(*args)
+            outputs.append(weakref.ref(out.data))
+            return out
+        return spied
 
-    monkeypatch.setattr(T, "gelu", spy)
+    # the transformer's MLP is one op; the VQ encoder and decoder call gelu
+    monkeypatch.setattr(T, "mlp", spy(T.mlp))
+    monkeypatch.setattr(T, "gelu", spy(T.gelu))
     vq = trained_tiny_vq
     model = fresh_var(vq, seed=15)
     opt = AdamW(model.params, lr=1e-4)
@@ -365,10 +368,26 @@ def test_steps_free_their_graph_without_the_cyclic_collector(
             step()
             alive = sum(ref() is not None for ref in outputs)
             assert outputs and alive == 0, \
-                f"{name}: {alive} of {len(outputs)} gelu outputs still alive"
+                f"{name}: {alive} of {len(outputs)} mlp/gelu outputs still alive"
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("step, records", [(teacher_forcing_step, 66),
+                                           (depthart_step, 163)])
+def test_tape_records_per_default_step(step, records, count_calls):
+    # a default-model B=4 step records each block's MLP as one op, three
+    # records per block and forward fewer than a linear, gelu, linear and
+    # add did (78 and 211)
+    vq = VqModel(seed=3)
+    model = VarModel(VarConfig(schedule=vq.schedule, vocab=vq.codebook.size,
+                               emb_dim=vq.emb_dim), seed=1,
+                     codebook_init=vq.codebook.vectors)
+    batch = prepare_training_set(vq, synth_samples(4, res=vq.raster, seed=5))
+    calls = count_calls(T.Tape, "record")
+    step(model, vq, batch, AdamW(model.params))
+    assert len(calls) == records
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -200,14 +200,13 @@ def test_last_block_runs_only_depth_rows(tiny_var, tiny_vq, count_calls):
     img = random_maps(tiny_vq.schedule, 12, seed=23)
     prev = random_maps(tiny_vq.schedule, 12, seed=24)[:2]
     seq = build_inputs(prev, img, tiny_var, tiny_vq)
-    calls = count_calls(T, "gelu")
+    calls = count_calls(T, "mlp")
     forward(tiny_var, seq, tiny_var.attention_mask(3))
     cfg = tiny_var.config
-    hidden = var.MLP_RATIO * cfg.width
     n_depth = sum(tiny_vq.schedule.tokens_per_scale())
     length = tiny_var.n_image_tokens() + n_depth
     assert [c[0].shape for c in calls] == \
-        [(1, length, hidden)] * (cfg.blocks - 1) + [(1, n_depth, hidden)]
+        [(1, length, cfg.width)] * (cfg.blocks - 1) + [(1, n_depth, cfg.width)]
 
 
 def test_projections_cover_only_rows_someone_reads(tiny_var, tiny_vq, count_calls):
