@@ -1,17 +1,20 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
-The engine is tape-based: while a ``Tape`` is active, every primitive op
-appends a record holding the output tensor and a closure that propagates
-the output gradient to the inputs. Records are appended in construction
-order, which is a topological order of the DAG, so ``backward()`` is a
-single reverse sweep that visits each node exactly once. Outside a tape,
-ops run as plain numpy and build no graph.
+The engine is tape-based. A ``Tensor`` is its array ``data`` plus a
+gradient node (``_Grad``: the gradient, ``requires_grad``, the recording
+tape, and the shape and dtype of the data, but not the data). While a
+``Tape`` is active, every primitive op appends a record holding its
+output's node and a closure that propagates the output gradient to its
+inputs' nodes. Records are appended in construction order, which is a
+topological order of the DAG, so ``backward()`` is a single reverse sweep
+that visits each node exactly once. Outside a tape, ops run as plain
+numpy and build no graph.
 
 ``backward()`` consumes the tape: it pops each record before running its
 closure, so every closure and the activations only it kept are freed
 during the sweep, and leaving the ``with Tape()`` block drops whatever
 records remain (a step that raised before ``backward()``). A recorded
-tensor points at its tape but the emptied tape points at nothing, so a
+node points at its tape but the emptied tape points at nothing, so a
 step's graph is freed by reference counting, without waiting for the
 cyclic garbage collector.
 
@@ -26,12 +29,17 @@ no additive mask: it gets each query row's count of visible keys and
 never scores the keys beyond it. It takes the queries and the keys/values
 as two tensors, so a caller projects only the rows it reads.
 
-A recorded op keeps the arrays its backward pass reads, and every one
-stays alive until ``backward()``; the refinement step records several
-decode rounds on one tape. So the transformer's MLP, its largest
-per-layer activation, is one op, ``mlp``: it keeps the GELU output and
-slope at the hidden width, where a composition of ``linear``, ``gelu``,
-``linear`` and ``add`` kept the pre-activation, the gate and the output.
+A recorded op keeps exactly the arrays its backward pass reads, and
+every one stays alive until ``backward()``; the refinement step records
+several decode rounds on one tape. Its closure captures its inputs'
+nodes and shapes, never a ``Tensor``, so an output that no backward pass
+reads (a residual sum, a projection whose consumer keeps only its own
+copy) is freed as soon as the forward drops it. The transformer's MLP,
+its largest per-layer activation, is one op, ``mlp``: it keeps the GELU
+output and slope at the hidden width, where a composition of ``linear``,
+``gelu``, ``linear`` and ``add`` kept the pre-activation, the gate and the
+output. Attention keeps the key/value buffers of its ``KVCache``, which
+every decode round of one cache shares.
 
 Untaped, an op may skip work its backward pass would need: attention
 never normalizes its probabilities, ``layer_norm`` and ``gelu`` work
@@ -82,7 +90,7 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        self.records: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
+        self.records: list[tuple["_Grad", Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.tapes.append(self)
@@ -94,8 +102,8 @@ class Tape:
         self.records.clear()
 
     def record(self, out: "Tensor", backward: Callable[[np.ndarray], None]) -> None:
-        out._tape = self
-        self.records.append((out, backward))
+        out.node.tape = self
+        self.records.append((out.node, backward))
 
 
 def active_tape() -> Optional[Tape]:
@@ -108,15 +116,51 @@ def active_tape() -> Optional[Tape]:
 # --------------------------------------------------------------------------
 
 
+class _Grad:
+    """A tensor's place in the gradient graph: its gradient, whether it is a
+    leaf that wants one, the tape that recorded it, and the shape and dtype
+    of its data, without the data. Backward closures hold these nodes, so
+    the tape keeps no array its backward passes do not read."""
+
+    __slots__ = ("grad", "requires_grad", "tape", "shape", "dtype")
+
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool) -> None:
+        self.grad: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad
+        self.tape: Optional[Tape] = None
+        self.shape = shape
+        self.dtype = dtype
+
+    def needs(self) -> bool:
+        return self.requires_grad or self.tape is not None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Accumulate a gradient the caller may still alias (copies once)."""
+        if self.grad is None:
+            if g.dtype != self.dtype:
+                g = g.astype(self.dtype)
+            self.grad = g.copy()
+        else:
+            self.grad += g
+
+    def accumulate_owned(self, g: np.ndarray) -> None:
+        """Accumulate a freshly-allocated gradient buffer (takes ownership)."""
+        if self.grad is None:
+            self.grad = g if g.dtype == self.dtype else g.astype(self.dtype)
+        else:
+            self.grad += g
+
+
 class Tensor:
-    """N-dimensional float array, optionally participating in the grad tape.
+    """N-dimensional float array ``data`` plus its gradient node ``node``.
 
     ``grad`` is populated by ``backward()`` for every tensor on the path
     from the loss to a leaf with ``requires_grad=True``; it always has the
-    same shape as ``data``.
+    same shape as ``data``. Both live on the node and read and write
+    through to it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -125,9 +169,7 @@ class Tensor:
         if dtype is None:  # the engine's working precision
             arr = arr.astype(np.float32, copy=False)
         self.data: np.ndarray = arr
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._tape: Optional[Tape] = None
+        self.node = _Grad(arr.shape, arr.dtype, bool(requires_grad))
 
     # -- basic introspection ------------------------------------------------
 
@@ -143,6 +185,22 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self.node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self.node.requires_grad = bool(value)
+
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -152,46 +210,29 @@ class Tensor:
 
     # -- graph participation --------------------------------------------------
 
-    def _needs_grad(self) -> bool:
-        return self.requires_grad or self._tape is not None
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        """Accumulate a gradient the caller may still alias (copies once)."""
-        if self.grad is None:
-            if g.dtype != self.data.dtype:
-                g = g.astype(self.data.dtype)
-            self.grad = g.copy()
-        else:
-            self.grad += g
-
-    def _accumulate_owned(self, g: np.ndarray) -> None:
-        """Accumulate a freshly-allocated gradient buffer (takes ownership)."""
-        if self.grad is None:
-            self.grad = g if g.dtype == self.data.dtype else g.astype(self.data.dtype)
-        else:
-            self.grad += g
-
     def backward(self) -> None:
         """Reverse sweep from this scalar through its tape, consuming it.
 
         Each record is popped before its closure runs, so the tape is empty
         afterwards and a second call propagates nothing."""
-        if self._tape is None:
+        tape = self.node.tape
+        if tape is None:
             raise RuntimeError("backward() on a tensor that is not on a tape")
         if self.data.size != 1:
             raise RuntimeError("backward() requires a scalar output")
-        self.grad = np.ones_like(self.data)
-        records = self._tape.records
+        self.node.grad = np.ones_like(self.data)
+        records = tape.records
         while records:
             out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
 
 
-def _maybe_record(out: Tensor, parents: Sequence[Tensor],
+def _maybe_record(out: Tensor, parents: Sequence[_Grad],
                   backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Record ``out`` on the active tape if some parent node needs a grad."""
     tape = active_tape()
-    if tape is not None and any(p._needs_grad() for p in parents):
+    if tape is not None and any(p.needs() for p in parents):
         tape.record(out, backward)
     return out
 
@@ -205,62 +246,67 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data, dtype=a.dtype)
+    na, nb = a.node, b.node
 
     def backward(g):
-        if a._needs_grad():
-            a._accumulate(g)
-        if b._needs_grad():
-            b._accumulate(g)
+        if na.needs():
+            na.accumulate(g)
+        if nb.needs():
+            nb.accumulate(g)
 
-    return _maybe_record(out, (a, b), backward)
+    return _maybe_record(out, (na, nb), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"sub: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(a.data - b.data, dtype=a.dtype)
+    na, nb = a.node, b.node
 
     def backward(g):
-        if a._needs_grad():
-            a._accumulate(g)
-        if b._needs_grad():
-            b._accumulate_owned(-g)
+        if na.needs():
+            na.accumulate(g)
+        if nb.needs():
+            nb.accumulate_owned(-g)
 
-    return _maybe_record(out, (a, b), backward)
+    return _maybe_record(out, (na, nb), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(a.data * b.data, dtype=a.dtype)
+    na, nb, ad, bd = a.node, b.node, a.data, b.data
 
     def backward(g):
-        if a._needs_grad():
-            a._accumulate_owned(g * b.data)
-        if b._needs_grad():
-            b._accumulate_owned(g * a.data)
+        if na.needs():
+            na.accumulate_owned(g * bd)
+        if nb.needs():
+            nb.accumulate_owned(g * ad)
 
-    return _maybe_record(out, (a, b), backward)
+    return _maybe_record(out, (na, nb), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s, dtype=a.dtype)
+    na = a.node
 
     def backward(g):
-        if a._needs_grad():
-            a._accumulate_owned(g * s)
+        if na.needs():
+            na.accumulate_owned(g * s)
 
-    return _maybe_record(out, (a,), backward)
+    return _maybe_record(out, (na,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), dtype=a.dtype)
+    na = a.node
 
     def backward(g):
-        if a._needs_grad():
-            a._accumulate(g.reshape(a.data.shape))
+        if na.needs():
+            na.accumulate(g.reshape(na.shape))
 
-    return _maybe_record(out, (a,), backward)
+    return _maybe_record(out, (na,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -269,17 +315,17 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         raise DimensionError("concat: need at least one tensor")
     out = Tensor(np.concatenate([t.data for t in parts], axis=axis),
                  dtype=parts[0].dtype)
-    sizes = [t.data.shape[axis] for t in parts]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [t.node for t in parts]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in parts])
 
     def backward(g):
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if t._needs_grad():
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n.needs():
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
+                n.accumulate(g[tuple(idx)])
 
-    return _maybe_record(out, parts, backward)
+    return _maybe_record(out, nodes, backward)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -287,35 +333,38 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = Tensor(np.ascontiguousarray(a.data[idx]), dtype=a.dtype)
+    na = a.node
 
     def backward(g):
-        if a._needs_grad():
-            buf = np.zeros_like(a.data)
+        if na.needs():
+            buf = np.zeros(na.shape, na.dtype)
             buf[idx] = g
-            a._accumulate_owned(buf)
+            na.accumulate_owned(buf)
 
-    return _maybe_record(out, (a,), backward)
+    return _maybe_record(out, (na,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(dtype=a.dtype), dtype=a.dtype)
+    na = a.node
 
     def backward(g):
-        if a._needs_grad():
-            a._accumulate_owned(np.full_like(a.data, g))
+        if na.needs():
+            na.accumulate_owned(np.full(na.shape, g, na.dtype))
 
-    return _maybe_record(out, (a,), backward)
+    return _maybe_record(out, (na,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     out = Tensor(a.data.mean(dtype=a.dtype), dtype=a.dtype)
+    na = a.node
 
     def backward(g):
-        if a._needs_grad():
-            a._accumulate_owned(np.full_like(a.data, g / n))
+        if na.needs():
+            na.accumulate_owned(np.full(na.shape, g / n, na.dtype))
 
-    return _maybe_record(out, (a,), backward)
+    return _maybe_record(out, (na,), backward)
 
 
 # --------------------------------------------------------------------------
@@ -336,16 +385,18 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         np.add(y2, b.data, out=y2)
     out_shape = x.data.shape[:-1] + (w.data.shape[1],)
     out = Tensor(y2.reshape(out_shape), dtype=x.dtype)
-    parents = (x, w) if b is None else (x, w, b)
+    nx, nw, wd = x.node, w.node, w.data
+    nb = None if b is None else b.node
+    parents = (nx, nw) if b is None else (nx, nw, nb)
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if x._needs_grad():
-            x._accumulate_owned((g2 @ w.data.T).reshape(x.data.shape))
-        if w._needs_grad():
-            w._accumulate_owned(x2.T @ g2)
-        if b is not None and b._needs_grad():
-            b._accumulate_owned(g2.sum(axis=0))
+        if nx.needs():
+            nx.accumulate_owned((g2 @ wd.T).reshape(nx.shape))
+        if nw.needs():
+            nw.accumulate_owned(x2.T @ g2)
+        if nb is not None and nb.needs():
+            nb.accumulate_owned(g2.sum(axis=0))
 
     return _maybe_record(out, parents, backward)
 
@@ -356,14 +407,15 @@ def add_table(x: Tensor, t: Tensor) -> Tensor:
         raise DimensionError(
             f"add_table: expected x[B,L,D] and t[L,D], got {x.shape} and {t.shape}")
     out = Tensor(x.data + t.data[None, :, :], dtype=x.dtype)
+    nx, nt = x.node, t.node
 
     def backward(g):
-        if x._needs_grad():
-            x._accumulate(g)
-        if t._needs_grad():
-            t._accumulate_owned(g.sum(axis=0))
+        if nx.needs():
+            nx.accumulate(g)
+        if nt.needs():
+            nt.accumulate_owned(g.sum(axis=0))
 
-    return _maybe_record(out, (x, t), backward)
+    return _maybe_record(out, (nx, nt), backward)
 
 
 # --------------------------------------------------------------------------
@@ -405,19 +457,19 @@ def gelu(x: Tensor) -> Tensor:
     One fresh buffer, plus one keeping s for the backward pass when the op
     is recorded; 8 passes over the array forward and 9 backward. The
     transformer's MLP uses ``mlp``, which keeps the slope instead."""
-    xd = x.data
+    xd, nx = x.data, x.node
     s = _gelu_gate(xd)
-    recorded = active_tape() is not None and x._needs_grad()
+    recorded = active_tape() is not None and nx.needs()
     y = s * xd if recorded else np.multiply(s, xd, out=s)
     out = Tensor(y, dtype=x.dtype)
 
     def backward(g):
-        if x._needs_grad():
+        if nx.needs():
             du = _gelu_slope(xd, s)
             du *= g
-            x._accumulate_owned(du)
+            nx.accumulate_owned(du)
 
-    return _maybe_record(out, (x,), backward)
+    return _maybe_record(out, (nx,), backward)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -442,8 +494,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         raise DimensionError(
             f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
             f"b2 {b2.shape} and residual {residual.shape} do not chain")
-    parents = (x, w1, b1, w2, b2, residual)
-    recorded = active_tape() is not None and any(t._needs_grad() for t in parents)
+    nx, nw1, nb1, nw2, nb2, nr = parents = (
+        x.node, w1.node, b1.node, w2.node, b2.node, residual.node)
+    w1d, w2d = w1.data, w2.data
+    recorded = active_tape() is not None and any(n.needs() for n in parents)
     x2 = x.data.reshape(-1, d_in)
     u = x2 @ w1.data
     np.add(u, b1.data, out=u)
@@ -457,20 +511,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        if residual._needs_grad():
-            residual._accumulate(g)
-        if w2._needs_grad():
-            w2._accumulate_owned(y.T @ g2)
-        if b2._needs_grad():
-            b2._accumulate_owned(g2.sum(axis=0))
-        dh = g2 @ w2.data.T
+        if nr.needs():
+            nr.accumulate(g)
+        if nw2.needs():
+            nw2.accumulate_owned(y.T @ g2)
+        if nb2.needs():
+            nb2.accumulate_owned(g2.sum(axis=0))
+        dh = g2 @ w2d.T
         dh *= du
-        if x._needs_grad():
-            x._accumulate_owned((dh @ w1.data.T).reshape(x.data.shape))
-        if w1._needs_grad():
-            w1._accumulate_owned(x2.T @ dh)
-        if b1._needs_grad():
-            b1._accumulate_owned(dh.sum(axis=0))
+        if nx.needs():
+            nx.accumulate_owned((dh @ w1d.T).reshape(nx.shape))
+        if nw1.needs():
+            nw1.accumulate_owned(x2.T @ dh)
+        if nb1.needs():
+            nb1.accumulate_owned(dh.sum(axis=0))
 
     return _maybe_record(out, parents, backward)
 
@@ -489,28 +543,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = x2 - (np.einsum("nc->n", x2) / d)[:, None]
     inv = (1.0 / np.sqrt(np.einsum("nc,nc->n", xhat, xhat) / d + LN_EPS))[:, None]
     xhat *= inv
-    recorded = active_tape() is not None and any(
-        t._needs_grad() for t in (x, gain, bias))
-    y = xhat * gain.data if recorded else np.multiply(xhat, gain.data, out=xhat)
+    nx, ngain, nbias = parents = (x.node, gain.node, bias.node)
+    gd = gain.data
+    recorded = active_tape() is not None and any(n.needs() for n in parents)
+    y = xhat * gd if recorded else np.multiply(xhat, gd, out=xhat)
     y += bias.data
     out = Tensor(y.reshape(x.data.shape), dtype=x.dtype)
 
     def backward(g):
         g2 = g.reshape(-1, d)
-        if gain._needs_grad():
-            gain._accumulate_owned(np.einsum("nc,nc->c", g2, xhat))
-        if bias._needs_grad():
-            bias._accumulate_owned(g2.sum(axis=0))
-        if x._needs_grad():
-            gy = g2 * gain.data
+        if ngain.needs():
+            ngain.accumulate_owned(np.einsum("nc,nc->c", g2, xhat))
+        if nbias.needs():
+            nbias.accumulate_owned(g2.sum(axis=0))
+        if nx.needs():
+            gy = g2 * gd
             m1 = np.einsum("nc->n", gy) / d
             m2 = np.einsum("nc,nc->n", gy, xhat) / d
             gy -= m1[:, None]
             gy -= xhat * m2[:, None]
             gy *= inv
-            x._accumulate_owned(gy.reshape(x.data.shape))
+            nx.accumulate_owned(gy.reshape(nx.shape))
 
-    return _maybe_record(out, (x, gain, bias), backward)
+    return _maybe_record(out, parents, backward)
 
 
 # --------------------------------------------------------------------------
@@ -527,14 +582,15 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise IndexError(f"embedding_lookup: index out of range [0, {v})")
     out = Tensor(table.data[idx], dtype=table.dtype)
+    nt = table.node
 
     def backward(g):
-        if table._needs_grad():
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
-            table._accumulate_owned(buf)
+        if nt.needs():
+            buf = np.zeros(nt.shape, nt.dtype)
+            np.add.at(buf, idx.reshape(-1), g.reshape(-1, nt.shape[1]))
+            nt.accumulate_owned(buf)
 
-    return _maybe_record(out, (table,), backward)
+    return _maybe_record(out, (nt,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -554,14 +610,15 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     logp = (ld - m) - np.log(z)
     loss = -logp[np.arange(n), t].mean(dtype=ld.dtype)
     out = Tensor(loss, dtype=logits.dtype)
+    nl = logits.node
 
     def backward(g):
-        if logits._needs_grad():
+        if nl.needs():
             p = e / z
             p[np.arange(n), t] -= 1.0
-            logits._accumulate_owned(p * (g / n))
+            nl.accumulate_owned(p * (g / n))
 
-    return _maybe_record(out, (logits,), backward)
+    return _maybe_record(out, (nl,), backward)
 
 
 # --------------------------------------------------------------------------
@@ -572,23 +629,46 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 class KVCache:
     """Keys and values of the rows one attention layer has seen (a fresh
     one for a ``multihead_attention`` call given none). Keys are stored
-    key-major, ``k[B, H, dh, L]``, so a score GEMM reads a contiguous prefix
-    of each row; values are ``v[B, H, L, dh]``. ``len()`` counts the L
-    cached keys. ``rows`` counts the sequence rows the layer has seen,
-    which its caller advances; it exceeds the keys once rows arrive that no
-    later row reads, and those are never cached. Under a tape the cache
-    also keeps each round's ``kv`` Tensor with the position of its first
-    key, so that later rounds can send key/value gradients back to the
-    rows they attended to."""
+    key-major, ``k[B, H, dh, capacity]``, so a score GEMM reads a contiguous
+    prefix of each row; values are ``v[B, H, capacity, dh]``. ``len()``
+    counts the keys written, which fill the first slots. The buffers are
+    allocated on the first write with room for ``keys`` keys, the count a
+    caller derives from its mask, and each later write fills the next slots
+    in place; a write that outgrows them moves the keys to new buffers of
+    exactly the size needed. A slot is never rewritten, so backward passes
+    recorded in earlier rounds may read the buffers a later round writes.
+    ``rows`` counts the sequence rows the layer has seen, which its caller
+    advances; it exceeds the keys once rows arrive that no later row reads,
+    and those are never cached. Under a tape the cache also keeps each
+    round's ``kv`` gradient node with the position of its first key, so
+    that later rounds can send key/value gradients back to the rows they
+    attended to."""
 
-    def __init__(self) -> None:
+    def __init__(self, keys: int = 0) -> None:
+        self.keys = keys
         self.k: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
+        self.written = 0
         self.rows = 0
-        self.rounds: list[tuple[Tensor, int]] = []
+        self.rounds: list[tuple[_Grad, int]] = []
 
     def __len__(self) -> int:
-        return 0 if self.k is None else self.k.shape[3]
+        return self.written
+
+    def write(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Append keys ``k[B, H, dh, n]`` and values ``v[B, H, n, dh]``."""
+        lo, hi = self.written, self.written + k.shape[3]
+        if self.k is None or hi > self.k.shape[3]:
+            size = max(hi, self.keys)
+            grown_k = np.empty(k.shape[:3] + (size,), k.dtype)
+            grown_v = np.empty(v.shape[:2] + (size, v.shape[3]), v.dtype)
+            if lo:
+                grown_k[..., :lo] = self.k[..., :lo]
+                grown_v[:, :, :lo] = self.v[:, :, :lo]
+            self.k, self.v = grown_k, grown_v
+        self.k[..., lo:hi] = k
+        self.v[:, :, lo:hi] = v
+        self.written = hi
 
 
 def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
@@ -598,19 +678,22 @@ def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
     ``kv[B, M, 2D]`` (keys in the first D columns), where query row i sees
     only the first ``visible[i]`` keys. The output is ``[B, N, D]``.
 
-    The keys are those of ``cache`` followed by the rows of ``kv``, and the
-    cache gains them; without a cache the call runs over a fresh empty
-    one, so the keys are the rows of ``kv``. ``kv`` may be None when the
-    call adds no keys. Each run of query rows with equal counts scores,
-    exponentiates and averages its own key prefix, so no score is computed
-    for a key a row may not see. The output is divided by the row sums of
-    the exponentials, and the ``[B, H, r, n]`` probabilities are normalized
-    only on a tape, where the backward pass keeps them (Dao et al.,
-    FlashAttention, 2022); the output's bits are the same either way. The
-    whole block is one tape record, which keeps the training loop off the
-    Python floor. Recorded on a tape, the backward pass sends the query
-    gradient to ``q`` and the key/value gradient of every visible key to
-    the ``kv`` rows it came from, earlier rounds' rows included.
+    The keys are those of ``cache`` followed by the rows of ``kv``, which
+    the call writes into the cache; without a cache the call runs over a
+    fresh empty one, so the keys are the rows of ``kv``. ``kv`` may be None
+    when the call adds no keys. Each run of query rows with equal counts
+    scores, exponentiates and averages its own key prefix, so no score is
+    computed for a key a row may not see. The output is divided by the row
+    sums of the exponentials, and the ``[B, H, r, n]`` probabilities are
+    normalized only on a tape, where the backward pass keeps them (Dao et
+    al., FlashAttention, 2022); the output's bits are the same either way.
+    The whole block is one tape record, which keeps the training loop off
+    the Python floor. Recorded, it keeps the queries, the probabilities and
+    the cache's buffers, which every round of one cache shares, and the
+    gradient nodes of ``q`` and of every round's ``kv``, not their data.
+    The backward pass sends the query gradient to ``q`` and the key/value
+    gradient of every visible key to the ``kv`` rows it came from, earlier
+    rounds' rows included.
     """
     if q.data.ndim != 3 or q.data.shape[-1] % heads != 0:
         raise DimensionError("multihead_attention: expected q [B, N, D]")
@@ -629,20 +712,15 @@ def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
             f"multihead_attention: {nq} query rows need as many counts, "
             f"each in [1, {first + nk}]")
     qh = q.data.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
+    qn = q.node
     if kv is not None:
         arr = kv.data.reshape(b, nk, 2, heads, dh)
-        k = arr[:, :, 0].transpose(0, 2, 3, 1)
-        v = arr[:, :, 1].transpose(0, 2, 1, 3)
-        if cache.k is None:
-            cache.k, cache.v = np.ascontiguousarray(k), np.ascontiguousarray(v)
-        else:
-            cache.k = np.concatenate([cache.k, k], axis=3)
-            cache.v = np.concatenate([cache.v, v], axis=2)
-        if active_tape() is not None and kv._needs_grad():
-            cache.rounds.append((kv, first))
+        cache.write(arr[:, :, 0].transpose(0, 2, 3, 1), arr[:, :, 1].transpose(0, 2, 1, 3))
+        if active_tape() is not None and kv.node.needs():
+            cache.rounds.append((kv.node, first))
     k, v = cache.k, cache.v
-    rounds = cache.rounds[:]  # (kv rows, position of their first key); later calls append
-    taped = active_tape() is not None and (q._needs_grad() or bool(rounds))
+    rounds = cache.rounds[:]  # (kv node, position of its first key); later calls append
+    taped = active_tape() is not None and (qn.needs() or bool(rounds))
     edges = [0, *(np.flatnonzero(np.diff(visible)) + 1).tolist(), nq] if nq else []
     runs = list(zip(edges[:-1], edges[1:]))  # query rows [lo, hi) of equal count
     inv_sqrt = 1.0 / math.sqrt(dh)
@@ -680,17 +758,17 @@ def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
             mm = np.multiply if hi - lo == 1 else np.matmul
             dk[:, :, :n] += mm(ds.swapaxes(-1, -2), qc[:, :, lo:hi])
             dv[:, :, :n] += mm(p.swapaxes(-1, -2), gh[:, :, lo:hi])
-        if q._needs_grad():
-            q._accumulate_owned(dq.reshape(b, nq, d))
+        if qn.needs():
+            qn.accumulate_owned(dq.reshape(b, nq, d))
         for src, lo in rounds:
-            n = src.data.shape[1]
+            n = src.shape[1]
             keys = max(min(lo + n, seen) - lo, 0)  # rows of src among the keys
             dsrc = (np.empty if keys == n else np.zeros)((b, n, 2, heads, dh), dtype=g.dtype)
             dsrc[:, :keys, 0] = dk[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
             dsrc[:, :keys, 1] = dv[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
-            src._accumulate_owned(dsrc.reshape(b, n, 2 * d))
+            src.accumulate_owned(dsrc.reshape(b, n, 2 * d))
 
-    return _maybe_record(out, [q] + [src for src, _ in rounds], backward)
+    return _maybe_record(out, [qn] + [src for src, _ in rounds], backward)
 
 
 # --------------------------------------------------------------------------
@@ -768,22 +846,24 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if b is not None:
         y += b.data[:, None, None]
     out = Tensor(y, dtype=x.dtype)
-    parents = (x, w) if b is None else (x, w, b)
+    nx, nw, wk = x.node, w.node, w.data
+    nb = None if b is None else b.node
+    parents = (nx, nw) if b is None else (nx, nw, nb)
 
     def backward(g):
-        if b is not None and b._needs_grad():
-            b._accumulate_owned(g.sum(axis=(0, 2, 3)))
-        need_w, need_x = w._needs_grad(), x._needs_grad()
+        if nb is not None and nb.needs():
+            nb.accumulate_owned(g.sum(axis=(0, 2, 3)))
+        need_w, need_x = nw.needs(), nx.needs()
         if need_w and cin == 1:
             dw = (g.reshape(bsz, cout, h2 * w2) @ stack.swapaxes(1, 2)).sum(axis=0)
-            w._accumulate_owned(dw.reshape(w.data.shape))
+            nw.accumulate_owned(dw.reshape(nw.shape))
             need_w = False
         if not (need_w or need_x):
             return
         gw = np.zeros((bsz, cout, h2, wq), dtype=dt)
         gw[..., :w2] = g
         gw = gw.reshape(bsz, cout, n)
-        dw = np.empty_like(w.data) if need_w else None
+        dw = np.empty_like(wk) if need_w else None
         if cout == 1:
             # the kh*kw shifts of g onto the phase grid, one per kernel offset;
             # per phase, dx is one GEMM of them with the kernel (the
@@ -799,7 +879,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                     dwp = dw[0, :, a::s, c::s]
                     dwp[...] = (xq[:, p] @ sp.swapaxes(1, 2)).sum(axis=0).reshape(dwp.shape)
                 if need_x:
-                    np.matmul(w.data[0, :, a::s, c::s].reshape(cin, -1), sp, out=dq[:, p])
+                    np.matmul(wk[0, :, a::s, c::s].reshape(cin, -1), sp, out=dq[:, p])
         else:
             if need_w:
                 for i, j, p, o in taps:
@@ -810,12 +890,12 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                 for i, j, p, o in taps:
                     dq[:, p, :, o:o + n] += np.matmul(wt[i, j].T, gw, out=part)
         if need_w:
-            w._accumulate_owned(dw)
+            nw.accumulate_owned(dw)
         if need_x:
-            dx = np.empty_like(x.data)
+            dx = np.empty(nx.shape, nx.dtype)
             for view, index in _phase_interiors(dq, h, wd, s, padding, hq, wq):
                 dx[index] = view
-            x._accumulate_owned(dx)
+            nx.accumulate_owned(dx)
 
     return _maybe_record(out, parents, backward)
 
@@ -863,10 +943,11 @@ def resize_bilinear(x: Tensor, size: tuple[int, int]) -> Tensor:
     lead = x.data.shape[:-2]
     y = x.data.reshape(-1, h * w) @ r.T
     out = Tensor(y.reshape(lead + (h2, w2)), dtype=x.dtype)
+    nx = x.node
 
     def backward(g):
-        if x._needs_grad():
+        if nx.needs():
             gx = g.reshape(-1, h2 * w2) @ r
-            x._accumulate_owned(gx.reshape(x.data.shape))
+            nx.accumulate_owned(gx.reshape(nx.shape))
 
-    return _maybe_record(out, (x,), backward)
+    return _maybe_record(out, (nx,), backward)

@@ -42,6 +42,7 @@ _CONFIG_TYPES = {"regime": str, "lr": float, "wd": float, "batch": int,
                  "steps": int, "decay_period": int, "decay_gamma": float,
                  "seed": int, "data_dir": str, "out_dir": str}
 _POSITIVE = ("lr", "wd", "batch", "steps", "decay_period", "decay_gamma")
+_DIRECTORIES = ("data_dir", "out_dir")
 
 
 def _config_value(key: str, value):
@@ -63,8 +64,10 @@ def _config_value(key: str, value):
 def read_config(path: str, keys: tuple[str, ...],
                 overrides: dict | None = None) -> dict:
     """Read a key=value file (``#`` starts a comment), let ``overrides``
-    win, check that exactly ``keys`` are set, and convert each value to
-    its key's type."""
+    win, check that exactly ``keys`` are set and that no directory is
+    empty, and convert each value to its key's type. (An empty
+    ``out_dir`` given to ``TrainConfig`` directly means ``fit`` writes
+    nothing; a trainer run from a file always writes its outputs.)"""
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
@@ -83,6 +86,10 @@ def read_config(path: str, keys: tuple[str, ...],
     unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in _DIRECTORIES:
+        if key in keys and not raw[key]:
+            raise ConfigError(f"config key {key!r} must name a directory, "
+                              f"got an empty value")
     return {key: _config_value(key, raw[key]) for key in keys}
 
 

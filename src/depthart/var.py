@@ -244,9 +244,11 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
 
     ``visible`` holds the input rows' visible-key counts. Without ``cache``
     the inputs are whole sequences, ``visible`` their ``attention_mask``,
-    and the blocks start fresh caches. With ``cache`` (one ``T.KVCache``
-    per block) they are the rows after the cached ones, and ``visible`` is
-    their slice of ``attention_mask(K)``; each cache advances by the rows.
+    and the blocks start fresh caches sized for ``attention_mask(K).max()``
+    keys. With ``cache`` (one ``T.KVCache`` per block) they are the rows
+    after the cached ones, and ``visible`` is their slice of
+    ``attention_mask(K)``; each cache advances by the rows and writes their
+    keys in place.
     Each block projects keys and values (``kv_w``) only for the rows that
     are some row's key, the positions below ``attention_mask(K).max()``
     (the last scale's rows are nobody's key), and the cache gains only
@@ -264,11 +266,11 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
             f"mask length {len(visible)} != sequence length {length}")
     p = model.params
     cfg = model.config
+    n_keys = int(model.attention_mask(len(cfg.schedule)).max())
     if cache is None:
-        cache = [T.KVCache() for _ in range(cfg.blocks)]
+        cache = [T.KVCache(n_keys) for _ in range(cfg.blocks)]
     first = cache[0].rows  # position of row 0
     n_lead = min(max(model.n_image_tokens() - first, 0), length)  # image rows
-    n_keys = int(model.attention_mask(len(cfg.schedule)).max())
     n_kv = min(max(n_keys - first, 0), length)  # rows some row reads as keys
     for blk in range(cfg.blocks):
         pre = f"block{blk}/"
@@ -311,12 +313,16 @@ def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
     scale against all earlier rows, which is exact because the mask is
     prefix-closed. The last round computes no keys or values, since no
     row reads them, so the caches end with ``attention_mask(K).max()``
-    keys. Each round embeds only its new rows, with the helpers
-    of ``embed_sequence``, from a composition that gains one ``eta_batch``
-    per decoded scale. That add is the one composition kept outside
-    ``VqModel.compositions``, since each round's map is the argmax of the
-    round before; it adds in the same order, so the rows are bitwise those
-    a full forward over the predictions would consume.
+    keys. Each block's cache is allocated once at that size, and every
+    round writes its keys into the next slots; under a tape the rounds'
+    records share those buffers, so the keys held grow with the sequence,
+    not with the sum of every round's prefix. Each round embeds only its
+    new rows, with the helpers of ``embed_sequence``, from a composition
+    that gains one ``eta_batch`` per decoded scale. That add is the one
+    composition kept outside ``VqModel.compositions``, since each round's
+    map is the argmax of the round before; it adds in the same order, so
+    the rows are bitwise those a full forward over the predictions would
+    consume.
 
     Under a tape the rounds are recorded, and ``logits``, when given,
     receives each round's [B, n_k, V] logits Tensor, its scale's block of
@@ -326,7 +332,7 @@ def infer_batch(model: VarModel, vq: VqModel, img_tokens: np.ndarray,
     k_total = len(schedule)
     visible = model.attention_mask(k_total)
     table = _position_table(model, k_total)
-    cache = [T.KVCache() for _ in range(model.config.blocks)]
+    cache = [T.KVCache(int(visible.max())) for _ in range(model.config.blocks)]
     batch = img_tokens.shape[0]
     acc = np.zeros((batch, vq.emb_dim) + vq.schedule.latent, np.float32)
     preds: list[np.ndarray] = []

@@ -172,7 +172,6 @@ def dense_attention(q, kv, heads, visible, cache=None):
     dh = d // heads
     visible = np.asarray(visible)
     qh = np.ascontiguousarray(q.data.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
-    sources = []
     if kv is None:
         k, v = cache.k, cache.v
     else:
@@ -180,7 +179,6 @@ def dense_attention(q, kv, heads, visible, cache=None):
         arr = kv.data.reshape(b, nk, 2, heads, dh)
         k = np.ascontiguousarray(arr[:, :, 0].transpose(0, 2, 1, 3))
         v = np.ascontiguousarray(arr[:, :, 1].transpose(0, 2, 1, 3))
-        sources = [(kv, 0)]
     if cache is not None:
         if kv is not None and cache.k is not None:
             first = cache.k.shape[2]
@@ -189,9 +187,11 @@ def dense_attention(q, kv, heads, visible, cache=None):
         else:
             first = 0
         cache.k, cache.v = k, v
-        if kv is not None and T.active_tape() is not None and kv._needs_grad():
-            cache.rounds.append((kv, first))
+        if kv is not None and T.active_tape() is not None and kv.node.needs():
+            cache.rounds.append((kv.node, first))
         sources = list(cache.rounds)
+    else:
+        sources = [(kv.node, 0)]
     n_keys = k.shape[2]
     mask = np.where(np.arange(n_keys)[None, :] < visible[:, None], 0.0, -np.inf)
     inv_sqrt = 1.0 / math.sqrt(dh)
@@ -203,6 +203,7 @@ def dense_attention(q, kv, heads, visible, cache=None):
     p /= p.sum(axis=-1, keepdims=True)
     heads_out = p @ v
     out = T.Tensor(heads_out.transpose(0, 2, 1, 3).reshape(b, nq, d), dtype=q.dtype)
+    q_node = q.node
 
     def backward(g):
         gh = np.ascontiguousarray(g.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
@@ -211,18 +212,18 @@ def dense_attention(q, kv, heads, visible, cache=None):
         ds *= inv_sqrt
         dk = ds.swapaxes(-1, -2) @ qh
         dv = p.swapaxes(-1, -2) @ gh
-        if q._needs_grad():
-            q._accumulate_owned((ds @ k).transpose(0, 2, 1, 3).reshape(b, nq, d))
+        if q_node.needs():
+            q_node.accumulate_owned((ds @ k).transpose(0, 2, 1, 3).reshape(b, nq, d))
         for src, lo in sources:
-            if not src._needs_grad():
+            if not src.needs():
                 continue
-            n = src.data.shape[1]
+            n = src.shape[1]
             dsrc = np.zeros((b, n, 2, heads, dh), dtype=g.dtype)
             dsrc[:, :, 0] = dk[:, :, lo:lo + n].transpose(0, 2, 1, 3)
             dsrc[:, :, 1] = dv[:, :, lo:lo + n].transpose(0, 2, 1, 3)
-            src._accumulate_owned(dsrc.reshape(b, n, 2 * d))
+            src.accumulate_owned(dsrc.reshape(b, n, 2 * d))
 
-    return T._maybe_record(out, [q] + [src for src, _ in sources], backward)
+    return T._maybe_record(out, [q_node] + [src for src, _ in sources], backward)
 
 
 def mlp(x, w1, b1, w2, b2, residual):

@@ -102,6 +102,28 @@ def test_malformed_trainer_config_is_a_usage_error(workspace, tmp_path, capsys,
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [
+    ("train-vqvae", "out_dir"), ("train-vqvae", "data_dir"),
+    ("train-var", "out_dir"), ("train-var", "data_dir")])
+def test_empty_directory_is_a_usage_error_before_any_work(workspace, tmp_path,
+                                                          capsys, monkeypatch,
+                                                          command, key):
+    # an empty out_dir would train and then save into the working directory,
+    # or list a stale ./model.dart in the manifest; both exit 2 at once
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.dart").write_bytes(b"stale")
+    (tmp_path / "loss.csv").write_text("stale\n")
+    args = [command, "--set", f"{key}="]
+    if command == "train-vqvae":
+        args += ["--config", str(workspace / "vq.cfg")]
+    else:
+        args += ["--config", str(workspace / "var.cfg"),
+                 "--vq", str(workspace / "vq" / "vqvae.dart")]
+    assert cli.main(args) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv", "model.dart"]
+
+
 def test_regimes_produce_distinct_checkpoints(workspace):
     a = VarModel.load(str(workspace / "tf" / "model.dart"))
     b = VarModel.load(str(workspace / "da" / "model.dart"))

@@ -384,13 +384,13 @@ def test_cached_attention_matches_masked():
     assert np.allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
 
-def cached_rounds(qkv, heads, mask, bounds, op=None):
-    """Attention of ``qkv`` run round by round through a KV cache, each
-    round on a taped slice of the rows, joined back to [B, L, D]. As in
-    decoding, a round passes keys and values only for its rows that are
-    some row's key, the positions below ``mask.max()``, and none if it
-    has no such row."""
-    cache = T.KVCache()
+def cached_rounds(qkv, heads, mask, bounds, op=None, keys=0):
+    """Attention of ``qkv`` run round by round through a KV cache sized for
+    ``keys`` keys, each round on a taped slice of the rows, joined back to
+    [B, L, D]. As in decoding, a round passes keys and values only for its
+    rows that are some row's key, the positions below ``mask.max()``, and
+    none if it has no such row."""
+    cache = T.KVCache(keys)
     d, n_keys = qkv.shape[2] // 3, int(mask.max())
     parts = []
     for lo, hi in bounds:
@@ -423,16 +423,17 @@ def test_cached_attention_under_tape_matches_masked_grad():
                  [r(2, 5, 3 * 4)])
 
 
-def attention_and_grad(op, data, w, heads, visible, bounds=None, taped=True):
+def attention_and_grad(op, data, w, heads, visible, bounds=None, taped=True,
+                       keys=0):
     """Output of ``op`` over float32 packed ``data`` and, when ``taped``, the
     ``qkv`` gradient of ``sum(w * output)``; with ``bounds`` the rows run as
-    cached rounds."""
+    cached rounds over a cache sized for ``keys`` keys."""
     qkv = T.Tensor(data, requires_grad=True)
 
     def run():
         if bounds is None:
             return packed_attention(qkv, heads, visible, op=op)
-        return cached_rounds(qkv, heads, visible, bounds, op=op)
+        return cached_rounds(qkv, heads, visible, bounds, op=op, keys=keys)
 
     if not taped:
         return run().data, None
@@ -475,6 +476,20 @@ def test_attention_matches_dense_oracle(case):
     if case == "query_subset":  # rows asked for no query still pass on keys
         assert np.all(grad[:, :85, :128] == 0)
         assert np.abs(grad[:, :85, 128:]).max() > 0
+
+
+def test_cache_sized_up_front_matches_a_growing_one_bit_for_bit():
+    # the decode's cache is allocated once at the mask's key count; one given
+    # no count grows at each round. The score GEMMs then read key rows of
+    # another stride, and outputs and gradients keep their bits
+    gen = np.random.default_rng(9)
+    data = gen.standard_normal((4, 170, 3 * 128)).astype(np.float32)
+    w = gen.standard_normal((4, 170, 128)).astype(np.float32)
+    runs = [attention_and_grad(T.multihead_attention, data, w, 4, DEFAULT_COUNTS,
+                               DECODING_ROUNDS, keys=keys)
+            for keys in (0, int(DEFAULT_COUNTS.max()))]
+    assert runs[0][0].tobytes() == runs[1][0].tobytes()
+    assert runs[0][1].tobytes() == runs[1][1].tobytes()
 
 
 def test_attention_query_subset_grad():
@@ -561,7 +576,7 @@ def test_tape_left_without_backward_holds_no_records():
 def test_no_tape_no_graph():
     x = T.Tensor(r(2, 2), requires_grad=True)
     y = T.mul(x, x)
-    assert y._tape is None
+    assert y.node.tape is None
     with pytest.raises(RuntimeError):
         T.sum_all(y).backward()
 

@@ -289,6 +289,32 @@ def test_incremental_decode_matches_full_forward(tiny_var, tiny_vq):
                               preds[k_max - 1])
 
 
+def test_taped_decode_allocates_each_cache_once(tiny_var, tiny_vq, monkeypatch):
+    # every round writes its keys and values in place into one buffer per
+    # block, sized by the mask, which earlier rounds' records share
+    buffers = []
+    forward_fn = var.forward
+
+    def spied(model, inputs, visible, cache=None):
+        out = forward_fn(model, inputs, visible, cache)
+        buffers.append([(c.k, c.v) for c in cache])
+        return out
+
+    monkeypatch.setattr(var, "forward", spied)
+    img = np.stack([np.concatenate(random_maps(tiny_vq.schedule, 12, seed=s))
+                    for s in (42, 43)])
+    with T.Tape():
+        infer_batch(tiny_var, tiny_vq, img, [])
+    k_total = len(tiny_vq.schedule)
+    keys = int(tiny_var.attention_mask(k_total).max())
+    assert len(buffers) == k_total
+    for k, v in buffers[0]:
+        assert k.shape[3] == keys and v.shape[2] == keys
+    for later in buffers[1:]:
+        for (k, v), (k0, v0) in zip(later, buffers[0]):
+            assert k is k0 and v is v0
+
+
 def test_infer_batch_matches_single(tiny_var, tiny_vq):
     # row b of a batch equals the batch of one holding sample b
     flat = np.stack([np.concatenate(random_maps(tiny_vq.schedule, 12, seed=s))
