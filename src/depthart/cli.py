@@ -35,7 +35,8 @@ import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
 from .checkpoint import CheckpointError  # noqa: E402
-from .data import DataError, depth_rasters, load_manifest, make_dataset  # noqa: E402
+from .data import (DataError, dataset_layout_problem, depth_rasters,  # noqa: E402
+                   load_manifest, make_dataset)
 from .metrics import (METRIC_COLUMNS, MetricError, MetricsReport,  # noqa: E402
                       evaluate_scales, rank_models, write_scale_curve_csv)
 from .training import ConfigError, TrainConfig, fit, read_config  # noqa: E402
@@ -101,6 +102,9 @@ def _overrides(args) -> dict[str, str]:
 
 
 def cmd_gen_data(args) -> int:
+    problem = dataset_layout_problem(args.train, args.eval, args.seed)
+    if problem:
+        raise ConfigError(f"gen-data: {problem}")
     t0 = time.monotonic()
     manifest = make_dataset(args.train, args.eval, args.seed, args.out)
     _write_manifest(os.path.join(args.out, "run_manifest.json"), "gen-data",

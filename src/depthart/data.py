@@ -118,6 +118,15 @@ def _pixel_rays(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return (u - (w - 1) / 2) / w, (v - (h - 1) / 2) / w
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors, written out: the products and
+    differences ``np.cross`` takes, with the same bits, without its
+    broadcasting set-up, which costs 20x the arithmetic here."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _camera_rays(eye, target):
     """World-frame ray directions whose camera-z component is 1, so the
     hit parameter t is the z-depth directly."""
@@ -125,13 +134,13 @@ def _camera_rays(eye, target):
     fwd = np.asarray(target, float) - eye
     fwd /= np.linalg.norm(fwd)
     up_world = np.array([0.0, 1.0, 0.0])
-    right = np.cross(fwd, up_world)
+    right = _cross(fwd, up_world)
     nr = np.linalg.norm(right)
     if nr < 1e-8:  # looking straight down; pick an arbitrary right
         right = np.array([1.0, 0.0, 0.0])
     else:
         right /= nr
-    down = np.cross(fwd, right)
+    down = _cross(fwd, right)
     dx, dy = _pixel_rays(RESOLUTION, RESOLUTION)
     dirs = dx[..., None] * right + dy[..., None] * down + fwd
     rot = np.stack([right, down, fwd], axis=0)  # world -> camera
@@ -370,18 +379,28 @@ def load_sample(path: str) -> DepthSample:
 EVAL_SEED_OFFSET = 500_000
 
 
+def dataset_layout_problem(n_train: int, n_eval: int, seed: int) -> str | None:
+    """Why ``make_dataset`` cannot lay out these split sizes and base seed,
+    or None when it can."""
+    for split, count in (("train", n_train), ("eval", n_eval)):
+        if count <= 0:
+            return f"{split} count {count} must be positive"
+    if seed < 0:
+        return f"seed {seed} must be non-negative"
+    if n_train >= EVAL_SEED_OFFSET:
+        return f"train count {n_train} must be below the eval seed offset {EVAL_SEED_OFFSET}"
+    return None
+
+
 def make_dataset(n_train: int, n_eval: int, seed: int, out_dir: str) -> str:
     """Render and persist train/eval splits with disjoint seed ranges.
 
     Returns the manifest path. Train sample i uses seed ``seed + i``; eval
     sample j uses ``seed + EVAL_SEED_OFFSET + j``.
     """
-    if n_train <= 0 or n_eval <= 0:
-        raise DataError("make_dataset: counts must be positive")
-    if seed < 0:
-        raise DataError(f"make_dataset: seed {seed} must be non-negative")
-    if n_train >= EVAL_SEED_OFFSET:
-        raise DataError("make_dataset: train split too large for seed layout")
+    problem = dataset_layout_problem(n_train, n_eval, seed)
+    if problem:
+        raise DataError(f"make_dataset: {problem}")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for split, count, base in (("train", n_train, seed),

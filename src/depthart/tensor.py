@@ -34,17 +34,26 @@ every one stays alive until ``backward()``; the refinement step records
 several decode rounds on one tape. Its closure captures its inputs'
 nodes and shapes, never a ``Tensor``, so an output that no backward pass
 reads (a residual sum, a projection whose consumer keeps only its own
-copy) is freed as soon as the forward drops it. The transformer's MLP,
-its largest per-layer activation, is one op, ``mlp``: it keeps the GELU
-output and slope at the hidden width, where a composition of ``linear``,
-``gelu``, ``linear`` and ``add`` kept the pre-activation, the gate and the
-output. Attention keeps the key/value buffers of its ``KVCache``, which
-every decode round of one cache shares.
+copy) is freed as soon as the forward drops it. Each of the
+transformer's layer norms is fused into the op that reads it, so no
+record keeps a norm's output or a row slice of one: ``mlp`` is a block's
+norm, MLP and residual add, and keeps the normalized rows, their scale
+and the GELU output and slope, where a composition of ``layer_norm``,
+``linear``, ``gelu``, ``linear`` and ``add`` also kept the norm's output,
+the pre-activation, the gate and the output. ``norm_linear`` is a norm
+and the projections of row ranges of it (a block's queries and
+keys/values, the head's logits) in one record, which keeps the
+normalized rows and their scale, where the composition kept the norm's
+output and a copy of each sliced range. Their backward passes rebuild
+the norm's output for the weight gradients (selective recomputation:
+Korthikanti et al., Reducing Activation Recomputation in Large
+Transformer Models, 2022). Attention keeps the key/value buffers of its
+``KVCache``, which every decode round of one cache shares.
 
 Untaped, an op may skip work its backward pass would need: attention
-never normalizes its probabilities, ``layer_norm`` and ``gelu`` work
-in place, and ``mlp`` computes no GELU slope. A taped call computes its
-output the same way, so the two agree bit for bit.
+never normalizes its probabilities, ``gelu`` and the norm in ``mlp``
+work in place, and ``mlp`` computes no GELU slope. A taped call computes
+its output the same way, so the two agree bit for bit.
 
 Each thread has its own stack of active tapes, so a tape records only
 the ops of the thread that opened it, and other threads may run
@@ -472,100 +481,200 @@ def gelu(x: Tensor) -> Tensor:
     return _maybe_record(out, (nx,), backward)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-        residual: Tensor) -> Tensor:
-    """``residual + gelu(x @ w1 + b1) @ w2 + b2`` over the last axis of
-    ``x``, as one tape record: a transformer block's MLP with its residual
-    add. The bits are those of ``add(residual, linear(gelu(linear(x, w1,
-    b1)), w2, b2))``.
+LN_EPS = 1e-5  # added to the variance before the square root
 
-    Recorded, it keeps only what its backward pass reads: ``x``, the GELU
-    output y (for the ``w2`` gradient) and the GELU slope dy/du, which the
-    forward computes with ``gelu``'s backward sequence; the gradient then
-    needs only the multiply by the incoming one. The pre-activation u, the
-    gate and the projection output are dropped, so a recorded MLP holds two
-    hidden-width arrays where the composition held three. Untaped, no
-    slope is computed."""
-    d_in, hidden = w1.data.shape
+
+def _normalize(x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(xhat, inv)`` of the rows of ``x2[N, D]``: each row shifted to mean
+    0 and scaled to variance 1 (``xhat``, a fresh buffer), and the scale
+    ``inv`` [N, 1], one over its standard deviation. Row means and
+    variances are ``einsum`` reductions."""
+    d = x2.shape[1]
+    xhat = x2 - (np.einsum("nc->n", x2) / d)[:, None]
+    inv = (1.0 / np.sqrt(np.einsum("nc,nc->n", xhat, xhat) / d + LN_EPS))[:, None]
+    xhat *= inv
+    return xhat, inv
+
+
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The layer norm's output ``xhat * gain + bias``, in ``out`` or fresh.
+    The forward pass and the backward passes that rebuild it run these
+    same two ops, so both get the same bits."""
+    h = np.multiply(xhat, gain, out=out)
+    h += bias
+    return h
+
+
+def _normalize_backward(g2: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                        gain: np.ndarray, nx: _Grad, ngain: _Grad,
+                        nbias: _Grad) -> None:
+    """Send the gradient ``g2[N, D]`` of the rows ``xhat * gain + bias`` to
+    the norm's input ``nx`` and to the gain and bias."""
+    d = g2.shape[1]
+    if ngain.needs():
+        ngain.accumulate_owned(np.einsum("nc,nc->c", g2, xhat))
+    if nbias.needs():
+        nbias.accumulate_owned(g2.sum(axis=0))
+    if nx.needs():
+        gy = g2 * gain
+        m1 = np.einsum("nc->n", gy) / d
+        m2 = np.einsum("nc,nc->n", gy, xhat) / d
+        gy -= m1[:, None]
+        gy -= xhat * m2[:, None]
+        gy *= inv
+        nx.accumulate_owned(gy.reshape(nx.shape))
+
+
+def _check_norm(name: str, x: Tensor, gain: Tensor, bias: Tensor) -> None:
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise DimensionError(f"{name}: gain/bias must match the last axis of x {x.shape}")
+
+
+def mlp(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+        w2: Tensor, b2: Tensor) -> Tensor:
+    """``x + gelu(n @ w1 + b1) @ w2 + b2`` over the last axis of ``x``, where
+    ``n = xhat * gain + bias`` is the layer norm of ``x``, as one tape
+    record: a pre-norm transformer block's MLP with its norm and residual
+    add. The bits are those of ``add(x, linear(gelu(linear(layer_norm(x,
+    gain, bias), w1, b1)), w2, b2))``.
+
+    Recorded, it keeps only what its backward pass reads: the normalized
+    rows ``xhat`` and their scale, the GELU output y (for the ``w2``
+    gradient) and the GELU slope dy/du, which the forward computes with
+    ``gelu``'s backward sequence; the gradient then needs only the
+    multiply by the incoming one. The norm's output, the pre-activation u,
+    the gate and the projection output are dropped; the backward pass
+    rebuilds the norm's output from ``xhat`` for the ``w1`` gradient.
+    Untaped, the norm's affine runs in place and no slope is computed."""
+    d, hidden = w1.data.shape
     d_out = w2.data.shape[1]
-    if (x.data.shape[-1] != d_in or b1.data.shape != (hidden,)
-            or w2.data.shape[0] != hidden or b2.data.shape != (d_out,)
-            or residual.data.shape != x.data.shape[:-1] + (d_out,)):
+    _check_norm("mlp", x, gain, bias)
+    if (x.data.shape[-1] != d or b1.data.shape != (hidden,)
+            or w2.data.shape[0] != hidden or b2.data.shape != (d_out,) or d_out != d):
         raise DimensionError(
-            f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
-            f"b2 {b2.shape} and residual {residual.shape} do not chain")
-    nx, nw1, nb1, nw2, nb2, nr = parents = (
-        x.node, w1.node, b1.node, w2.node, b2.node, residual.node)
-    w1d, w2d = w1.data, w2.data
+            f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} "
+            f"and b2 {b2.shape} do not chain back to the width of x")
+    nx, ngain, nbias, nw1, nb1, nw2, nb2 = parents = (
+        x.node, gain.node, bias.node, w1.node, b1.node, w2.node, b2.node)
+    gd, bd, w1d, w2d = gain.data, bias.data, w1.data, w2.data
     recorded = active_tape() is not None and any(n.needs() for n in parents)
-    x2 = x.data.reshape(-1, d_in)
-    u = x2 @ w1.data
+    xhat, inv = _normalize(x.data.reshape(-1, d))
+    u = _affine(xhat, gd, bd, out=None if recorded else xhat) @ w1d
     np.add(u, b1.data, out=u)
     s = _gelu_gate(u)
     du = _gelu_slope(u, s) if recorded else None
     y = np.multiply(s, u, out=s)
     del u  # freed before the projection allocates
-    o = y @ w2.data
+    o = y @ w2d
     np.add(o, b2.data, out=o)
-    out = Tensor(residual.data + o.reshape(residual.data.shape), dtype=x.dtype)
+    out = Tensor(x.data + o.reshape(x.data.shape), dtype=x.dtype)
 
     def backward(g):
-        g2 = g.reshape(-1, d_out)
-        if nr.needs():
-            nr.accumulate(g)
+        g2 = g.reshape(-1, d)
+        if nx.needs():  # the residual path, first as in the composition
+            nx.accumulate(g)
         if nw2.needs():
             nw2.accumulate_owned(y.T @ g2)
         if nb2.needs():
             nb2.accumulate_owned(g2.sum(axis=0))
         dh = g2 @ w2d.T
         dh *= du
-        if nx.needs():
-            nx.accumulate_owned((dh @ w1d.T).reshape(nx.shape))
         if nw1.needs():
-            nw1.accumulate_owned(x2.T @ dh)
+            nw1.accumulate_owned(_affine(xhat, gd, bd).T @ dh)
         if nb1.needs():
             nb1.accumulate_owned(dh.sum(axis=0))
+        _normalize_backward(dh @ w1d.T, xhat, inv, gd, nx, ngain, nbias)
 
     return _maybe_record(out, parents, backward)
 
 
-LN_EPS = 1e-5  # added to the variance before the square root
+def norm_linear(x: Tensor, gain: Tensor, bias: Tensor,
+                projections: Sequence[tuple[Tensor, Tensor, int, int]]
+                ) -> list[Optional[Tensor]]:
+    """Row ranges of the layer norm ``n = xhat * gain + bias`` of
+    ``x[B, L, D]``, each projected: for every ``(w, b, lo, hi)`` of
+    ``projections``, the output ``n[:, lo:hi] @ w + b``, or None where the
+    range is empty. The bits are those of ``linear`` on a ``slice_axis``
+    of ``layer_norm(x, gain, bias)``, sliced only where the range is not
+    all of L. A transformer block's queries and keys/values come from one
+    call, and so do the head's logits.
 
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1, then affine. Row
-    means and variances are ``einsum`` reductions; untaped, the affine is
-    applied in place."""
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise DimensionError("layer_norm: gain/bias must match last axis")
-    x2 = x.data.reshape(-1, d)
-    xhat = x2 - (np.einsum("nc->n", x2) / d)[:, None]
-    inv = (1.0 / np.sqrt(np.einsum("nc,nc->n", xhat, xhat) / d + LN_EPS))[:, None]
-    xhat *= inv
-    nx, ngain, nbias = parents = (x.node, gain.node, bias.node)
-    gd = gain.data
+    All outputs share one tape record, placed on the output made last; its
+    closure reads the other outputs' gradient nodes too, so every output
+    is marked as recorded on the tape. It keeps the normalized rows
+    ``xhat`` and their scale, not the norm's output or a copy of a row
+    range: the backward pass rebuilds each range's rows with ``_affine``,
+    the forward's own two ops, for its weight gradient. The gradient of
+    the normalized rows is the sum of the ranges' parts, each zero outside
+    its rows, taken from the last range to the first, the order in which
+    the composition's backward passes added them. Untaped, the norm's
+    affine runs in place and each range is read from its output."""
+    if x.data.ndim != 3:
+        raise DimensionError(f"norm_linear: expected x [B, L, D], got {x.shape}")
+    bsz, length, d = x.data.shape
+    _check_norm("norm_linear", x, gain, bias)
+    ranges = [(lo, hi) for _, _, lo, hi in projections]
+    for w, b, lo, hi in projections:
+        if w.data.shape[0] != d or b.data.shape != w.data.shape[1:] \
+                or not 0 <= lo <= hi <= length:
+            raise DimensionError(
+                f"norm_linear: weight {w.shape}, bias {b.shape} and rows [{lo}, {hi}) "
+                f"do not fit x {x.shape}")
+    live = [i for i, (lo, hi) in enumerate(ranges) if hi > lo]
+    nx, ngain, nbias = x.node, gain.node, bias.node
+    nws = [w.node for w, _, _, _ in projections]
+    nbs = [b.node for _, b, _, _ in projections]
+    wds = [w.data for w, _, _, _ in projections]
+    parents = [nx, ngain, nbias] + [nws[i] for i in live] + [nbs[i] for i in live]
+    gd, bd = gain.data, bias.data
     recorded = active_tape() is not None and any(n.needs() for n in parents)
-    y = xhat * gd if recorded else np.multiply(xhat, gd, out=xhat)
-    y += bias.data
-    out = Tensor(y.reshape(x.data.shape), dtype=x.dtype)
+    xhat, inv = _normalize(x.data.reshape(-1, d))
+    xhat3 = xhat.reshape(bsz, length, d)
+    if not recorded:  # the norm's output in place, its ranges read from it
+        normed = _affine(xhat3, gd, bd, out=xhat3)
+    outs: list[Optional[Tensor]] = [None] * len(ranges)
+    for i in live:
+        lo, hi = ranges[i]
+        rows = _affine(xhat3[:, lo:hi], gd, bd) if recorded \
+            else np.ascontiguousarray(normed[:, lo:hi])
+        y2 = rows.reshape(-1, d) @ wds[i]
+        np.add(y2, projections[i][1].data, out=y2)
+        outs[i] = Tensor(y2.reshape(bsz, hi - lo, -1), dtype=x.dtype)
+    nouts = [None if o is None else o.node for o in outs]
 
     def backward(g):
-        g2 = g.reshape(-1, d)
-        if ngain.needs():
-            ngain.accumulate_owned(np.einsum("nc,nc->c", g2, xhat))
-        if nbias.needs():
-            nbias.accumulate_owned(g2.sum(axis=0))
-        if nx.needs():
-            gy = g2 * gd
-            m1 = np.einsum("nc->n", gy) / d
-            m2 = np.einsum("nc,nc->n", gy, xhat) / d
-            gy -= m1[:, None]
-            gy -= xhat * m2[:, None]
-            gy *= inv
-            nx.accumulate_owned(gy.reshape(nx.shape))
+        dn = None  # the gradient of the normalized rows
+        for i in reversed(live):
+            gi = g if i == live[-1] else nouts[i].grad
+            if gi is None:
+                continue
+            lo, hi = ranges[i]
+            g2 = gi.reshape(-1, gi.shape[-1])
+            if nws[i].needs():
+                rows = _affine(xhat3[:, lo:hi], gd, bd).reshape(-1, d)
+                nws[i].accumulate_owned(rows.T @ g2)
+            if nbs[i].needs():
+                nbs[i].accumulate_owned(g2.sum(axis=0))
+            part = (g2 @ wds[i].T).reshape(bsz, hi - lo, d)
+            if hi - lo < length:  # zero outside its rows, as slice_axis pads
+                full = np.zeros((bsz, length, d), part.dtype)
+                full[:, lo:hi] = part
+                part = full
+            if dn is None:
+                dn = part
+            else:
+                dn += part
+        if dn is not None:
+            _normalize_backward(dn.reshape(-1, d), xhat, inv, gd, nx, ngain, nbias)
 
-    return _maybe_record(out, parents, backward)
+    if live and recorded:
+        tape = active_tape()
+        for i in live[:-1]:
+            nouts[i].tape = tape
+        tape.record(outs[live[-1]], backward)
+    return outs
 
 
 # --------------------------------------------------------------------------

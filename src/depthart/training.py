@@ -41,7 +41,8 @@ class ConfigError(ValueError):
 _CONFIG_TYPES = {"regime": str, "lr": float, "wd": float, "batch": int,
                  "steps": int, "decay_period": int, "decay_gamma": float,
                  "seed": int, "data_dir": str, "out_dir": str}
-_POSITIVE = ("lr", "wd", "batch", "steps", "decay_period", "decay_gamma")
+_POSITIVE = ("lr", "batch", "steps", "decay_period", "decay_gamma")
+_NON_NEGATIVE = ("wd", "seed")  # zero is no decay; numpy seeds are non-negative
 _DIRECTORIES = ("data_dir", "out_dir")
 
 
@@ -56,8 +57,8 @@ def _config_value(key: str, value):
                           f"got {value!r}") from None
     if key in _POSITIVE and not out > 0:
         raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
-    if key == "seed" and out < 0:  # numpy seeds are non-negative
-        raise ConfigError(f"config key 'seed' must not be negative, got {value!r}")
+    if key in _NON_NEGATIVE and not out >= 0:
+        raise ConfigError(f"config key {key!r} must not be negative, got {value!r}")
     return out
 
 

@@ -255,9 +255,13 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
     those. It projects queries (``q_w``) for every row except, in the last
     block, the image rows: the head reads only the depth rows, so the last
     block runs its queries, attention output, MLP and final norm on those
-    alone. Either way the call records on an active tape. Each block's MLP
-    and its residual add are one ``T.mlp`` call, a single tape record that
-    keeps two hidden-width arrays.
+    alone. Either way the call records on an active tape.
+    A block is five ops, six in the last block, which also slices its
+    residual rows: one ``T.norm_linear`` for its first norm with the query
+    and key/value projections, attention, the output projection, the
+    residual add, and one ``T.mlp`` for its second norm, MLP and residual
+    add. The final norm and the head are one more ``T.norm_linear``. Each
+    fused op is one tape record, and none keeps a norm's output.
     """
     x = inputs
     length = x.data.shape[1]
@@ -274,28 +278,20 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
     n_kv = min(max(n_keys - first, 0), length)  # rows some row reads as keys
     for blk in range(cfg.blocks):
         pre = f"block{blk}/"
-        last = blk == cfg.blocks - 1
-        h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        if last and n_lead:
-            x = T.slice_axis(x, 1, n_lead, length)
-            hq = T.slice_axis(h, 1, n_lead, length)
-        else:
-            hq = h
-        q = T.linear(hq, p[pre + "q_w"], p[pre + "q_b"])
-        kv = None
-        if n_kv:
-            hkv = h if n_kv == length else T.slice_axis(h, 1, 0, n_kv)
-            kv = T.linear(hkv, p[pre + "kv_w"], p[pre + "kv_b"])
-        att = T.multihead_attention(q, kv, cfg.heads,
-                                    visible[n_lead:] if last else visible,
-                                    cache[blk])
+        lead = n_lead if blk == cfg.blocks - 1 else 0  # rows asking no query
+        q, kv = T.norm_linear(x, p[pre + "ln1_g"], p[pre + "ln1_b"],
+                              [(p[pre + "q_w"], p[pre + "q_b"], lead, length),
+                               (p[pre + "kv_w"], p[pre + "kv_b"], 0, n_kv)])
+        if lead:
+            x = T.slice_axis(x, 1, lead, length)
+        att = T.multihead_attention(q, kv, cfg.heads, visible[lead:], cache[blk])
         cache[blk].rows += length
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
-        x = T.mlp(T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"]),
-                  p[pre + "mlp_w1"], p[pre + "mlp_b1"],
-                  p[pre + "mlp_w2"], p[pre + "mlp_b2"], x)
-    x = T.layer_norm(x, p["ln_f_g"], p["ln_f_b"])
-    return T.linear(x, p["head_w"], p["head_b"])
+        x = T.mlp(x, p[pre + "ln2_g"], p[pre + "ln2_b"], p[pre + "mlp_w1"],
+                  p[pre + "mlp_b1"], p[pre + "mlp_w2"], p[pre + "mlp_b2"])
+    (logits,) = T.norm_linear(x, p["ln_f_g"], p["ln_f_b"],
+                              [(p["head_w"], p["head_b"], 0, x.data.shape[1])])
+    return logits
 
 
 def _greedy(logits: np.ndarray) -> np.ndarray:

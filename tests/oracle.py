@@ -226,9 +226,58 @@ def dense_attention(q, kv, heads, visible, cache=None):
     return T._maybe_record(out, [q_node] + [src for src, _ in sources], backward)
 
 
-def mlp(x, w1, b1, w2, b2, residual):
+def layer_norm(x, gain, bias):
+    """A layer norm over the last axis as its own tape op: the rows
+    normalized to mean 0 / variance 1, then ``* gain + bias``. Untaped, the
+    affine is applied in place. ``T.mlp`` and ``T.norm_linear`` fuse it
+    into the op that reads its output."""
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise T.DimensionError("layer_norm: gain/bias must match last axis")
+    x2 = x.data.reshape(-1, d)
+    xhat = x2 - (np.einsum("nc->n", x2) / d)[:, None]
+    inv = (1.0 / np.sqrt(np.einsum("nc,nc->n", xhat, xhat) / d + T.LN_EPS))[:, None]
+    xhat *= inv
+    nx, ngain, nbias = parents = (x.node, gain.node, bias.node)
+    gd = gain.data
+    recorded = T.active_tape() is not None and any(n.needs() for n in parents)
+    y = xhat * gd if recorded else np.multiply(xhat, gd, out=xhat)
+    y += bias.data
+    out = T.Tensor(y.reshape(x.data.shape), dtype=x.dtype)
+
+    def backward(g):
+        g2 = g.reshape(-1, d)
+        if ngain.needs():
+            ngain.accumulate_owned(np.einsum("nc,nc->c", g2, xhat))
+        if nbias.needs():
+            nbias.accumulate_owned(g2.sum(axis=0))
+        if nx.needs():
+            gy = g2 * gd
+            m1 = np.einsum("nc->n", gy) / d
+            m2 = np.einsum("nc,nc->n", gy, xhat) / d
+            gy -= m1[:, None]
+            gy -= xhat * m2[:, None]
+            gy *= inv
+            nx.accumulate_owned(gy.reshape(nx.shape))
+
+    return T._maybe_record(out, parents, backward)
+
+
+def mlp(x, gain, bias, w1, b1, w2, b2):
     """``T.mlp`` composed of the ops it fuses."""
-    return T.add(residual, T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2))
+    h = layer_norm(x, gain, bias)
+    return T.add(x, T.linear(T.gelu(T.linear(h, w1, b1)), w2, b2))
+
+
+def norm_linear(x, gain, bias, projections):
+    """``T.norm_linear`` composed of the ops it fuses: one layer norm, then
+    per range a ``linear`` of its rows, sliced out where the range is not
+    all of them."""
+    h = layer_norm(x, gain, bias)
+    length = x.data.shape[1]
+    return [None if lo == hi else
+            T.linear(h if (lo, hi) == (0, length) else T.slice_axis(h, 1, lo, hi), w, b)
+            for w, b, lo, hi in projections]
 
 
 def forward_all_rows(model, inputs, visible):
@@ -240,14 +289,13 @@ def forward_all_rows(model, inputs, visible):
     x = inputs
     for blk in range(model.config.blocks):
         pre = f"block{blk}/"
-        h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
+        h = layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
         att = dense_attention(T.linear(h, p[pre + "q_w"], p[pre + "q_b"]),
                               T.linear(h, p[pre + "kv_w"], p[pre + "kv_b"]),
                               model.config.heads, visible)
         x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
-        x = mlp(T.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"]),
-                p[pre + "mlp_w1"], p[pre + "mlp_b1"],
-                p[pre + "mlp_w2"], p[pre + "mlp_b2"], x)
-    x = T.layer_norm(x, p["ln_f_g"], p["ln_f_b"])
+        x = mlp(x, p[pre + "ln2_g"], p[pre + "ln2_b"], p[pre + "mlp_w1"],
+                p[pre + "mlp_b1"], p[pre + "mlp_w2"], p[pre + "mlp_b2"])
+    x = layer_norm(x, p["ln_f_g"], p["ln_f_b"])
     depth = T.slice_axis(x, 1, model.n_image_tokens(), x.shape[1])
     return T.linear(depth, p["head_w"], p["head_b"])

@@ -66,10 +66,19 @@ def test_gen_data_unwritable_dir():
                      "--eval", "1", "--seed", "0"]) == 3
 
 
-def test_gen_data_negative_seed_is_a_data_error(tmp_path, capsys):
-    assert cli.main(["gen-data", "--out", str(tmp_path / "d"), "--train", "1",
-                     "--eval", "1", "--seed", "-1"]) == 3
-    assert "seed -1" in capsys.readouterr().err
+@pytest.mark.parametrize("flag,value", [("--train", "0"), ("--train", "-1"),
+                                        ("--eval", "0"), ("--seed", "-1"),
+                                        ("--train", "500000")])
+def test_bad_gen_data_flag_is_a_usage_error_before_any_work(tmp_path, capsys, flag,
+                                                            value):
+    # a flag value make_dataset cannot lay out exits 2, as a bad config value
+    # does, names the flag and its value, and nothing is written
+    args = {"--train": "1", "--eval": "1", "--seed": "0", flag: value}
+    out = tmp_path / "d"
+    assert cli.main(["gen-data", "--out", str(out), *sum(args.items(), ())]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:]} " in err and f" {value} " in err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():
@@ -89,7 +98,8 @@ def test_missing_config_key_named(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("command,key,value", [
     ("train-vqvae", "batch", "0"), ("train-vqvae", "steps", "0"),
     ("train-vqvae", "lr", "0"), ("train-vqvae", "steps", "abc"),
-    ("train-var", "lr", "fast"), ("train-var", "seed", "-1")])
+    ("train-var", "lr", "fast"), ("train-var", "seed", "-1"),
+    ("train-var", "wd", "-1")])
 def test_malformed_trainer_config_is_a_usage_error(workspace, tmp_path, capsys,
                                                    command, key, value):
     args = [command, "--set", f"{key}={value}", "--set", f"out_dir={tmp_path}"]
@@ -100,6 +110,17 @@ def test_malformed_trainer_config_is_a_usage_error(workspace, tmp_path, capsys,
                  "--vq", str(workspace / "vq" / "vqvae.dart")]
     assert cli.main(args) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+def test_zero_weight_decay_trains(workspace, tmp_path):
+    # wd = 0 is a valid weight decay: AdamW then decays nothing
+    out = tmp_path / "nowd"
+    assert cli.main(["train-var", "--config", str(workspace / "var.cfg"),
+                     "--vq", str(workspace / "vq" / "vqvae.dart"),
+                     "--set", "wd=0", "--set", "steps=2", "--set", f"out_dir={out}"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["wd"] == 0.0
+    assert (out / "model.dart").exists()
 
 
 @pytest.mark.parametrize("command,key", [

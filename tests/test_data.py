@@ -25,6 +25,14 @@ def test_render_deterministic():
     assert a.mask.tobytes() == b.mask.tobytes()
 
 
+def test_cross_matches_numpy_bit_for_bit():
+    gen = np.random.default_rng(5)
+    pairs = gen.standard_normal((2000, 2, 3)) * gen.choice([1e-6, 1.0, 1e6], (2000, 2, 1))
+    pairs[0, 1] = [0.0, 1.0, 0.0]  # the camera's world up, as the renderer passes it
+    for a, b in pairs:
+        assert data._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
 def test_floor_only_scene_rows_constant():
     # fronto-parallel camera over a wall-like plane: constructed pose looking
     # straight along -z at the floor treated as a wall via a side-on view.

@@ -14,6 +14,10 @@ package has no linter dependency.
   ever written.
 - The ``Subcommands:`` line of the ``cli`` docstring names exactly the
   subcommands ``build_parser`` adds, in the same order.
+- No backward closure in ``tensor`` captures a ``Tensor``: a function
+  nested in an op reads no parameter of the op annotated with ``Tensor``
+  and no local the op bound to a ``Tensor(...)`` call, since a closure
+  on the tape would keep that tensor's data alive until ``backward()``.
 """
 
 import ast
@@ -260,3 +264,74 @@ def test_cli_docstring_names_every_subcommand():
     documented, parsed = documented_and_parsed_subcommands(
         (PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert documented == parsed
+
+
+def _mentions_tensor(annotation) -> bool:
+    return annotation is not None and any(
+        getattr(n, "id", None) == "Tensor"
+        or (isinstance(n, ast.Constant) and isinstance(n.value, str) and "Tensor" in n.value)
+        for n in ast.walk(annotation))
+
+
+def _bound_names(fn) -> set[str]:
+    """The parameters of ``fn`` and the names it assigns: its locals."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    if isinstance(fn, ast.Lambda):
+        return names
+    return names | {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def closures_capturing_tensors(source: str) -> list[str]:
+    """``line N: op.inner reads name`` for each read, in a function or
+    lambda nested in a function ``op``, of a parameter of ``op`` annotated
+    with ``Tensor`` or of a name ``op`` assigned a ``Tensor(...)`` call,
+    unless the nested function binds that name itself."""
+    found = []
+    for op in ast.walk(ast.parse(source)):
+        if not isinstance(op, ast.FunctionDef):
+            continue
+        args = op.args
+        tensors = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                   if _mentions_tensor(a.annotation)}
+        tensors |= {t.id for n in ast.walk(op) if isinstance(n, ast.Assign)
+                    and isinstance(n.value, ast.Call)
+                    and getattr(n.value.func, "id", None) == "Tensor"
+                    for t in n.targets if isinstance(t, ast.Name)}
+        for inner in ast.walk(op):
+            if inner is op or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                continue
+            own = _bound_names(inner)
+            name = getattr(inner, "name", "<lambda>")
+            found += [f"line {n.lineno}: {op.name}.{name} reads {n.id}"
+                      for n in ast.walk(inner)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                      and n.id in tensors - own]
+    return sorted(set(found))
+
+
+def test_closures_capturing_tensors_detected():
+    src = ("def op(x: Tensor, w: Optional[Tensor], parts: Sequence['Tensor'], k: int):\n"
+           "    nx = x.node\n"
+           "    out = Tensor(x.data)\n"
+           "    def backward(g):\n"
+           "        nx.accumulate(g * k)\n"
+           "        if w is not None: print(x.dtype, parts, out)\n"
+           "    def shadow(x):\n"
+           "        return x\n"
+           "    def rebind(g):\n"
+           "        w = g\n"
+           "        return w\n"
+           "    f = lambda: out.data\n"
+           "    return backward\n")
+    assert closures_capturing_tensors(src) == [
+        "line 12: op.<lambda> reads out", "line 6: op.backward reads out",
+        "line 6: op.backward reads parts", "line 6: op.backward reads w",
+        "line 6: op.backward reads x"]
+
+
+def test_no_backward_closure_captures_a_tensor():
+    source = (PACKAGE / "tensor.py").read_text(encoding="utf-8")
+    assert closures_capturing_tensors(source) == []

@@ -241,21 +241,21 @@ def test_conv2d_allocates_no_column_buffer():
 
 def test_layer_norm_statistics():
     x = T.Tensor(r(6, 8))
-    y = T.layer_norm(x, T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)))
+    y = oracle.layer_norm(x, T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)))
     assert np.allclose(y.data.mean(axis=-1), 0.0, atol=1e-5)
     assert np.allclose(y.data.var(axis=-1), 1.0, atol=1e-4)
 
 
 def test_layer_norm_grad():
-    fd_gradcheck(lambda x, g, b: T.layer_norm(x, g, b), [r(3, 6), r(6), r(6)])
+    fd_gradcheck(oracle.layer_norm, [r(3, 6), r(6), r(6)])
 
 
 def test_layer_norm_taped_equals_untaped():
     x = T.Tensor(r(6, 16), requires_grad=True)
     gain, bias = T.Tensor(r(16), requires_grad=True), T.Tensor(r(16))
     with T.Tape():
-        taped = T.layer_norm(x, gain, bias).data
-    assert taped.tobytes() == T.layer_norm(x, gain, bias).data.tobytes()
+        taped = oracle.layer_norm(x, gain, bias).data
+    assert taped.tobytes() == oracle.layer_norm(x, gain, bias).data.tobytes()
 
 
 def test_gelu_values_and_grad():
@@ -272,33 +272,108 @@ def test_gelu_taped_equals_untaped():
 
 
 # ---------------------------------------------------------------------------
-# transformer MLP
+# ops that fuse a layer norm into its reader
 # ---------------------------------------------------------------------------
+
+def fused_and_composed(fused, composed, arrays, call):
+    """``[untaped output(s), taped output(s), gradient of every input]`` of
+    ``call(op, inputs)`` for the fused op and for its composition, the
+    taped loss weighting every output element by a fixed random draw."""
+    results = []
+    for op in (fused, composed):
+        untaped = call(op, [T.Tensor(a, requires_grad=True) for a in arrays])
+        inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+        gen = np.random.default_rng(8)
+        with T.Tape():
+            outs = call(op, inputs)
+            terms = [T.sum_all(T.mul(o, T.Tensor(gen.standard_normal(o.shape))))
+                     for o in outs]
+            total = terms[0]
+            for term in terms[1:]:
+                total = T.add(total, term)
+            total.backward()
+        results.append([o.data for o in untaped] + [o.data for o in outs]
+                       + [t.grad for t in inputs])
+    return results
+
+
+def assert_same_bits(results):
+    fused, composed = results
+    assert len(fused) == len(composed)
+    for i, (a, b) in enumerate(zip(fused, composed)):
+        assert a is not None and b is not None, i
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), i
+
+
+def normal_arrays(gen, shapes):
+    return [gen.standard_normal(s).astype(np.float32) * scale for s, scale in shapes]
+
 
 @pytest.mark.parametrize("shape", [(4, 170, 128), (1, 128)])
 def test_mlp_matches_the_composition_bit_for_bit(shape):
-    # output and all six gradients, taped and untaped, at the default
+    # output and all seven gradients, taped and untaped, at the default
     # model's B=4 teacher-forcing shape and on a one-row input
     d = shape[-1]
-    gen = np.random.default_rng(7)
-    arrays = [gen.standard_normal(s).astype(np.float32) * scale for s, scale in
-              ((shape, 1.0), ((d, 4 * d), 0.1), ((4 * d,), 0.1),
-               ((4 * d, d), 0.1), ((d,), 0.1), (shape, 1.0))]
-    weights = T.Tensor(gen.standard_normal(shape))
-    results = []
-    for op in (T.mlp, oracle.mlp):
-        untaped = op(*[T.Tensor(a, requires_grad=True) for a in arrays]).data
-        inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
-        with T.Tape():
-            out = op(*inputs)
-            T.sum_all(T.mul(out, weights)).backward()
-        results.append([untaped, out.data] + [t.grad for t in inputs])
-    for fused, ref in zip(*results):
-        assert fused.dtype == ref.dtype and fused.tobytes() == ref.tobytes()
+    arrays = normal_arrays(np.random.default_rng(7), (
+        (shape, 1.0), ((d,), 1.0), ((d,), 0.1), ((d, 4 * d), 0.1), ((4 * d,), 0.1),
+        ((4 * d, d), 0.1), ((d,), 0.1)))
+    assert_same_bits(fused_and_composed(T.mlp, oracle.mlp, arrays,
+                                        lambda op, t: [op(*t)]))
 
 
 def test_mlp_grad():
-    fd_gradcheck(T.mlp, [r(2, 3, 4), r(4, 8), r(8), r(8, 4), r(4), r(2, 3, 4)])
+    fd_gradcheck(T.mlp, [r(2, 3, 4), r(4), r(4), r(4, 8), r(8), r(8, 4), r(4)])
+
+
+def default_layout():
+    """(image rows, key rows, rows per scale) of the default model."""
+    model = VarModel(VarConfig(schedule=DEFAULT_SCHEDULE))
+    k = len(DEFAULT_SCHEDULE)
+    return (model.n_image_tokens(), int(model.attention_mask(k).max()),
+            DEFAULT_SCHEDULE.tokens_per_scale())
+
+
+@pytest.mark.parametrize("case", ["full rows", "last block", "decode round",
+                                  "last decode round", "head"])
+def test_norm_linear_matches_the_composition_bit_for_bit(case):
+    # every output and gradient, taped and untaped, at the default model's
+    # B=4 teacher-forcing shape [4, 170, 128]: a block's queries and keys
+    # for every row but the last scale's, the last block's row ranges
+    # (queries for the depth rows only), a cached decode round of one
+    # scale's rows, the last round (no keys) and the head
+    n_img, n_keys, tokens = default_layout()
+    length, d, v = 2 * n_img, 128, 64
+    rows, ranges = {
+        "full rows": (length, [(0, length), (0, n_keys)]),
+        "last block": (length, [(n_img, length), (0, n_keys)]),
+        "decode round": (tokens[2], [(0, tokens[2]), (0, tokens[2])]),
+        "last decode round": (tokens[-1], [(0, tokens[-1]), (0, 0)]),
+        "head": (length - n_img, [(0, length - n_img)]),
+    }[case]
+    widths = [d, 2 * d] if len(ranges) == 2 else [v]
+    gen = np.random.default_rng(9)
+    arrays = normal_arrays(gen, [((4, rows, d), 1.0), ((d,), 1.0), ((d,), 0.1)])
+    for width in widths:
+        arrays += normal_arrays(gen, [((d, width), 0.1), ((width,), 0.1)])
+
+    def call(op, t):
+        outs = op(t[0], t[1], t[2], [(t[3 + 2 * i], t[4 + 2 * i], lo, hi)
+                                     for i, (lo, hi) in enumerate(ranges)])
+        assert [o is None for o in outs] == [lo == hi for lo, hi in ranges]
+        return [o for o in outs if o is not None]
+
+    results = fused_and_composed(T.norm_linear, oracle.norm_linear, arrays, call)
+    if case == "last decode round":  # the unused key weights get no gradient
+        for res in results:
+            assert res[-2:] == [None, None]
+            del res[-2:]
+    assert_same_bits(results)
+
+
+def test_norm_linear_grad():
+    fd_gradcheck(lambda x, g, b, w1, b1, w2, b2: T.concat(
+        [T.reshape(o, (-1,)) for o in T.norm_linear(x, g, b, [(w1, b1, 1, 4), (w2, b2, 0, 3)])],
+        axis=0), [r(2, 4, 5), r(5), r(5), r(5, 3), r(3), r(5, 6), r(6)])
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +397,19 @@ def test_structural_grads():
 def test_shape_mismatch_raises():
     with pytest.raises(T.DimensionError):
         T.add(T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros((2, 3))))
-    x, w1, b1, w2, b2 = (T.Tensor(np.zeros(s)) for s in ((3, 4), (4, 8), (8,), (8, 4), (4,)))
+    x, g, w1, b1, w2, b2 = (T.Tensor(np.zeros(s)) for s in
+                            ((3, 4), (4,), (4, 8), (8,), (8, 4), (4,)))
     with pytest.raises(T.DimensionError):
-        T.mlp(x, w1, b1, w2, b2, T.Tensor(np.zeros((3, 5))))
+        T.mlp(x, g, g, w1, b1, T.Tensor(np.zeros((8, 5))), T.Tensor(np.zeros(5)))
     with pytest.raises(T.DimensionError):
-        T.mlp(x, w1, T.Tensor(np.zeros(4)), w2, b2, x)
+        T.mlp(x, g, g, w1, T.Tensor(np.zeros(4)), w2, b2)
+    with pytest.raises(T.DimensionError):
+        T.mlp(x, T.Tensor(np.zeros(3)), g, w1, b1, w2, b2)
+    x3 = T.Tensor(np.zeros((1, 3, 4)))
+    with pytest.raises(T.DimensionError):
+        T.norm_linear(x3, g, g, [(w1, b1, 2, 4)])
+    with pytest.raises(T.DimensionError):
+        T.norm_linear(x3, g, g, [(w2, b2, 0, 3)])
 
 
 def test_linear_grad():
@@ -588,7 +671,9 @@ def test_forward_determinism_bit_identical():
     ops = [
         lambda: T.linear(T.Tensor(a), T.Tensor(b)).data,
         lambda: T.gelu(T.Tensor(a)).data,
-        lambda: T.layer_norm(T.Tensor(a), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))).data,
+        lambda: oracle.layer_norm(T.Tensor(a), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))).data,
+        lambda: T.norm_linear(T.Tensor(a[None]), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)),
+                              [(T.Tensor(b), T.Tensor(np.zeros(8)), 0, 8)])[0].data,
         lambda: T.resize_bilinear(T.Tensor(a), (5, 5)).data,
         lambda: packed_attention(T.Tensor(qkv), 2, mask).data,
     ]

@@ -400,12 +400,14 @@ def before_backward(monkeypatch, check):
 STEPS = pytest.mark.parametrize("step", [teacher_forcing_step, depthart_step])
 
 
-@pytest.mark.parametrize("step, records", [(teacher_forcing_step, 66),
-                                           (depthart_step, 163)])
+@pytest.mark.parametrize("step, records", [(teacher_forcing_step, 48),
+                                           (depthart_step, 114)])
 def test_tape_records_per_default_step(step, records, count_calls):
-    # a default-model B=4 step records each block's MLP as one op, three
-    # records per block and forward fewer than a linear, gelu, linear and
-    # add did (78 and 211)
+    # a default-model B=4 step records each block's MLP with its norm as one
+    # op, its queries and keys/values with their norm as one more, and the
+    # head with the final norm as one: 66 and 163 records while each norm
+    # and each row slice of one was its own op, 78 and 211 before the MLP
+    # was one op
     vq, model, batch = default_step_set_up()
     calls = count_calls(T.Tape, "record")
     step(model, vq, batch, AdamW(model.params))
@@ -475,9 +477,12 @@ def test_outputs_no_backward_reads_are_freed_before_backward(step, monkeypatch):
 
 @STEPS
 def test_default_step_traced_peak(step):
-    # the arrays a default-model B=4 step allocates peak at most 27 MiB
-    # (measured 25.0 MiB for teacher forcing and 23.5 for refinement; 31.2
-    # and 32.5 while the tape kept every op's output and each round's cache)
+    # the arrays a default-model B=4 step allocates peak at most 22.5 MiB for
+    # teacher forcing and 22 for refinement (measured 21.9 and 21.3; 25.0
+    # and 23.5 while the tape kept each layer norm's output and row slices
+    # of it, 31.2 and 32.5 while it kept every op's output and each round's
+    # cache)
+    bound = {teacher_forcing_step: 22.5, depthart_step: 22.0}[step]
     vq, model, batch = default_step_set_up()
     opt = AdamW(model.params)
     tracemalloc.start()
@@ -486,7 +491,104 @@ def test_default_step_traced_peak(step):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 27 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert peak <= bound * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@STEPS
+def test_fused_steps_match_the_composition_bit_for_bit(step, monkeypatch):
+    # the loss and every parameter gradient of a default-model B=4 step are
+    # the bits of the same step with each fused op (T.mlp, T.norm_linear)
+    # replaced by the composition of the ops it fuses; the refinement step
+    # runs them on every cached decode round
+    results = []
+    for fused in (True, False):
+        if not fused:
+            monkeypatch.setattr(T, "mlp", oracle.mlp)
+            monkeypatch.setattr(T, "norm_linear", oracle.norm_linear)
+        vq, model, batch = default_step_set_up()
+
+        class Capture:
+            def step(self, lr=None):
+                self.grads = {name: p.grad for name, p in model.params.items()}
+
+        opt = Capture()
+        loss = step(model, vq, batch, opt)
+        results.append((np.float32(loss).tobytes(),
+                        {name: g.tobytes() for name, g in opt.grads.items()}))
+    assert results[0][0] == results[1][0]
+    assert results[0][1].keys() == results[1][1].keys()
+    assert [name for name, g in results[0][1].items() if g != results[1][1][name]] == []
+
+
+def normalized_like(a: np.ndarray, gain: float, bias: float) -> bool:
+    """Whether every row of ``a[..., D]`` has mean ``bias`` and standard
+    deviation near ``gain``, as a layer norm's output with that gain and
+    bias has, and nothing else in the model does."""
+    if a.dtype != np.float32 or a.ndim < 2 or a.size == 0:
+        return False
+    rows = a.reshape(-1, a.shape[-1])
+    return bool(np.all(np.abs(rows.mean(axis=1) - bias) < 0.1)
+                and np.all(np.abs(rows.std(axis=1) - gain) < 0.5))
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@STEPS
+def test_no_layer_norm_output_is_alive_before_backward(step, monkeypatch):
+    # every layer norm is fused into the op that reads it, whose tape record
+    # keeps the normalized rows and rebuilds their affine: just before
+    # backward() no norm output, nor a row slice of one, is alive, whether
+    # an op took it or returned it, and no tape record's closure holds one
+    vq, model, batch = default_step_set_up()
+    width = model.config.width
+    for name, p in model.params.items():  # gains and biases no other array has
+        if name.rsplit("/", 1)[-1] in ("ln1_g", "ln2_g", "ln_f_g"):
+            p.data[:] = 3.0
+        elif name.rsplit("/", 1)[-1] in ("ln1_b", "ln2_b", "ln_f_b"):
+            p.data[:] = 7.0
+    refs = {}
+
+    def note(obj):
+        for t in captured(obj):
+            if isinstance(t, Tensor) and t.data.shape[-1:] == (width,) \
+                    and normalized_like(t.data, 3.0, 7.0):
+                refs.setdefault(id(owner(t.data)), weakref.ref(owner(t.data)))
+
+    def spy(op):
+        def spied(*args, **kwargs):
+            note(list(args))
+            out = op(*args, **kwargs)
+            note(out)
+            return out
+        return spied
+
+    for name, op in list(vars(T).items()):
+        if callable(op) and getattr(op, "__module__", None) == T.__name__ \
+                and not isinstance(op, type) and not name.startswith("_") \
+                and name != "active_tape":
+            monkeypatch.setattr(T, name, spy(op))
+    held = []
+
+    def check(tape):
+        arrays = []
+        for out, fn in tape.records:
+            for cell in fn.__closure__ or ():
+                try:
+                    arrays.extend(a for a in captured(cell.cell_contents)
+                                  if isinstance(a, np.ndarray))
+                except ValueError:  # a name the op never bound
+                    pass
+        held.append(([ref() is not None for ref in refs.values()].count(True),
+                     sum(a.shape[-1:] == (width,) and normalized_like(a, 3.0, 7.0)
+                         for a in arrays)))
+
+    before_backward(monkeypatch, check)
+    step(model, vq, batch, AdamW(model.params))
+    assert held == [(0, 0)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
