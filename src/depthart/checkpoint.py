@@ -43,29 +43,24 @@ def write_loss_curve(path: str, curve: list[tuple[int, float, float]]) -> None:
 
 
 def save(path: str, entries: dict[str, np.ndarray]) -> None:
-    """Write entries atomically (temp file + rename)."""
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", VERSION)
-    blob += struct.pack("<I", len(entries))
-    for name, arr in entries.items():
-        a = np.asarray(arr, dtype=np.float32)
-        raw = name.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise CheckpointError(f"entry name too long: {name!r}")
-        if a.ndim > 0xFF:
-            raise CheckpointError(f"entry rank too large: {name!r}")
-        blob += struct.pack("<H", len(raw))
-        blob += raw
-        blob += struct.pack("<B", a.ndim)
-        for d in a.shape:
-            blob += struct.pack("<I", d)
-        blob += a.tobytes(order="C")
+    """Write entries atomically (temp file + rename). Each entry's header
+    and then its payload go straight to the file, the payload from the
+    array's own buffer when that is C-ordered little-endian float32."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(blob)
+            f.write(MAGIC + struct.pack("<II", VERSION, len(entries)))
+            for name, arr in entries.items():
+                a = np.asarray(arr, dtype="<f4", order="C")
+                raw = name.encode("utf-8")
+                if len(raw) > 0xFFFF:
+                    raise CheckpointError(f"entry name too long: {name!r}")
+                if a.ndim > 0xFF:
+                    raise CheckpointError(f"entry rank too large: {name!r}")
+                f.write(struct.pack(f"<H{len(raw)}sB{a.ndim}I", len(raw), raw, a.ndim,
+                                    *a.shape))
+                f.write(a)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -4,12 +4,14 @@ Subcommands: gen-data, train-vqvae, train-var, eval, rank.
 Trainers read a key=value config file; flags win over file values. Every
 command that writes outputs writes a JSON run manifest next to them,
 which records the numeric environment (numpy, the BLAS and its version,
-DEPTHART_THREADS and the usable CPUs); ``rank`` only prints. Exit codes:
-0 ok, 2 usage error, 3 data error, 4 numeric divergence.
+DEPTHART_THREADS, the thread-pool variables in effect and the usable
+CPUs); ``rank`` only prints. Exit codes: 0 ok, 2 usage error, 3 data
+error, 4 numeric divergence.
 
-DEPTHART_THREADS caps the numeric backend's thread pool; it must be set
-before the first numpy import, which this module guarantees for console
-invocations.
+DEPTHART_THREADS caps the numeric backend's thread pools: importing this
+module sets each pool variable to it, unless the variable already holds
+a smaller positive whole number. That must happen before the first numpy
+import, which this module guarantees for console invocations.
 """
 
 from __future__ import annotations
@@ -21,12 +23,28 @@ import sys
 import time
 
 
+POOL_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                  "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _thread_count(value: str | None) -> int | None:
+    """``value`` as a positive whole number, or None."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        return None
+    return n if n >= 1 else None
+
+
 def _cap_threads() -> None:
-    n = os.environ.get("DEPTHART_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, n)
+    """Set each of ``POOL_VARIABLES`` to the smaller of its own value, where
+    that is a positive whole number, and DEPTHART_THREADS, where that is."""
+    cap = _thread_count(os.environ.get("DEPTHART_THREADS"))
+    if cap is None:
+        return
+    for var in POOL_VARIABLES:
+        own = _thread_count(os.environ.get(var))
+        os.environ[var] = str(cap if own is None else min(own, cap))
 
 
 _cap_threads()
@@ -54,7 +72,7 @@ EXIT_DIVERGENCE = 4
 
 def _environment() -> dict:
     """The numeric environment a run's bits depend on: the BLAS and how
-    many threads it may use."""
+    many threads it may use, with the thread-pool variables in effect."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
@@ -62,7 +80,8 @@ def _environment() -> dict:
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
             "DEPTHART_THREADS": os.environ.get("DEPTHART_THREADS"),
-            "cpus_usable": len(os.sched_getaffinity(0))}
+            "cpus_usable": len(os.sched_getaffinity(0))} | {
+                var: os.environ.get(var) for var in POOL_VARIABLES}
 
 
 def _write_manifest(path: str, subcommand: str, config: dict, seed: int,

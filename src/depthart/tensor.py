@@ -26,34 +26,43 @@ No implicit broadcasting: elementwise ops require exact shape equality.
 The few places that need a broadcast (bias add, positional-table add)
 are explicit named ops with hand-written backward passes. Attention takes
 no additive mask: it gets each query row's count of visible keys and
-never scores the keys beyond it. It takes the queries and the keys/values
-as two tensors, so a caller projects only the rows it reads.
+never scores the keys beyond it. It projects queries and keys/values
+only for the row ranges its caller names: the rows some row reads.
 
 A recorded op keeps exactly the arrays its backward pass reads, and
 every one stays alive until ``backward()``; the refinement step records
 several decode rounds on one tape. Its closure captures its inputs'
 nodes and shapes, never a ``Tensor``, so an output that no backward pass
 reads (a residual sum, a projection whose consumer keeps only its own
-copy) is freed as soon as the forward drops it. Each of the
-transformer's layer norms is fused into the op that reads it, so no
-record keeps a norm's output or a row slice of one: ``mlp`` is a block's
-norm, MLP and residual add, and keeps the normalized rows, their scale
-and the GELU output and slope, where a composition of ``layer_norm``,
-``linear``, ``gelu``, ``linear`` and ``add`` also kept the norm's output,
-the pre-activation, the gate and the output. ``norm_linear`` is a norm
-and the projections of row ranges of it (a block's queries and
-keys/values, the head's logits) in one record, which keeps the
-normalized rows and their scale, where the composition kept the norm's
-output and a copy of each sliced range. Their backward passes rebuild
-the norm's output for the weight gradients (selective recomputation:
-Korthikanti et al., Reducing Activation Recomputation in Large
-Transformer Models, 2022). Attention keeps the key/value buffers of its
-``KVCache``, which every decode round of one cache shares.
+copy) is freed as soon as the forward drops it. A transformer block is
+two records, each fused with its layer norm and residual add, so no
+record keeps a norm's output or a row slice of one. ``mlp`` is a block's
+second norm, MLP and residual add, and keeps the normalized rows, their
+scale and the GELU output and slope, where a composition of
+``layer_norm``, ``linear``, ``gelu``, ``linear`` and ``add`` also kept
+the norm's output, the pre-activation, the gate and the output.
+``attention`` is its first norm, the query and key/value projections of
+row ranges of it, attention over the keys of its ``KVCache``, the output
+projection and the residual add. It keeps the normalized rows, their
+scale, each run's unnormalized exponentials with their row sums, and the
+cache's key/value buffers, which every decode round of one cache shares;
+the composition of ``norm_linear``, attention, ``linear`` and ``add``
+also kept the queries and the attention output. ``norm_linear`` is a
+norm and the projections of row ranges of it (the head's logits) in one
+record, which keeps the normalized rows and their scale. The backward
+passes rebuild what they dropped with the forward's own ops: the norm's
+output for the weight gradients, and in ``attention`` the queries, one
+GEMM of those rows, and the attention output, from the kept
+exponentials, so every gradient keeps the composition's bits (selective
+recomputation: Korthikanti et al., Reducing Activation Recomputation in
+Large Transformer Models, 2022; the attention output recomputed from
+what the softmax kept: Dao et al., FlashAttention, 2022).
 
 Untaped, an op may skip work its backward pass would need: attention
-never normalizes its probabilities, ``gelu`` and the norm in ``mlp``
-work in place, and ``mlp`` computes no GELU slope. A taped call computes
-its output the same way, so the two agree bit for bit.
+never normalizes its exponentials, ``gelu`` and the norms in ``mlp``
+and ``attention`` work in place, and ``mlp`` computes no GELU slope. A
+taped call computes its output the same way, so the two agree bit for
+bit.
 
 Each thread has its own stack of active tapes, so a tape records only
 the ops of the thread that opened it, and other threads may run
@@ -129,9 +138,12 @@ class _Grad:
     """A tensor's place in the gradient graph: its gradient, whether it is a
     leaf that wants one, the tape that recorded it, and the shape and dtype
     of its data, without the data. Backward closures hold these nodes, so
-    the tape keeps no array its backward passes do not read."""
+    the tape keeps no array its backward passes do not read. ``sibling`` is
+    another output of the op recorded on this node, whose gradient runs
+    that record too: ``backward()`` calls a closure whose own output has no
+    gradient (with None) when its sibling has one."""
 
-    __slots__ = ("grad", "requires_grad", "tape", "shape", "dtype")
+    __slots__ = ("grad", "requires_grad", "tape", "shape", "dtype", "sibling")
 
     def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool) -> None:
         self.grad: Optional[np.ndarray] = None
@@ -139,6 +151,7 @@ class _Grad:
         self.tape: Optional[Tape] = None
         self.shape = shape
         self.dtype = dtype
+        self.sibling: Optional[_Grad] = None
 
     def needs(self) -> bool:
         return self.requires_grad or self.tape is not None
@@ -233,7 +246,8 @@ class Tensor:
         records = tape.records
         while records:
             out, fn = records.pop()
-            if out.grad is not None:
+            if out.grad is not None or (out.sibling is not None
+                                        and out.sibling.grad is not None):
                 fn(out.grad)
 
 
@@ -590,6 +604,18 @@ def mlp(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     return _maybe_record(out, parents, backward)
 
 
+def _padded_rows(part: np.ndarray, lo: int, length: int) -> np.ndarray:
+    """The gradient ``part[B, r, D]`` of rows [lo, lo + r) as one of all
+    ``length`` rows, zero outside them, as ``slice_axis`` pads it; ``part``
+    itself when it covers every row."""
+    bsz, rows, d = part.shape
+    if rows == length:
+        return part
+    full = np.zeros((bsz, length, d), part.dtype)
+    full[:, lo:lo + rows] = part
+    return full
+
+
 def norm_linear(x: Tensor, gain: Tensor, bias: Tensor,
                 projections: Sequence[tuple[Tensor, Tensor, int, int]]
                 ) -> list[Optional[Tensor]]:
@@ -598,8 +624,8 @@ def norm_linear(x: Tensor, gain: Tensor, bias: Tensor,
     ``projections``, the output ``n[:, lo:hi] @ w + b``, or None where the
     range is empty. The bits are those of ``linear`` on a ``slice_axis``
     of ``layer_norm(x, gain, bias)``, sliced only where the range is not
-    all of L. A transformer block's queries and keys/values come from one
-    call, and so do the head's logits.
+    all of L. The head's logits come from one call; ``attention`` projects
+    a block's queries and keys/values with the same ops.
 
     All outputs share one tape record, placed on the output made last; its
     closure reads the other outputs' gradient nodes too, so every output
@@ -657,11 +683,7 @@ def norm_linear(x: Tensor, gain: Tensor, bias: Tensor,
                 nws[i].accumulate_owned(rows.T @ g2)
             if nbs[i].needs():
                 nbs[i].accumulate_owned(g2.sum(axis=0))
-            part = (g2 @ wds[i].T).reshape(bsz, hi - lo, d)
-            if hi - lo < length:  # zero outside its rows, as slice_axis pads
-                full = np.zeros((bsz, length, d), part.dtype)
-                full[:, lo:hi] = part
-                part = full
+            part = _padded_rows((g2 @ wds[i].T).reshape(bsz, hi - lo, d), lo, length)
             if dn is None:
                 dn = part
             else:
@@ -736,15 +758,14 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 class KVCache:
-    """Keys and values of the rows one attention layer has seen (a fresh
-    one for a ``multihead_attention`` call given none). Keys are stored
-    key-major, ``k[B, H, dh, capacity]``, so a score GEMM reads a contiguous
-    prefix of each row; values are ``v[B, H, capacity, dh]``. ``len()``
-    counts the keys written, which fill the first slots. The buffers are
-    allocated on the first write with room for ``keys`` keys, the count a
-    caller derives from its mask, and each later write fills the next slots
-    in place; a write that outgrows them moves the keys to new buffers of
-    exactly the size needed. A slot is never rewritten, so backward passes
+    """Keys and values of the rows one attention layer has seen. Keys are
+    stored key-major, ``k[B, H, dh, capacity]``, so a score GEMM reads a
+    contiguous prefix of each row; values are ``v[B, H, capacity, dh]``.
+    ``len()`` counts the keys written, which fill the first slots. The
+    buffers are allocated on the first write with room for ``keys`` keys,
+    the count a caller derives from its mask, and each later write fills
+    the next slots in place; a write that outgrows them moves the keys to
+    new buffers of exactly the size needed. A slot is never rewritten, so backward passes
     recorded in earlier rounds may read the buffers a later round writes.
     ``rows`` counts the sequence rows the layer has seen, which its caller
     advances; it exceeds the keys once rows arrive that no later row reads,
@@ -780,61 +801,98 @@ class KVCache:
         self.written = hi
 
 
-def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
-                        visible: np.ndarray,
-                        cache: Optional[KVCache] = None) -> Tensor:
-    """Fused attention of the query rows ``q[B, N, D]`` over keys and values
-    ``kv[B, M, 2D]`` (keys in the first D columns), where query row i sees
-    only the first ``visible[i]`` keys. The output is ``[B, N, D]``.
+def attention(x: Tensor, gain: Tensor, bias: Tensor, q_w: Tensor, q_b: Tensor,
+              kv_w: Tensor, kv_b: Tensor, w: Tensor, b: Tensor, heads: int,
+              visible: np.ndarray, cache: KVCache, lead: int, keys: int) -> Tensor:
+    """A pre-norm transformer block's attention sublayer as one tape record:
+    ``x[:, lead:] + a @ w + b`` for the rows ``x[B, L, D]`` after the ones
+    ``cache`` holds, where ``a`` is the multi-head attention of the queries
+    ``n[:, lead:] @ q_w + q_b`` over the cache's keys and values followed
+    by ``n[:, :keys] @ kv_w + kv_b`` (keys in the first D columns), and
+    ``n = xhat * gain + bias`` is the layer norm of ``x``. The call writes
+    the new keys into the cache. Query row i sees only the first
+    ``visible[i]`` keys. The bits are those of ``norm_linear`` for the
+    query and key/value ranges, attention, ``linear`` and ``add`` on the
+    ``slice_axis`` of ``x`` from ``lead`` (``tests/oracle.attention``).
 
-    The keys are those of ``cache`` followed by the rows of ``kv``, which
-    the call writes into the cache; without a cache the call runs over a
-    fresh empty one, so the keys are the rows of ``kv``. ``kv`` may be None
-    when the call adds no keys. Each run of query rows with equal counts
-    scores, exponentiates and averages its own key prefix, so no score is
-    computed for a key a row may not see. The output is divided by the row
-    sums of the exponentials, and the ``[B, H, r, n]`` probabilities are
-    normalized only on a tape, where the backward pass keeps them (Dao et
-    al., FlashAttention, 2022); the output's bits are the same either way.
-    The whole block is one tape record, which keeps the training loop off
-    the Python floor. Recorded, it keeps the queries, the probabilities and
-    the cache's buffers, which every round of one cache shares, and the
-    gradient nodes of ``q`` and of every round's ``kv``, not their data.
-    The backward pass sends the query gradient to ``q`` and the key/value
-    gradient of every visible key to the ``kv`` rows it came from, earlier
-    rounds' rows included.
-    """
-    if q.data.ndim != 3 or q.data.shape[-1] % heads != 0:
-        raise DimensionError("multihead_attention: expected q [B, N, D]")
-    b, nq, d = q.data.shape
-    dh = d // heads
-    nk = 0 if kv is None else kv.data.shape[1]
-    if kv is not None and kv.data.shape != (b, nk, 2 * d):
+    Each run of query rows with equal counts scores, exponentiates and
+    averages its own key prefix, so no score is computed for a key a row
+    may not see, and the output is divided by the row sums of the
+    exponentials (Dao et al., FlashAttention, 2022).
+
+    Recorded, it keeps the normalized rows ``xhat`` and their scale, each
+    run's unnormalized exponentials and their row sums, the cache's
+    buffers, which every round of one cache shares, and the gradient nodes
+    of every round's keys/values: not the queries, the attention output or
+    the norm's output. The backward pass rebuilds the queries with the
+    forward's own ops, one ``[rows, D] @ [D, D]`` GEMM on the affine rows
+    the ``q_w`` gradient reads anyway, and each run's attention output as
+    ``(p @ v) / total``, the forward's own ops, before it normalizes the
+    exponentials with the forward's ``p /= total``; so every gradient has
+    the composition's bits (selective recomputation: Korthikanti et al.,
+    Reducing Activation Recomputation in Large Transformer Models, 2022).
+    The keys/values get a gradient node, registered in ``cache.rounds``,
+    through which later rounds send their key/value gradients; it is the
+    output's sibling, so the record runs when either has a gradient, and
+    the node sums the later rounds' parts before its own round's.
+    Untaped, the norm's affine runs in place, each range is read from its
+    output, and the exponentials are never normalized."""
+    if x.data.ndim != 3:
+        raise DimensionError(f"attention: expected x [B, L, D], got {x.shape}")
+    bsz, length, d = x.data.shape
+    _check_norm("attention", x, gain, bias)
+    if (d % heads or q_w.data.shape != (d, d) or q_b.data.shape != (d,)
+            or kv_w.data.shape != (d, 2 * d) or kv_b.data.shape != (2 * d,)
+            or w.data.shape != (d, d) or b.data.shape != (d,)
+            or not 0 <= lead < length or not 0 <= keys <= length):
         raise DimensionError(
-            f"multihead_attention: kv {kv.shape} does not match q {q.shape}")
-    if cache is None:
-        cache = KVCache()
-    first = len(cache)  # position of kv's first key
-    seen = int(visible.max()) if nq else 0  # keys any query sees
-    if nq != len(visible) or (nq and (visible.min() < 1 or seen > first + nk)):
+            f"attention: {heads} heads, q_w {q_w.shape}, q_b {q_b.shape}, kv_w "
+            f"{kv_w.shape}, kv_b {kv_b.shape}, w {w.shape}, b {b.shape}, query rows "
+            f"from {lead} and {keys} key rows do not fit x {x.shape}")
+    dh, nq = d // heads, length - lead
+    first = len(cache)  # position of the first new key
+    if nq != len(visible) or visible.min() < 1 or visible.max() > first + keys:
         raise DimensionError(
-            f"multihead_attention: {nq} query rows need as many counts, "
-            f"each in [1, {first + nk}]")
-    qh = q.data.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
-    qn = q.node
-    if kv is not None:
-        arr = kv.data.reshape(b, nk, 2, heads, dh)
+            f"attention: {nq} query rows need as many counts, "
+            f"each in [1, {first + keys}]")
+    seen = int(visible.max())  # keys any query sees
+    nx, ngain, nbias, nqw, nqb, nkvw, nkvb, nw, nb = (
+        x.node, gain.node, bias.node, q_w.node, q_b.node, kv_w.node, kv_b.node,
+        w.node, b.node)
+    parents = [nx, ngain, nbias, nqw, nqb, nw, nb] + ([nkvw, nkvb] if keys else [])
+    parents += [src for src, _ in cache.rounds]
+    tape = active_tape()
+    recorded = tape is not None and any(n.needs() for n in parents)
+    gd, bd, qwd, qbd, kvwd, wd = gain.data, bias.data, q_w.data, q_b.data, kv_w.data, w.data
+    xhat, inv = _normalize(x.data.reshape(-1, d))
+    xhat3 = xhat.reshape(bsz, length, d)
+    if not recorded:  # the norm's output in place, its ranges read from it
+        normed = _affine(xhat3, gd, bd, out=xhat3)
+
+    def project(lo, hi, wt, bt):
+        rows = _affine(xhat3[:, lo:hi], gd, bd) if recorded \
+            else np.ascontiguousarray(normed[:, lo:hi])
+        y2 = rows.reshape(-1, d) @ wt
+        np.add(y2, bt, out=y2)
+        return y2
+
+    nkv = None  # the new keys/values' gradient node
+    if keys:
+        arr = project(0, keys, kvwd, kv_b.data).reshape(bsz, keys, 2, heads, dh)
         cache.write(arr[:, :, 0].transpose(0, 2, 3, 1), arr[:, :, 1].transpose(0, 2, 1, 3))
-        if active_tape() is not None and kv.node.needs():
-            cache.rounds.append((kv.node, first))
+        if recorded:
+            nkv = _Grad((bsz, keys, 2 * d), x.dtype, False)
+            nkv.tape = tape
+            cache.rounds.append((nkv, first))
+        del arr
+    qh = project(lead, length, qwd, qbd).reshape(bsz, nq, heads, dh).transpose(0, 2, 1, 3)
     k, v = cache.k, cache.v
     rounds = cache.rounds[:]  # (kv node, position of its first key); later calls append
-    taped = active_tape() is not None and (qn.needs() or bool(rounds))
-    edges = [0, *(np.flatnonzero(np.diff(visible)) + 1).tolist(), nq] if nq else []
+    edges = [0, *(np.flatnonzero(np.diff(visible)) + 1).tolist(), nq]
     runs = list(zip(edges[:-1], edges[1:]))  # query rows [lo, hi) of equal count
     inv_sqrt = 1.0 / math.sqrt(dh)
-    heads_out = np.empty((b, nq, heads, dh), dtype=q.dtype)
-    probs = []
+    heads_out = np.empty((bsz, nq, heads, dh), dtype=xhat.dtype)
+    exps = []  # each run's unnormalized exponentials and their row sums
     for lo, hi in runs:
         n = int(visible[lo])
         p = qh[:, :, lo:hi] @ k[..., :n]  # scores, then in place exponentials
@@ -843,41 +901,94 @@ def multihead_attention(q: Tensor, kv: Optional[Tensor], heads: int,
         np.exp(p, out=p)
         total = np.einsum("...ij->...i", p)[..., None]
         np.divide(p @ v[:, :, :n], total, out=heads_out[:, lo:hi].transpose(0, 2, 1, 3))
-        if taped:
-            p /= total
-            probs.append(p)
-    out = Tensor(heads_out.reshape(b, nq, d), dtype=q.dtype)
+        if recorded:
+            exps.append((p, total))
+    del qh, p  # the queries are freed before the projection allocates
+    o2 = heads_out.reshape(-1, d) @ wd
+    np.add(o2, b.data, out=o2)
+    del heads_out
+    out = Tensor(x.data[:, lead:] + o2.reshape(bsz, nq, d), dtype=x.dtype)
+    if not recorded:
+        return out
 
     def backward(g):
-        qc = np.ascontiguousarray(qh)
-        gh = np.ascontiguousarray(
-            g.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
-        dq = np.empty((b, nq, heads, dh), dtype=g.dtype)
-        dk = np.zeros((b, heads, seen, dh), dtype=g.dtype)
-        dv = np.zeros_like(dk)
-        for (lo, hi), p in zip(runs, probs):
-            n = p.shape[-1]
-            ds = gh[:, :, lo:hi] @ v[:, :, :n].swapaxes(-1, -2)
-            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
-            ds *= p
-            ds *= inv_sqrt
-            dq[:, lo:hi] = (ds @ k[..., :n].swapaxes(-1, -2)).transpose(0, 2, 1, 3)
-            # for a one-row run these are outer products, which numpy's
-            # matmul computes without BLAS, about 20x slower than multiply
-            mm = np.multiply if hi - lo == 1 else np.matmul
-            dk[:, :, :n] += mm(ds.swapaxes(-1, -2), qc[:, :, lo:hi])
-            dv[:, :, :n] += mm(p.swapaxes(-1, -2), gh[:, :, lo:hi])
-        if qn.needs():
-            qn.accumulate_owned(dq.reshape(b, nq, d))
-        for src, lo in rounds:
-            n = src.shape[1]
-            keys = max(min(lo + n, seen) - lo, 0)  # rows of src among the keys
-            dsrc = (np.empty if keys == n else np.zeros)((b, n, 2, heads, dh), dtype=g.dtype)
-            dsrc[:, :keys, 0] = dk[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
-            dsrc[:, :keys, 1] = dv[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
-            src.accumulate_owned(dsrc.reshape(b, n, 2 * d))
+        dn = None  # the gradient of the normalized rows
+        if g is not None:
+            g2 = g.reshape(-1, d)
+            if nx.needs():  # the residual path, first as in the composition
+                if lead:
+                    buf = np.zeros(nx.shape, nx.dtype)
+                    buf[:, lead:] = g
+                    nx.accumulate_owned(buf)
+                else:
+                    nx.accumulate(g)
+            if nb.needs():
+                nb.accumulate_owned(g2.sum(axis=0))
+            att = np.empty((bsz, nq, heads, dh), dtype=xhat.dtype)
+            for (lo, hi), (p, total) in zip(runs, exps):
+                n = p.shape[-1]
+                np.divide(p @ v[:, :, :n], total, out=att[:, lo:hi].transpose(0, 2, 1, 3))
+                p /= total  # the probabilities
+            if nw.needs():
+                nw.accumulate_owned(att.reshape(-1, d).T @ g2)
+            del att
+            gh = np.ascontiguousarray(
+                (g2 @ wd.T).reshape(bsz, nq, heads, dh).transpose(0, 2, 1, 3))
+            rows_q = _affine(xhat3[:, lead:], gd, bd).reshape(-1, d)
+            q2 = rows_q @ qwd
+            np.add(q2, qbd, out=q2)
+            qc = np.ascontiguousarray(q2.reshape(bsz, nq, heads, dh).transpose(0, 2, 1, 3))
+            del q2
+            dq = np.empty((bsz, nq, heads, dh), dtype=g.dtype)
+            dk = np.zeros((bsz, heads, seen, dh), dtype=g.dtype)
+            dv = np.zeros_like(dk)
+            for (lo, hi), (p, _) in zip(runs, exps):
+                n = p.shape[-1]
+                ds = gh[:, :, lo:hi] @ v[:, :, :n].swapaxes(-1, -2)
+                ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+                ds *= p
+                ds *= inv_sqrt
+                dq[:, lo:hi] = (ds @ k[..., :n].swapaxes(-1, -2)).transpose(0, 2, 1, 3)
+                # for a one-row run these are outer products, which numpy's
+                # matmul computes without BLAS, about 20x slower than multiply
+                mm = np.multiply if hi - lo == 1 else np.matmul
+                dk[:, :, :n] += mm(ds.swapaxes(-1, -2), qc[:, :, lo:hi])
+                dv[:, :, :n] += mm(p.swapaxes(-1, -2), gh[:, :, lo:hi])
+            del gh, qc
+            for src, lo in rounds:
+                n = src.shape[1]
+                rows = max(min(lo + n, seen) - lo, 0)  # rows of src among the keys
+                dsrc = (np.empty if rows == n else np.zeros)((bsz, n, 2, heads, dh),
+                                                             dtype=g.dtype)
+                dsrc[:, :rows, 0] = dk[:, :, lo:lo + rows].transpose(0, 2, 1, 3)
+                dsrc[:, :rows, 1] = dv[:, :, lo:lo + rows].transpose(0, 2, 1, 3)
+                src.accumulate_owned(dsrc.reshape(bsz, n, 2 * d))
+            del dk, dv
+        gkv = None if nkv is None else nkv.grad
+        if gkv is not None:  # the key/value range, then the query range
+            g2 = gkv.reshape(-1, 2 * d)
+            if nkvw.needs():
+                nkvw.accumulate_owned(_affine(xhat3[:, :keys], gd, bd).reshape(-1, d).T @ g2)
+            if nkvb.needs():
+                nkvb.accumulate_owned(g2.sum(axis=0))
+            dn = _padded_rows((g2 @ kvwd.T).reshape(bsz, keys, d), 0, length)
+        if g is not None:
+            dq2 = dq.reshape(-1, d)
+            if nqw.needs():
+                nqw.accumulate_owned(rows_q.T @ dq2)
+            if nqb.needs():
+                nqb.accumulate_owned(dq2.sum(axis=0))
+            part = _padded_rows((dq2 @ qwd.T).reshape(bsz, nq, d), lead, length)
+            if dn is None:
+                dn = part
+            else:
+                dn += part
+        if dn is not None:
+            _normalize_backward(dn.reshape(-1, d), xhat, inv, gd, nx, ngain, nbias)
 
-    return _maybe_record(out, [qn] + [src for src, _ in rounds], backward)
+    out.node.sibling = nkv
+    tape.record(out, backward)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -256,12 +256,13 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
     block, the image rows: the head reads only the depth rows, so the last
     block runs its queries, attention output, MLP and final norm on those
     alone. Either way the call records on an active tape.
-    A block is five ops, six in the last block, which also slices its
-    residual rows: one ``T.norm_linear`` for its first norm with the query
-    and key/value projections, attention, the output projection, the
-    residual add, and one ``T.mlp`` for its second norm, MLP and residual
-    add. The final norm and the head are one more ``T.norm_linear``. Each
-    fused op is one tape record, and none keeps a norm's output.
+    A block is two ops: one ``T.attention`` for its first norm, the query
+    and key/value projections, attention, the output projection and the
+    residual add, which in the last block keeps only the residual rows
+    that ask a query, and one ``T.mlp`` for its second norm, MLP and
+    residual add. The final norm and the head are one ``T.norm_linear``.
+    Each fused op is one tape record, and none keeps a norm's output, the
+    queries or the attention output.
     """
     x = inputs
     length = x.data.shape[1]
@@ -279,14 +280,11 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
     for blk in range(cfg.blocks):
         pre = f"block{blk}/"
         lead = n_lead if blk == cfg.blocks - 1 else 0  # rows asking no query
-        q, kv = T.norm_linear(x, p[pre + "ln1_g"], p[pre + "ln1_b"],
-                              [(p[pre + "q_w"], p[pre + "q_b"], lead, length),
-                               (p[pre + "kv_w"], p[pre + "kv_b"], 0, n_kv)])
-        if lead:
-            x = T.slice_axis(x, 1, lead, length)
-        att = T.multihead_attention(q, kv, cfg.heads, visible[lead:], cache[blk])
+        x = T.attention(x, p[pre + "ln1_g"], p[pre + "ln1_b"], p[pre + "q_w"],
+                        p[pre + "q_b"], p[pre + "kv_w"], p[pre + "kv_b"],
+                        p[pre + "attn_w"], p[pre + "attn_b"], cfg.heads,
+                        visible[lead:], cache[blk], lead, n_kv)
         cache[blk].rows += length
-        x = T.add(x, T.linear(att, p[pre + "attn_w"], p[pre + "attn_b"]))
         x = T.mlp(x, p[pre + "ln2_g"], p[pre + "ln2_b"], p[pre + "mlp_w1"],
                   p[pre + "mlp_b1"], p[pre + "mlp_w2"], p[pre + "mlp_b2"])
     (logits,) = T.norm_linear(x, p["ln_f_g"], p["ln_f_b"],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import struct
+from typing import Optional
 
 import numpy as np
 
@@ -62,6 +64,21 @@ def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     acc = acc.reshape(bsz, cin, hp, wp).astype(x.dtype)
     dx = acc[:, :, pad:pad + h, pad:pad + wd]
     return dx, dw, db
+
+
+def checkpoint_bytes(entries) -> bytes:
+    """The bytes of a checkpoint file holding ``entries``, built in one
+    buffer: the magic, version and count, then per entry its name length,
+    name, rank, dims and float32 little-endian payload."""
+    blob = bytearray(b"DART" + struct.pack("<II", 1, len(entries)))
+    for name, arr in entries.items():
+        a = np.asarray(arr, dtype=np.float32)
+        raw = name.encode("utf-8")
+        blob += struct.pack("<H", len(raw)) + raw + struct.pack("<B", a.ndim)
+        for d in a.shape:
+            blob += struct.pack("<I", d)
+        blob += a.astype("<f4").tobytes(order="C")
+    return bytes(blob)
 
 
 def kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
@@ -162,8 +179,109 @@ def depthart_two_pass(model, vq, batch):
     return loss.item(), grads
 
 
+def multihead_attention(q: T.Tensor, kv: Optional[T.Tensor], heads: int,
+                        visible: np.ndarray,
+                        cache: Optional[T.KVCache] = None) -> T.Tensor:
+    """Attention of the query rows ``q[B, N, D]`` over keys and values
+    ``kv[B, M, 2D]`` (keys in the first D columns), where query row i sees
+    only the first ``visible[i]`` keys, as its own tape op: the op that
+    ``T.attention`` fuses with its norm, projections and residual add. The
+    output is ``[B, N, D]``.
+
+    The keys are those of ``cache`` followed by the rows of ``kv``, which
+    the call writes into the cache; without a cache the call runs over a
+    fresh empty one, so the keys are the rows of ``kv``. ``kv`` may be None
+    when the call adds no keys. Each run of query rows with equal counts
+    scores, exponentiates and averages its own key prefix, so no score is
+    computed for a key a row may not see. The output is divided by the row
+    sums of the exponentials, and the ``[B, H, r, n]`` probabilities are
+    normalized only on a tape, where the backward pass keeps them (Dao et
+    al., FlashAttention, 2022); the output's bits are the same either way.
+    Recorded, it keeps the queries, the probabilities and
+    the cache's buffers, which every round of one cache shares, and the
+    gradient nodes of ``q`` and of every round's ``kv``, not their data.
+    The backward pass sends the query gradient to ``q`` and the key/value
+    gradient of every visible key to the ``kv`` rows it came from, earlier
+    rounds' rows included.
+    """
+    if q.data.ndim != 3 or q.data.shape[-1] % heads != 0:
+        raise T.DimensionError("multihead_attention: expected q [B, N, D]")
+    b, nq, d = q.data.shape
+    dh = d // heads
+    nk = 0 if kv is None else kv.data.shape[1]
+    if kv is not None and kv.data.shape != (b, nk, 2 * d):
+        raise T.DimensionError(
+            f"multihead_attention: kv {kv.shape} does not match q {q.shape}")
+    if cache is None:
+        cache = T.KVCache()
+    first = len(cache)  # position of kv's first key
+    seen = int(visible.max()) if nq else 0  # keys any query sees
+    if nq != len(visible) or (nq and (visible.min() < 1 or seen > first + nk)):
+        raise T.DimensionError(
+            f"multihead_attention: {nq} query rows need as many counts, "
+            f"each in [1, {first + nk}]")
+    qh = q.data.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3)
+    qn = q.node
+    if kv is not None:
+        arr = kv.data.reshape(b, nk, 2, heads, dh)
+        cache.write(arr[:, :, 0].transpose(0, 2, 3, 1), arr[:, :, 1].transpose(0, 2, 1, 3))
+        if T.active_tape() is not None and kv.node.needs():
+            cache.rounds.append((kv.node, first))
+    k, v = cache.k, cache.v
+    rounds = cache.rounds[:]  # (kv node, position of its first key); later calls append
+    taped = T.active_tape() is not None and (qn.needs() or bool(rounds))
+    edges = [0, *(np.flatnonzero(np.diff(visible)) + 1).tolist(), nq] if nq else []
+    runs = list(zip(edges[:-1], edges[1:]))  # query rows [lo, hi) of equal count
+    inv_sqrt = 1.0 / math.sqrt(dh)
+    heads_out = np.empty((b, nq, heads, dh), dtype=q.dtype)
+    probs = []
+    for lo, hi in runs:
+        n = int(visible[lo])
+        p = qh[:, :, lo:hi] @ k[..., :n]  # scores, then in place exponentials
+        p *= inv_sqrt
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        total = np.einsum("...ij->...i", p)[..., None]
+        np.divide(p @ v[:, :, :n], total, out=heads_out[:, lo:hi].transpose(0, 2, 1, 3))
+        if taped:
+            p /= total
+            probs.append(p)
+    out = T.Tensor(heads_out.reshape(b, nq, d), dtype=q.dtype)
+
+    def backward(g):
+        qc = np.ascontiguousarray(qh)
+        gh = np.ascontiguousarray(
+            g.reshape(b, nq, heads, dh).transpose(0, 2, 1, 3))
+        dq = np.empty((b, nq, heads, dh), dtype=g.dtype)
+        dk = np.zeros((b, heads, seen, dh), dtype=g.dtype)
+        dv = np.zeros_like(dk)
+        for (lo, hi), p in zip(runs, probs):
+            n = p.shape[-1]
+            ds = gh[:, :, lo:hi] @ v[:, :, :n].swapaxes(-1, -2)
+            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+            ds *= p
+            ds *= inv_sqrt
+            dq[:, lo:hi] = (ds @ k[..., :n].swapaxes(-1, -2)).transpose(0, 2, 1, 3)
+            # for a one-row run these are outer products, which numpy's
+            # matmul computes without BLAS, about 20x slower than multiply
+            mm = np.multiply if hi - lo == 1 else np.matmul
+            dk[:, :, :n] += mm(ds.swapaxes(-1, -2), qc[:, :, lo:hi])
+            dv[:, :, :n] += mm(p.swapaxes(-1, -2), gh[:, :, lo:hi])
+        if qn.needs():
+            qn.accumulate_owned(dq.reshape(b, nq, d))
+        for src, lo in rounds:
+            n = src.shape[1]
+            keys = max(min(lo + n, seen) - lo, 0)  # rows of src among the keys
+            dsrc = (np.empty if keys == n else np.zeros)((b, n, 2, heads, dh), dtype=g.dtype)
+            dsrc[:, :keys, 0] = dk[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
+            dsrc[:, :keys, 1] = dv[:, :, lo:lo + keys].transpose(0, 2, 1, 3)
+            src.accumulate_owned(dsrc.reshape(b, n, 2 * d))
+
+    return T._maybe_record(out, [qn] + [src for src, _ in rounds], backward)
+
+
 def dense_attention(q, kv, heads, visible, cache=None):
-    """``T.multihead_attention`` as one dense masked softmax: the counts are
+    """``multihead_attention`` as one dense masked softmax: the counts are
     expanded to an additive ``[len(visible), keys]`` mask of 0 and -inf,
     every query row scores every key, and the mask is added before the
     softmax. The cache holds row-major keys of its own. Records on an
@@ -278,6 +396,18 @@ def norm_linear(x, gain, bias, projections):
     return [None if lo == hi else
             T.linear(h if (lo, hi) == (0, length) else T.slice_axis(h, 1, lo, hi), w, b)
             for w, b, lo, hi in projections]
+
+
+def attention(x, gain, bias, q_w, q_b, kv_w, kv_b, w, b, heads, visible, cache,
+              lead, keys):
+    """``T.attention`` composed of the ops it fuses: ``T.norm_linear`` for
+    the query and key/value ranges, ``multihead_attention``, the output
+    ``linear`` and the residual ``add`` on the rows from ``lead``."""
+    length = x.data.shape[1]
+    q, kv = T.norm_linear(x, gain, bias, [(q_w, q_b, lead, length), (kv_w, kv_b, 0, keys)])
+    if lead:
+        x = T.slice_axis(x, 1, lead, length)
+    return T.add(x, T.linear(multihead_attention(q, kv, heads, visible, cache), w, b))
 
 
 def forward_all_rows(model, inputs, visible):

@@ -1,9 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from depthart import checkpoint
+from depthart.var import VarConfig, VarModel
+from depthart.vq import DEFAULT_SCHEDULE
+
+import oracle
 
 
 def test_round_trip(tmp_path):
@@ -34,6 +39,35 @@ def test_header_layout(tmp_path):
     assert raw[14 + nlen] == 2  # rank
     assert struct.unpack_from("<II", raw, 15 + nlen) == (2, 2)
     assert len(raw) == 15 + nlen + 8 + 16
+
+
+def test_save_writes_the_bytes_of_the_straight_line_writer(tmp_path):
+    # the default model's entries, and arrays save must convert: a scalar,
+    # an empty array, a transposed view, float64 and big-endian float32
+    rng = np.random.default_rng(2)
+    entries = VarModel(VarConfig(schedule=DEFAULT_SCHEDULE)).to_entries() | {
+        "scalar": np.float32(2.5),
+        "empty": np.zeros((0, 3), np.float32),
+        "transposed": rng.standard_normal((3, 5)).astype(np.float32).T,
+        "float64": rng.standard_normal((2, 3)),
+        "big_endian": rng.standard_normal(7).astype(">f4"),
+    }
+    path = tmp_path / "model.dart"
+    checkpoint.save(str(path), entries)
+    assert path.read_bytes() == oracle.checkpoint_bytes(entries)
+
+
+def test_save_streams_each_payload(tmp_path):
+    # an entry's payload goes from its array to the file: saving 8 MiB
+    # allocates far less than one more copy of it
+    entries = {"w": np.ones((2048, 1024), np.float32)}
+    tracemalloc.start()
+    try:
+        checkpoint.save(str(tmp_path / "big.dart"), entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_bad_magic(tmp_path):

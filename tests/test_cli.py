@@ -478,12 +478,64 @@ def test_every_manifest_records_the_numeric_environment(workspace, tmp_path):
     manifests = [workspace / d / "run_manifest.json" for d in ("data", "vq", "tf", "da")]
     for path in manifests + [tmp_path / "report.csv.manifest.json"]:
         env = json.loads(path.read_text())["environment"]
-        assert env.keys() == {"numpy", "blas", "blas_version",
-                              "DEPTHART_THREADS", "cpus_usable"}, path
+        assert env.keys() == {"numpy", "blas", "blas_version", "DEPTHART_THREADS",
+                              "cpus_usable", *cli.POOL_VARIABLES}, path
         assert env["numpy"] == np.__version__
         assert env["blas"] and env["blas_version"]
         assert env["DEPTHART_THREADS"] == os.environ.get("DEPTHART_THREADS")
         assert env["cpus_usable"] >= 1
+
+
+THREADS_CHILD = """
+import ctypes, json
+from depthart import cli
+import numpy as np
+np.ones((64, 64)) @ np.ones((64, 64))
+pool = None
+try:
+    libs = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}
+except OSError:
+    libs = set()
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            pool = getattr(lib, name)()
+print(json.dumps({"environment": cli._environment(), "blas_threads": pool}))
+"""
+
+
+@pytest.mark.parametrize("given, want", [
+    ({"DEPTHART_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, {}),
+    ({"DEPTHART_THREADS": "2", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "many",
+      "MKL_NUM_THREADS": "0"}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, None),
+], ids=["lowers", "keeps_smaller_replaces_invalid", "unset_caps_nothing"])
+def test_depthart_threads_caps_every_pool_variable(given, want):
+    # a fresh interpreter importing the CLI module: each pool variable ends
+    # at the smaller of its own valid value and DEPTHART_THREADS, the run
+    # manifest's environment records them, and numpy's OpenBLAS, where its
+    # thread count can be read, runs that many threads (at most one per CPU)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in cli.POOL_VARIABLES and k != "DEPTHART_THREADS"}
+    env |= given | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", THREADS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    if want is None:  # no cap: the pool variables as given
+        expected = {var: given.get(var) for var in cli.POOL_VARIABLES}
+    else:
+        expected = {var: given["DEPTHART_THREADS"] for var in cli.POOL_VARIABLES} | want
+    env_out = out["environment"]
+    assert {var: env_out[var] for var in cli.POOL_VARIABLES} == expected
+    assert env_out["DEPTHART_THREADS"] == given.get("DEPTHART_THREADS")
+    if out["blas_threads"] is not None:
+        cpus = len(os.sched_getaffinity(0))
+        assert out["blas_threads"] == min(int(expected["OPENBLAS_NUM_THREADS"]), cpus)
 
 
 def test_eval_default_names_tell_runs_apart(workspace, tmp_path, capsys):

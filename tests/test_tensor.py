@@ -376,6 +376,89 @@ def test_norm_linear_grad():
         axis=0), [r(2, 4, 5), r(5), r(5), r(5, 3), r(3), r(5, 6), r(6)])
 
 
+def attention_rounds(op, inputs, rounds, counts, heads, keys):
+    """``op`` (``T.attention`` or ``oracle.attention``) run once per round
+    ``(lo, hi, lead)`` on one cache sized for ``keys`` keys: a round's rows
+    are its own input, the first of ``inputs``, asking queries from row
+    ``lead`` on, with those rows' slice of ``counts``, and passing keys and
+    values for its rows below ``keys``, as in decoding; the other inputs
+    are the norm's gain and bias and the weights. Returns every round's
+    output."""
+    cache = T.KVCache(keys)
+    outs = []
+    for x, (lo, hi, lead) in zip(inputs, rounds):
+        outs.append(op(x, *inputs[len(rounds):], heads, counts[lo + lead:hi], cache, lead,
+                       min(max(keys - lo, 0), hi - lo)))
+    return outs
+
+
+@pytest.mark.parametrize("case", ["full rows", "last block", "decode rounds",
+                                  "last block decode rounds", "loss on the last round"])
+def test_attention_sublayer_matches_the_composition_bit_for_bit(case):
+    # the output and every gradient, taped and untaped, at the default
+    # model's B=4 shapes and counts: a block over the whole sequence, the
+    # last block (queries for the depth rows only), and the decode rounds
+    # on one cache, earlier rounds' keys/values taking gradient from later
+    # rounds' queries, also when only the last round's output is in the loss
+    n_img, n_keys, _ = default_layout()
+    d = 128
+    rounds = {
+        "full rows": [(0, 170, 0)],
+        "last block": [(0, 170, n_img)],
+        "decode rounds": [(lo, hi, 0) for lo, hi in DECODING_ROUNDS],
+        "last block decode rounds": [(lo, hi, n_img if lo == 0 else 0)
+                                     for lo, hi in DECODING_ROUNDS],
+        "loss on the last round": [(lo, hi, 0) for lo, hi in DECODING_ROUNDS],
+    }[case]
+    gen = np.random.default_rng(11)
+    arrays = normal_arrays(gen, [((4, hi - lo, d), 1.0) for lo, hi, _ in rounds] + [
+        ((d,), 1.0), ((d,), 0.1), ((d, d), 0.1), ((d,), 0.1), ((d, 2 * d), 0.1),
+        ((2 * d,), 0.1), ((d, d), 0.1), ((d,), 0.1)])
+
+    def call(op, t):
+        outs = attention_rounds(op, t, rounds, DEFAULT_COUNTS, 4, n_keys)
+        return outs[-1:] if case == "loss on the last round" else outs
+
+    assert_same_bits(fused_and_composed(T.attention, oracle.attention, arrays, call))
+
+
+def test_attention_sublayer_taped_equals_untaped():
+    # the untaped op never normalizes its exponentials and applies the
+    # norm's affine in place; the taped one keeps the exponentials
+    n_img, n_keys, _ = default_layout()
+    gen = np.random.default_rng(12)
+    arrays = normal_arrays(gen, [((2, 170, 128), 1.0), ((128,), 1.0), ((128,), 0.1),
+                                 ((128, 128), 0.1), ((128,), 0.1), ((128, 256), 0.1),
+                                 ((256,), 0.1), ((128, 128), 0.1), ((128,), 0.1)])
+    for lead in (0, n_img):
+        inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+        untaped = attention_rounds(T.attention, inputs, [(0, 170, lead)], DEFAULT_COUNTS,
+                                   4, n_keys)[0].data
+        with T.Tape():
+            taped = attention_rounds(T.attention, inputs, [(0, 170, lead)],
+                                     DEFAULT_COUNTS, 4, n_keys)[0].data
+        assert taped.tobytes() == untaped.tobytes()
+
+
+@pytest.mark.parametrize("last_only", [False, True])
+def test_attention_sublayer_grad(last_only):
+    # two rounds on one cache: three rows passing keys, then two rows of
+    # which the second asks a query; with ``last_only`` the loss reads only
+    # the second round, so the first round's rows get gradient only
+    # through the keys/values the second round attends to
+    rounds = [(0, 3, 0), (3, 5, 1)]
+    counts = np.array([2, 2, 3, 0, 4])
+
+    def fn(x1, x2, *weights):
+        outs = attention_rounds(T.attention, [x1, x2, *weights], rounds, counts, 2, 4)
+        if last_only:
+            return outs[1]
+        return T.concat([T.reshape(o, (-1,)) for o in outs], axis=0)
+
+    fd_gradcheck(fn, [r(2, 3, 8), r(2, 2, 8), r(8), r(8), r(8, 8), r(8), r(8, 16),
+                      r(16), r(8, 8), r(8)])
+
+
 # ---------------------------------------------------------------------------
 # structural ops and elementwise
 # ---------------------------------------------------------------------------
@@ -410,6 +493,12 @@ def test_shape_mismatch_raises():
         T.norm_linear(x3, g, g, [(w1, b1, 2, 4)])
     with pytest.raises(T.DimensionError):
         T.norm_linear(x3, g, g, [(w2, b2, 0, 3)])
+    sub = [T.Tensor(np.zeros(s)) for s in ((4, 4), (4,), (4, 8), (8,), (4, 4), (4,))]
+    for lead, keys, counts in ((3, 3, []), (0, 4, [1, 1, 1]), (0, 2, [1, 2, 3]),
+                               (1, 3, [1, 2, 3]), (0, 3, [0, 1, 1])):
+        with pytest.raises(T.DimensionError):
+            T.attention(x3, g, g, *sub, 2, np.array(counts, np.int64), T.KVCache(),
+                        lead, keys)
 
 
 def test_linear_grad():
@@ -438,14 +527,14 @@ def block_causal_mask(blocks):
 
 
 def packed_attention(qkv, heads, visible, cache=None, op=None):
-    """``op`` (``T.multihead_attention`` by default) on a packed ``[B, L, 3D]``
+    """``op`` (``oracle.multihead_attention`` by default) on a packed ``[B, L, 3D]``
     tensor: the queries are the q columns of its last ``len(visible)`` rows
     and the keys/values the k and v columns of every row, taken as taped
     slices so that gradients reach the packed rows."""
     length, d = qkv.shape[1], qkv.shape[2] // 3
     q = T.slice_axis(T.slice_axis(qkv, 2, 0, d), 1, max(length - len(visible), 0), length)
     kv = T.slice_axis(qkv, 2, d, 3 * d)
-    return (op or T.multihead_attention)(q, kv, heads, visible, cache)
+    return (op or oracle.multihead_attention)(q, kv, heads, visible, cache)
 
 
 def test_attention_grad():
@@ -480,7 +569,7 @@ def cached_rounds(qkv, heads, mask, bounds, op=None, keys=0):
         rows = T.slice_axis(qkv, 1, lo, hi)
         keys = min(max(n_keys - lo, 0), hi - lo)
         kv = T.slice_axis(T.slice_axis(rows, 1, 0, keys), 2, d, 3 * d) if keys else None
-        parts.append((op or T.multihead_attention)(
+        parts.append((op or oracle.multihead_attention)(
             T.slice_axis(rows, 2, 0, d), kv, heads, mask[lo:hi], cache))
     return T.concat(parts, axis=1)
 
@@ -548,7 +637,7 @@ def test_attention_matches_dense_oracle(case):
     gen = np.random.default_rng(7)
     data = gen.standard_normal((batch, 170, 3 * 128)).astype(np.float32)
     w = gen.standard_normal((batch, len(counts), 128)).astype(np.float32)
-    out, grad = attention_and_grad(T.multihead_attention, data, w, 4, counts, bounds,
+    out, grad = attention_and_grad(oracle.multihead_attention, data, w, 4, counts, bounds,
                                    taped)
     ref_out, ref_grad = attention_and_grad(oracle.dense_attention, data, w, 4, counts,
                                            bounds, taped)
@@ -568,7 +657,7 @@ def test_cache_sized_up_front_matches_a_growing_one_bit_for_bit():
     gen = np.random.default_rng(9)
     data = gen.standard_normal((4, 170, 3 * 128)).astype(np.float32)
     w = gen.standard_normal((4, 170, 128)).astype(np.float32)
-    runs = [attention_and_grad(T.multihead_attention, data, w, 4, DEFAULT_COUNTS,
+    runs = [attention_and_grad(oracle.multihead_attention, data, w, 4, DEFAULT_COUNTS,
                                DECODING_ROUNDS, keys=keys)
             for keys in (0, int(DEFAULT_COUNTS.max()))]
     assert runs[0][0].tobytes() == runs[1][0].tobytes()
@@ -593,10 +682,10 @@ def test_attention_taped_equals_untaped():
     gen = np.random.default_rng(8)
     data = gen.standard_normal((2, 170, 3 * 128)).astype(np.float32)
     for bounds in (None, DECODING_ROUNDS):
-        taped, _ = attention_and_grad(T.multihead_attention, data,
+        taped, _ = attention_and_grad(oracle.multihead_attention, data,
                                       np.ones((2, 170, 128), np.float32), 4, counts,
                                       bounds)
-        untaped, _ = attention_and_grad(T.multihead_attention, data, None, 4, counts,
+        untaped, _ = attention_and_grad(oracle.multihead_attention, data, None, 4, counts,
                                         bounds, taped=False)
         assert taped.tobytes() == untaped.tobytes()
 

@@ -342,7 +342,9 @@ def test_steps_free_their_graph_without_the_cyclic_collector(
             return out
         return spied
 
-    # the transformer's MLP is one op; the VQ encoder and decoder call gelu
+    # the transformer's sublayers are one op each; the VQ encoder and
+    # decoder call gelu
+    monkeypatch.setattr(T, "attention", spy(T.attention))
     monkeypatch.setattr(T, "mlp", spy(T.mlp))
     monkeypatch.setattr(T, "gelu", spy(T.gelu))
     vq = trained_tiny_vq
@@ -369,7 +371,7 @@ def test_steps_free_their_graph_without_the_cyclic_collector(
             step()
             alive = sum(ref() is not None for ref in outputs)
             assert outputs and alive == 0, \
-                f"{name}: {alive} of {len(outputs)} mlp/gelu outputs still alive"
+                f"{name}: {alive} of {len(outputs)} attention/mlp/gelu outputs still alive"
     finally:
         if enabled:
             gc.enable()
@@ -400,14 +402,15 @@ def before_backward(monkeypatch, check):
 STEPS = pytest.mark.parametrize("step", [teacher_forcing_step, depthart_step])
 
 
-@pytest.mark.parametrize("step, records", [(teacher_forcing_step, 48),
-                                           (depthart_step, 114)])
+@pytest.mark.parametrize("step, records", [(teacher_forcing_step, 35),
+                                           (depthart_step, 65)])
 def test_tape_records_per_default_step(step, records, count_calls):
-    # a default-model B=4 step records each block's MLP with its norm as one
-    # op, its queries and keys/values with their norm as one more, and the
-    # head with the final norm as one: 66 and 163 records while each norm
-    # and each row slice of one was its own op, 78 and 211 before the MLP
-    # was one op
+    # a default-model B=4 step records each block as two ops, its attention
+    # sublayer and its MLP, each with its norm and residual add, and the
+    # head with the final norm as one: 48 and 114 records while the queries
+    # and keys/values, attention, output projection and residual add were
+    # four ops, 66 and 163 while each norm and each row slice of one was
+    # its own op, 78 and 211 before the MLP was one op
     vq, model, batch = default_step_set_up()
     calls = count_calls(T.Tape, "record")
     step(model, vq, batch, AdamW(model.params))
@@ -448,41 +451,44 @@ def test_no_tape_record_holds_a_tensor(step, monkeypatch):
 
 @STEPS
 def test_outputs_no_backward_reads_are_freed_before_backward(step, monkeypatch):
-    # a block's residual sums and every round's kv projection are read by no
-    # backward pass, so they are freed during the forward, not at its end
-    refs = {"residual": [], "kv": []}
-    add, attention = T.add, T.multihead_attention
+    # a block's residual sums, which its attention sublayer and its MLP
+    # return, are read by no backward pass (the next op's record keeps the
+    # normalized rows), so they are freed during the forward, not at its
+    # end; the key/value projections never leave the attention sublayer,
+    # and test_no_query_or_attention_output_is_alive_before_backward finds
+    # none in a record
+    refs = {"attention": [], "mlp": []}
 
-    def spied_add(a, b):
-        out = add(a, b)
-        if out.data.ndim == 3:  # the residual adds; the others are [L, D] or scalars
-            refs["residual"].append(weakref.ref(out.data))
-        return out
+    def spy(name):
+        op = getattr(T, name)
 
-    def spied_attention(q, kv, *args):
-        if kv is not None:
-            refs["kv"].append(weakref.ref(kv.data))
-        return attention(q, kv, *args)
+        def spied(*args):
+            out = op(*args)
+            refs[name].append(weakref.ref(out.data))
+            return out
 
-    monkeypatch.setattr(T, "add", spied_add)
-    monkeypatch.setattr(T, "multihead_attention", spied_attention)
+        monkeypatch.setattr(T, name, spied)
+
+    spy("attention")
+    spy("mlp")
     alive = []
     before_backward(monkeypatch, lambda tape: alive.append(
         {name: sum(ref() is not None for ref in rs) for name, rs in refs.items()}))
     vq, model, batch = default_step_set_up()
     step(model, vq, batch, AdamW(model.params))
-    assert refs["residual"] and refs["kv"]
-    assert alive == [{"residual": 0, "kv": 0}]
+    assert refs["attention"] and refs["mlp"]
+    assert alive == [{"attention": 0, "mlp": 0}]
 
 
 @STEPS
 def test_default_step_traced_peak(step):
-    # the arrays a default-model B=4 step allocates peak at most 22.5 MiB for
-    # teacher forcing and 22 for refinement (measured 21.9 and 21.3; 25.0
-    # and 23.5 while the tape kept each layer norm's output and row slices
+    # the arrays a default-model B=4 step allocates peak at most 20.5 MiB for
+    # teacher forcing and 19.5 for refinement (measured 19.8 and 19.0; 21.9
+    # and 21.3 while the tape kept the queries and the attention output,
+    # 25.0 and 23.5 while it kept each layer norm's output and row slices
     # of it, 31.2 and 32.5 while it kept every op's output and each round's
     # cache)
-    bound = {teacher_forcing_step: 22.5, depthart_step: 22.0}[step]
+    bound = {teacher_forcing_step: 20.5, depthart_step: 19.5}[step]
     vq, model, batch = default_step_set_up()
     opt = AdamW(model.params)
     tracemalloc.start()
@@ -497,12 +503,13 @@ def test_default_step_traced_peak(step):
 @STEPS
 def test_fused_steps_match_the_composition_bit_for_bit(step, monkeypatch):
     # the loss and every parameter gradient of a default-model B=4 step are
-    # the bits of the same step with each fused op (T.mlp, T.norm_linear)
-    # replaced by the composition of the ops it fuses; the refinement step
-    # runs them on every cached decode round
+    # the bits of the same step with each fused op (T.attention, T.mlp,
+    # T.norm_linear) replaced by the composition of the ops it fuses; the
+    # refinement step runs them on every cached decode round
     results = []
     for fused in (True, False):
         if not fused:
+            monkeypatch.setattr(T, "attention", oracle.attention)
             monkeypatch.setattr(T, "mlp", oracle.mlp)
             monkeypatch.setattr(T, "norm_linear", oracle.norm_linear)
         vq, model, batch = default_step_set_up()
@@ -537,25 +544,30 @@ def owner(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@STEPS
-def test_no_layer_norm_output_is_alive_before_backward(step, monkeypatch):
-    # every layer norm is fused into the op that reads it, whose tape record
-    # keeps the normalized rows and rebuilds their affine: just before
-    # backward() no norm output, nor a row slice of one, is alive, whether
-    # an op took it or returned it, and no tape record's closure holds one
-    vq, model, batch = default_step_set_up()
-    width = model.config.width
-    for name, p in model.params.items():  # gains and biases no other array has
-        if name.rsplit("/", 1)[-1] in ("ln1_g", "ln2_g", "ln_f_g"):
-            p.data[:] = 3.0
-        elif name.rsplit("/", 1)[-1] in ("ln1_b", "ln2_b", "ln_f_b"):
-            p.data[:] = 7.0
+def closure_arrays(tape):
+    """Every array the closures of the tape's records capture, directly or
+    in lists and tuples."""
+    for _, fn in tape.records:
+        for cell in fn.__closure__ or ():
+            try:
+                contents = cell.cell_contents
+            except ValueError:  # a name the op never bound
+                continue
+            yield from (a for a in captured(contents) if isinstance(a, np.ndarray))
+
+
+def alive_and_held(step, monkeypatch, model, vq, batch, like):
+    """Run ``step`` and return, just before its ``backward()``, how many
+    arrays ``like`` picks out are alive of those an op of ``tensor`` took
+    or returned (as a Tensor), and how many the tape's closures hold.
+    Parameters are not counted."""
+    params = {id(owner(p.data)) for p in model.params.values()}
     refs = {}
 
     def note(obj):
         for t in captured(obj):
-            if isinstance(t, Tensor) and t.data.shape[-1:] == (width,) \
-                    and normalized_like(t.data, 3.0, 7.0):
+            if isinstance(t, Tensor) and id(owner(t.data)) not in params \
+                    and like(t.data):
                 refs.setdefault(id(owner(t.data)), weakref.ref(owner(t.data)))
 
     def spy(op):
@@ -571,24 +583,82 @@ def test_no_layer_norm_output_is_alive_before_backward(step, monkeypatch):
                 and not isinstance(op, type) and not name.startswith("_") \
                 and name != "active_tape":
             monkeypatch.setattr(T, name, spy(op))
-    held = []
-
-    def check(tape):
-        arrays = []
-        for out, fn in tape.records:
-            for cell in fn.__closure__ or ():
-                try:
-                    arrays.extend(a for a in captured(cell.cell_contents)
-                                  if isinstance(a, np.ndarray))
-                except ValueError:  # a name the op never bound
-                    pass
-        held.append(([ref() is not None for ref in refs.values()].count(True),
-                     sum(a.shape[-1:] == (width,) and normalized_like(a, 3.0, 7.0)
-                         for a in arrays)))
-
-    before_backward(monkeypatch, check)
+    found = []
+    before_backward(monkeypatch, lambda tape: found.append((
+        [ref() is not None for ref in refs.values()].count(True),
+        sum(id(owner(a)) not in params and like(a) for a in closure_arrays(tape)))))
     step(model, vq, batch, AdamW(model.params))
-    assert held == [(0, 0)]
+    return found
+
+
+@STEPS
+def test_no_layer_norm_output_is_alive_before_backward(step, monkeypatch):
+    # every layer norm is fused into the op that reads it, whose tape record
+    # keeps the normalized rows and rebuilds their affine: just before
+    # backward() no norm output, nor a row slice of one, is alive, whether
+    # an op took it or returned it, and no tape record's closure holds one
+    vq, model, batch = default_step_set_up()
+    width = model.config.width
+    for name, p in model.params.items():  # gains and biases no other array has
+        if name.rsplit("/", 1)[-1] in ("ln1_g", "ln2_g", "ln_f_g"):
+            p.data[:] = 3.0
+        elif name.rsplit("/", 1)[-1] in ("ln1_b", "ln2_b", "ln_f_b"):
+            p.data[:] = 7.0
+    found = alive_and_held(step, monkeypatch, model, vq, batch, lambda a: (
+        a.shape[-1:] == (width,) and normalized_like(a, 3.0, 7.0)))
+    assert found == [(0, 0)]
+
+
+@STEPS
+def test_no_query_or_attention_output_is_alive_before_backward(step, monkeypatch):
+    # the attention sublayer's record rebuilds its queries and its attention
+    # output in backward: just before backward() neither is alive, whether
+    # an op took or returned it, nor is a key/value projection, and no tape
+    # record's closure holds one. Zero query weights with biases 200 + j
+    # make every query row 200, 201, ..., 327; zero value weights with
+    # biases 100 + j make every value row, hence every attention output
+    # row, about 100, ..., 227, which the key/value cache's per-head layout
+    # does not read as
+    vq, model, batch = default_step_set_up()
+    d = model.config.width
+    queries, values = 200.0 + np.arange(d), 100.0 + np.arange(d)
+    for blk in range(model.config.blocks):
+        p = {name: model.params[f"block{blk}/{name}"] for name in ("q_w", "q_b", "kv_w", "kv_b")}
+        p["q_w"].data[:] = 0.0
+        p["q_b"].data[:] = queries
+        p["kv_w"].data[:, d:] = 0.0
+        p["kv_b"].data[d:] = values
+
+    def like(a):
+        if a.dtype != np.float32 or a.ndim < 2 or a.size % d:
+            return False
+        rows = a.reshape(-1, d)
+        return bool(np.any(np.abs(rows - queries).max(axis=1) == 0)
+                    or np.any(np.abs(rows - values).max(axis=1) < 0.01))
+
+    assert alive_and_held(step, monkeypatch, model, vq, batch, like) == [(0, 0)]
+
+
+def held_mib(tape, model) -> float:
+    """MiB of the distinct arrays, parameters left out, that the closures of
+    the tape's records keep alive: what the tape adds to the memory of a
+    step while its forward is recorded. A view counts as its base."""
+    params = {id(owner(p.data)) for p in model.params.values()}
+    held = {id(owner(a)): owner(a) for a in closure_arrays(tape)}
+    return sum(a.nbytes for key, a in held.items() if key not in params) / 2**20
+
+
+@STEPS
+def test_tape_holds_at_most_17_5_mib_before_backward(step, monkeypatch):
+    # just before backward() the records of a default-model B=4 step hold
+    # 17.16 MiB in either regime: 19.52 while the attention record kept
+    # the queries and the output projection's record its input, 22.84
+    # (TF) and 22.18 (DepthART) while each layer norm kept its output
+    vq, model, batch = default_step_set_up()
+    held = []
+    before_backward(monkeypatch, lambda tape: held.append(held_mib(tape, model)))
+    step(model, vq, batch, AdamW(model.params))
+    assert len(held) == 1 and held[0] <= 17.5, held
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

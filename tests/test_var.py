@@ -220,10 +220,10 @@ def test_projections_cover_only_rows_someone_reads(tiny_var, tiny_vq, count_call
     assert n_keys == n_img + tokens[0] + tokens[1]  # the last scale is nobody's key
     img = random_maps(tiny_vq.schedule, 12, seed=25)
     prev = random_maps(tiny_vq.schedule, 12, seed=26)[:2]
-    calls = count_calls(T, "multihead_attention")
+    calls = count_calls(T, "attention")
 
-    def projected_rows():
-        rows = [(q.shape[1], 0 if kv is None else kv.shape[1]) for q, kv, *_ in calls]
+    def projected_rows():  # (query rows, key/value rows) of each call
+        rows = [(args[0].shape[1] - args[12], args[13]) for args in calls]
         calls.clear()
         return rows
 
@@ -233,7 +233,7 @@ def test_projections_cover_only_rows_someone_reads(tiny_var, tiny_vq, count_call
     assert projected_rows() == [(length, n_keys)] * (blocks - 1) + [(sum(tokens), n_keys)]
 
     infer_one(tiny_var, tiny_vq, img)
-    caches = [args[4] for args in calls[:blocks]]
+    caches = [args[11] for args in calls[:blocks]]
     want = []
     for new_rows, depth_rows, keys in ((n_img + 1, 1, n_img + 1), (4, 4, 4), (16, 16, 0)):
         want += [(new_rows, keys)] * (blocks - 1) + [(depth_rows, keys)]
