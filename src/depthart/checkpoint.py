@@ -69,36 +69,38 @@ def save(path: str, entries: dict[str, np.ndarray]) -> None:
 
 
 def load(path: str) -> dict[str, np.ndarray]:
-    """Read every entry; any malformed or truncated file raises CheckpointError."""
+    """Read every entry, each payload straight into its own array once the
+    file is known to hold it; a malformed or truncated file raises CheckpointError."""
     with open(path, "rb") as f:
-        data = f.read()
-    off = 0
+        size = os.fstat(f.fileno()).st_size
+        off = 0
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise CheckpointError(f"{path}: truncated at byte {len(data)} "
-                                  f"(needs {off + n})")
-        off += n
-        return data[off - n:off]
+        def take(n: int) -> int:
+            nonlocal off
+            if off + n > size:
+                raise CheckpointError(f"{path}: truncated at byte {size} "
+                                      f"(needs {off + n})")
+            off += n
+            return n
 
-    if take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {data[:4]!r}")
-    version, count = struct.unpack("<II", take(8))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    entries: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2))
-        try:
-            name = take(nlen).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{path}: entry name is not UTF-8") from e
-        rank = take(1)[0]
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        raw = take(4 * math.prod(dims))
-        entries[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    if off != len(data):
+        if (magic := f.read(take(4))) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}")
+        version, count = struct.unpack("<II", f.read(take(8)))
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        entries: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", f.read(take(2)))
+            try:
+                name = f.read(take(nlen)).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path}: entry name is not UTF-8") from e
+            rank = f.read(take(1))[0]
+            dims = struct.unpack(f"<{rank}I", f.read(take(4 * rank)))
+            take(4 * math.prod(dims))
+            entries[name] = np.empty(dims, "<f4")
+            f.readinto(entries[name])
+    if off != size:
         raise CheckpointError(f"{path}: trailing bytes after last entry")
     return entries
 

@@ -46,10 +46,10 @@ row ranges of it, attention over the keys of its ``KVCache``, the output
 projection and the residual add. It keeps the normalized rows, their
 scale, each run's unnormalized exponentials with their row sums, and the
 cache's key/value buffers, which every decode round of one cache shares;
-the composition of ``norm_linear``, attention, ``linear`` and ``add``
-also kept the queries and the attention output. ``norm_linear`` is a
-norm and the projections of row ranges of it (the head's logits) in one
-record, which keeps the normalized rows and their scale. The backward
+the composition of ``layer_norm``, ``linear``, attention, ``linear`` and
+``add`` also kept the queries and the attention output. ``norm_linear``
+is the final norm and the head's projection in one record, which keeps
+the normalized rows and their scale. The backward
 passes rebuild what they dropped with the forward's own ops: the norm's
 output for the weight gradients, and in ``attention`` the queries, one
 GEMM of those rows, and the attention output, from the kept
@@ -616,87 +616,38 @@ def _padded_rows(part: np.ndarray, lo: int, length: int) -> np.ndarray:
     return full
 
 
-def norm_linear(x: Tensor, gain: Tensor, bias: Tensor,
-                projections: Sequence[tuple[Tensor, Tensor, int, int]]
-                ) -> list[Optional[Tensor]]:
-    """Row ranges of the layer norm ``n = xhat * gain + bias`` of
-    ``x[B, L, D]``, each projected: for every ``(w, b, lo, hi)`` of
-    ``projections``, the output ``n[:, lo:hi] @ w + b``, or None where the
-    range is empty. The bits are those of ``linear`` on a ``slice_axis``
-    of ``layer_norm(x, gain, bias)``, sliced only where the range is not
-    all of L. The head's logits come from one call; ``attention`` projects
-    a block's queries and keys/values with the same ops.
+def norm_linear(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``n @ w + b`` over the last axis of ``x``, where ``n = xhat * gain +
+    bias`` is the layer norm of ``x``, as one tape record: the final norm
+    and the head. The bits are those of ``linear(layer_norm(x, gain,
+    bias), w, b)``.
 
-    All outputs share one tape record, placed on the output made last; its
-    closure reads the other outputs' gradient nodes too, so every output
-    is marked as recorded on the tape. It keeps the normalized rows
-    ``xhat`` and their scale, not the norm's output or a copy of a row
-    range: the backward pass rebuilds each range's rows with ``_affine``,
-    the forward's own two ops, for its weight gradient. The gradient of
-    the normalized rows is the sum of the ranges' parts, each zero outside
-    its rows, taken from the last range to the first, the order in which
-    the composition's backward passes added them. Untaped, the norm's
-    affine runs in place and each range is read from its output."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"norm_linear: expected x [B, L, D], got {x.shape}")
-    bsz, length, d = x.data.shape
+    Recorded, it keeps the normalized rows ``xhat`` and their scale, not
+    the norm's output: the backward pass rebuilds that with ``_affine``,
+    the forward's own two ops, for the weight gradient. Untaped, the
+    norm's affine runs in place."""
+    d = x.data.shape[-1]
     _check_norm("norm_linear", x, gain, bias)
-    ranges = [(lo, hi) for _, _, lo, hi in projections]
-    for w, b, lo, hi in projections:
-        if w.data.shape[0] != d or b.data.shape != w.data.shape[1:] \
-                or not 0 <= lo <= hi <= length:
-            raise DimensionError(
-                f"norm_linear: weight {w.shape}, bias {b.shape} and rows [{lo}, {hi}) "
-                f"do not fit x {x.shape}")
-    live = [i for i, (lo, hi) in enumerate(ranges) if hi > lo]
-    nx, ngain, nbias = x.node, gain.node, bias.node
-    nws = [w.node for w, _, _, _ in projections]
-    nbs = [b.node for _, b, _, _ in projections]
-    wds = [w.data for w, _, _, _ in projections]
-    parents = [nx, ngain, nbias] + [nws[i] for i in live] + [nbs[i] for i in live]
-    gd, bd = gain.data, bias.data
+    if w.data.shape[0] != d or b.data.shape != w.data.shape[1:]:
+        raise DimensionError(
+            f"norm_linear: weight {w.shape} and bias {b.shape} do not fit x {x.shape}")
+    nx, ngain, nbias, nw, nb = parents = (x.node, gain.node, bias.node, w.node, b.node)
+    gd, bd, wd = gain.data, bias.data, w.data
     recorded = active_tape() is not None and any(n.needs() for n in parents)
     xhat, inv = _normalize(x.data.reshape(-1, d))
-    xhat3 = xhat.reshape(bsz, length, d)
-    if not recorded:  # the norm's output in place, its ranges read from it
-        normed = _affine(xhat3, gd, bd, out=xhat3)
-    outs: list[Optional[Tensor]] = [None] * len(ranges)
-    for i in live:
-        lo, hi = ranges[i]
-        rows = _affine(xhat3[:, lo:hi], gd, bd) if recorded \
-            else np.ascontiguousarray(normed[:, lo:hi])
-        y2 = rows.reshape(-1, d) @ wds[i]
-        np.add(y2, projections[i][1].data, out=y2)
-        outs[i] = Tensor(y2.reshape(bsz, hi - lo, -1), dtype=x.dtype)
-    nouts = [None if o is None else o.node for o in outs]
+    y2 = _affine(xhat, gd, bd, out=None if recorded else xhat) @ wd
+    np.add(y2, b.data, out=y2)
+    out = Tensor(y2.reshape(x.data.shape[:-1] + (-1,)), dtype=x.dtype)
 
     def backward(g):
-        dn = None  # the gradient of the normalized rows
-        for i in reversed(live):
-            gi = g if i == live[-1] else nouts[i].grad
-            if gi is None:
-                continue
-            lo, hi = ranges[i]
-            g2 = gi.reshape(-1, gi.shape[-1])
-            if nws[i].needs():
-                rows = _affine(xhat3[:, lo:hi], gd, bd).reshape(-1, d)
-                nws[i].accumulate_owned(rows.T @ g2)
-            if nbs[i].needs():
-                nbs[i].accumulate_owned(g2.sum(axis=0))
-            part = _padded_rows((g2 @ wds[i].T).reshape(bsz, hi - lo, d), lo, length)
-            if dn is None:
-                dn = part
-            else:
-                dn += part
-        if dn is not None:
-            _normalize_backward(dn.reshape(-1, d), xhat, inv, gd, nx, ngain, nbias)
+        g2 = g.reshape(-1, g.shape[-1])
+        if nw.needs():
+            nw.accumulate_owned(_affine(xhat, gd, bd).T @ g2)
+        if nb.needs():
+            nb.accumulate_owned(g2.sum(axis=0))
+        _normalize_backward(g2 @ wd.T, xhat, inv, gd, nx, ngain, nbias)
 
-    if live and recorded:
-        tape = active_tape()
-        for i in live[:-1]:
-            nouts[i].tape = tape
-        tape.record(outs[live[-1]], backward)
-    return outs
+    return _maybe_record(out, parents, backward)
 
 
 # --------------------------------------------------------------------------
@@ -759,14 +710,14 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 class KVCache:
     """Keys and values of the rows one attention layer has seen. Keys are
-    stored key-major, ``k[B, H, dh, capacity]``, so a score GEMM reads a
-    contiguous prefix of each row; values are ``v[B, H, capacity, dh]``.
+    stored key-major, ``k[B, H, dh, keys]``, so a score GEMM reads a
+    contiguous prefix of each row; values are ``v[B, H, keys, dh]``.
     ``len()`` counts the keys written, which fill the first slots. The
-    buffers are allocated on the first write with room for ``keys`` keys,
-    the count a caller derives from its mask, and each later write fills
-    the next slots in place; a write that outgrows them moves the keys to
-    new buffers of exactly the size needed. A slot is never rewritten, so backward passes
-    recorded in earlier rounds may read the buffers a later round writes.
+    buffers are allocated on the first write, which brings the batch, head
+    and dtype, with room for ``keys`` keys, the count a caller derives from
+    its mask, and each later write fills the next slots in place. A slot
+    is never rewritten, so backward passes recorded in earlier rounds may
+    read the buffers a later round writes.
     ``rows`` counts the sequence rows the layer has seen, which its caller
     advances; it exceeds the keys once rows arrive that no later row reads,
     and those are never cached. Under a tape the cache also keeps each
@@ -774,7 +725,7 @@ class KVCache:
     that later rounds can send key/value gradients back to the rows they
     attended to."""
 
-    def __init__(self, keys: int = 0) -> None:
+    def __init__(self, keys: int) -> None:
         self.keys = keys
         self.k: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
@@ -786,16 +737,14 @@ class KVCache:
         return self.written
 
     def write(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append keys ``k[B, H, dh, n]`` and values ``v[B, H, n, dh]``."""
+        """Append keys ``k[B, H, dh, n]`` and values ``v[B, H, n, dh]``;
+        DimensionError if they do not fit in ``keys``."""
         lo, hi = self.written, self.written + k.shape[3]
-        if self.k is None or hi > self.k.shape[3]:
-            size = max(hi, self.keys)
-            grown_k = np.empty(k.shape[:3] + (size,), k.dtype)
-            grown_v = np.empty(v.shape[:2] + (size, v.shape[3]), v.dtype)
-            if lo:
-                grown_k[..., :lo] = self.k[..., :lo]
-                grown_v[:, :, :lo] = self.v[:, :, :lo]
-            self.k, self.v = grown_k, grown_v
+        if hi > self.keys:
+            raise DimensionError(f"KVCache: {hi} keys do not fit its {self.keys}")
+        if self.k is None:
+            self.k = np.empty(k.shape[:3] + (self.keys,), k.dtype)
+            self.v = np.empty(v.shape[:2] + (self.keys, v.shape[3]), v.dtype)
         self.k[..., lo:hi] = k
         self.v[:, :, lo:hi] = v
         self.written = hi
@@ -811,9 +760,9 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, q_w: Tensor, q_b: Tensor,
     by ``n[:, :keys] @ kv_w + kv_b`` (keys in the first D columns), and
     ``n = xhat * gain + bias`` is the layer norm of ``x``. The call writes
     the new keys into the cache. Query row i sees only the first
-    ``visible[i]`` keys. The bits are those of ``norm_linear`` for the
-    query and key/value ranges, attention, ``linear`` and ``add`` on the
-    ``slice_axis`` of ``x`` from ``lead`` (``tests/oracle.attention``).
+    ``visible[i]`` keys. The bits are those of a layer norm, a ``linear``
+    of its query rows and one of its key rows, attention, ``linear`` and
+    ``add`` on the rows of ``x`` from ``lead`` (``tests/oracle.attention``).
 
     Each run of query rows with equal counts scores, exponentiates and
     averages its own key prefix, so no score is computed for a key a row

@@ -237,10 +237,10 @@ def fit(model: VarModel, vq: VqModel, dataset: TrainingSet | list[DepthSample],
     final checkpoint, and the loss CSV under config.out_dir when it is
     set. On divergence the partial curve and last checkpoint are retained
     and the error re-raised."""
+    if len(dataset) == 0:
+        raise ConfigError("fit: empty dataset")
     training_set = dataset if isinstance(dataset, TrainingSet) \
         else prepare_training_set(vq, dataset)
-    if len(training_set) == 0:
-        raise ConfigError("fit: empty dataset")
     step_fn = STEP_FNS[config.regime]
     opt = AdamW(model.params, lr=config.lr, weight_decay=config.wd)
     rng = np.random.default_rng(config.seed)

@@ -245,10 +245,10 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
     ``visible`` holds the input rows' visible-key counts. Without ``cache``
     the inputs are whole sequences, ``visible`` their ``attention_mask``,
     and the blocks start fresh caches sized for ``attention_mask(K).max()``
-    keys. With ``cache`` (one ``T.KVCache`` per block) they are the rows
-    after the cached ones, and ``visible`` is their slice of
-    ``attention_mask(K)``; each cache advances by the rows and writes their
-    keys in place.
+    keys. With ``cache`` (one ``T.KVCache`` per block, sized for those
+    keys) they are the rows after the cached ones, and ``visible`` is their
+    slice of ``attention_mask(K)``; each cache advances by the rows and
+    writes their keys in place.
     Each block projects keys and values (``kv_w``) only for the rows that
     are some row's key, the positions below ``attention_mask(K).max()``
     (the last scale's rows are nobody's key), and the cache gains only
@@ -287,9 +287,7 @@ def forward(model: VarModel, inputs: Tensor, visible: np.ndarray,
         cache[blk].rows += length
         x = T.mlp(x, p[pre + "ln2_g"], p[pre + "ln2_b"], p[pre + "mlp_w1"],
                   p[pre + "mlp_b1"], p[pre + "mlp_w2"], p[pre + "mlp_b2"])
-    (logits,) = T.norm_linear(x, p["ln_f_g"], p["ln_f_b"],
-                              [(p["head_w"], p["head_b"], 0, x.data.shape[1])])
-    return logits
+    return T.norm_linear(x, p["ln_f_g"], p["ln_f_b"], p["head_w"], p["head_b"])
 
 
 def _greedy(logits: np.ndarray) -> np.ndarray:

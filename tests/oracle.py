@@ -213,7 +213,7 @@ def multihead_attention(q: T.Tensor, kv: Optional[T.Tensor], heads: int,
         raise T.DimensionError(
             f"multihead_attention: kv {kv.shape} does not match q {q.shape}")
     if cache is None:
-        cache = T.KVCache()
+        cache = T.KVCache(nk)
     first = len(cache)  # position of kv's first key
     seen = int(visible.max()) if nq else 0  # keys any query sees
     if nq != len(visible) or (nq and (visible.min() < 1 or seen > first + nk)):
@@ -347,8 +347,8 @@ def dense_attention(q, kv, heads, visible, cache=None):
 def layer_norm(x, gain, bias):
     """A layer norm over the last axis as its own tape op: the rows
     normalized to mean 0 / variance 1, then ``* gain + bias``. Untaped, the
-    affine is applied in place. ``T.mlp`` and ``T.norm_linear`` fuse it
-    into the op that reads its output."""
+    affine is applied in place. ``T.mlp``, ``T.attention`` and
+    ``T.norm_linear`` fuse it into the op that reads its output."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise T.DimensionError("layer_norm: gain/bias must match last axis")
@@ -387,24 +387,25 @@ def mlp(x, gain, bias, w1, b1, w2, b2):
     return T.add(x, T.linear(T.gelu(T.linear(h, w1, b1)), w2, b2))
 
 
-def norm_linear(x, gain, bias, projections):
-    """``T.norm_linear`` composed of the ops it fuses: one layer norm, then
-    per range a ``linear`` of its rows, sliced out where the range is not
-    all of them."""
-    h = layer_norm(x, gain, bias)
-    length = x.data.shape[1]
-    return [None if lo == hi else
-            T.linear(h if (lo, hi) == (0, length) else T.slice_axis(h, 1, lo, hi), w, b)
-            for w, b, lo, hi in projections]
+def norm_linear(x, gain, bias, w, b):
+    """``T.norm_linear`` composed of the ops it fuses."""
+    return T.linear(layer_norm(x, gain, bias), w, b)
 
 
 def attention(x, gain, bias, q_w, q_b, kv_w, kv_b, w, b, heads, visible, cache,
               lead, keys):
-    """``T.attention`` composed of the ops it fuses: ``T.norm_linear`` for
-    the query and key/value ranges, ``multihead_attention``, the output
+    """``T.attention`` composed of the ops it fuses: one layer norm, a
+    ``linear`` of its query rows and one of its key rows, each sliced out
+    where it is not all of them, ``multihead_attention``, the output
     ``linear`` and the residual ``add`` on the rows from ``lead``."""
     length = x.data.shape[1]
-    q, kv = T.norm_linear(x, gain, bias, [(q_w, q_b, lead, length), (kv_w, kv_b, 0, keys)])
+    h = layer_norm(x, gain, bias)
+
+    def project(lo, hi, wt, bt):
+        return T.linear(h if (lo, hi) == (0, length) else T.slice_axis(h, 1, lo, hi), wt, bt)
+
+    q = project(lead, length, q_w, q_b)
+    kv = project(0, keys, kv_w, kv_b) if keys else None
     if lead:
         x = T.slice_axis(x, 1, lead, length)
     return T.add(x, T.linear(multihead_attention(q, kv, heads, visible, cache), w, b))

@@ -70,6 +70,23 @@ def test_save_streams_each_payload(tmp_path):
     assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
+def test_load_reads_each_payload_into_its_own_array(tmp_path):
+    # an entry's payload goes from the file to its array: loading 8 MiB
+    # allocates far less than one more copy of it, and the entry is a
+    # writable array that owns its data, which AdamW may update in place
+    path = str(tmp_path / "big.dart")
+    checkpoint.save(path, {"w": np.ones((2048, 1024), np.float32)})
+    tracemalloc.start()
+    try:
+        w = checkpoint.load(path)["w"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert w.flags.writeable and w.flags.owndata
+    assert w.dtype == np.float32 and np.array_equal(w, np.ones((2048, 1024), np.float32))
+
+
 def test_bad_magic(tmp_path):
     p = tmp_path / "bad.dart"
     p.write_bytes(b"NOPE" + b"\x00" * 8)

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -373,6 +375,54 @@ def test_eval_with_malformed_checkpoint_is_a_data_error(workspace, tmp_path,
                      "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def first_array_entry(raw):
+    """(offset of its dims, offset of its payload, payload bytes) of the
+    first entry of the checkpoint bytes ``raw`` with a non-empty payload
+    of rank 1 or more."""
+    off = 12
+    while True:
+        (nlen,) = struct.unpack_from("<H", raw, off)
+        dims_at = off + 3 + nlen
+        rank = raw[dims_at - 1]
+        nbytes = 4 * math.prod(struct.unpack_from(f"<{rank}I", raw, dims_at))
+        off = dims_at + 4 * rank + nbytes
+        if rank and nbytes:
+            return dims_at, dims_at + 4 * rank, nbytes
+
+
+CONTAINER_FAULTS = {  # corruption of the file bytes, and the message it gets
+    "header_cut": (lambda raw, at: raw[:at[0] + 2], "truncated at byte"),
+    "payload_cut": (lambda raw, at: raw[:at[1] + at[2] // 2], "truncated at byte"),
+    "bad_magic": (lambda raw, at: b"NOPE" + raw[4:], "bad magic"),
+    "trailing_bytes": (lambda raw, at: raw + bytes(4), "trailing bytes"),
+    "huge_dim": (lambda raw, at: raw[:at[0]] + struct.pack("<I", 2**32 - 1) + raw[at[0] + 4:],
+                 "truncated at byte"),
+}
+
+
+@pytest.mark.parametrize("fault", CONTAINER_FAULTS)
+@pytest.mark.parametrize("kind", ["sample", "vq", "model"])
+def test_eval_with_a_malformed_container_names_the_file(workspace, tmp_path, capsys,
+                                                        kind, fault):
+    # a sample, VQ or model file cut inside an entry's header or payload,
+    # with another magic, with bytes after its last entry, or with a dim
+    # far past its end exits 3, naming the file, with no traceback
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    files = {"sample": data / "eval_00000.dart", "vq": tmp_path / "vqvae.dart",
+             "model": tmp_path / "model.dart"}
+    shutil.copy(workspace / "vq" / "vqvae.dart", files["vq"])
+    shutil.copy(workspace / "tf" / "model.dart", files["model"])
+    corrupt, message = CONTAINER_FAULTS[fault]
+    raw = files[kind].read_bytes()
+    files[kind].write_bytes(corrupt(raw, first_array_entry(raw)))
+    code = cli.main(["eval", "--model", str(files["model"]), "--vq", str(files["vq"]),
+                     "--data", str(data), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{files[kind]}: {message}" in err and "Traceback" not in err
 
 
 def entry_case(which, name, value, message, tag=""):

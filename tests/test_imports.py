@@ -3,9 +3,10 @@ package has no linter dependency.
 
 - Every module-level import is used: a name counts as used when it is
   read anywhere in its module.
-- Every public definition has a caller outside the tests: a top-level
-  function, class or method counts as used when its name is referenced
-  anywhere in the package or the benchmark harness.
+- Every definition has a caller outside the tests: a top-level function
+  or class, or a method other than a dunder, private ones included,
+  counts as used when its name is referenced anywhere in the package or
+  the benchmark harness other than by its own ``def``.
 - Every parameter default is set by some call: a call of the same name in
   the package, the benchmark harness or the tests passes the parameter,
   so a value no caller varies is a constant, not a parameter.
@@ -53,17 +54,17 @@ def test_package_has_no_unused_imports():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def public_definitions(module: str, source: str) -> list[str]:
-    """``module.name`` of each public top-level function and class, and
-    ``module.Class.name`` of each public method."""
+def definitions(module: str, source: str) -> list[str]:
+    """``module.name`` of each top-level function and class, and
+    ``module.Class.name`` of each method that is not a dunder."""
     out = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
                 out += [f"{module}.{node.name}.{m.name}" for m in node.body
-                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+                        if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__"))]
     return out
 
 
@@ -86,19 +87,21 @@ def referenced_names(source: str) -> set[str]:
 def unreferenced(modules: dict[str, str], callers: list[str]) -> list[str]:
     used = set().union(*(referenced_names(src) for src in callers))
     return sorted(name for module, src in modules.items()
-                  for name in public_definitions(module, src)
+                  for name in definitions(module, src)
                   if name.rsplit(".", 1)[-1] not in used)
 
 
 def test_unreferenced_definitions_detected():
-    src = ("class A:\n    def used(self): pass\n    def spare(self): pass\n"
-           "    def _own(self): pass\n"
-           "def f(): pass\ndef g(): pass\ndef h(): pass\ndef _k(): pass\n")
+    src = ("class A:\n    def __init__(self): pass\n    def used(self): pass\n"
+           "    def spare(self): pass\n    def _own(self): self.used()\n"
+           "def f(): pass\ndef g(): pass\ndef h(): pass\ndef _k(): pass\n"
+           "def _j(): _k()\n")
     caller = "from m import h\nA().used()\nnames = ['g']\n"
-    assert unreferenced({"m": src}, [src, caller]) == ["m.A.spare", "m.f"]
+    assert unreferenced({"m": src}, [src, caller]) == ["m.A._own", "m.A.spare", "m._j",
+                                                       "m.f"]
 
 
-def test_no_public_definition_is_test_only():
+def test_no_definition_is_test_only():
     modules = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))}
     callers = list(modules.values()) + [

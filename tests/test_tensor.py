@@ -333,47 +333,25 @@ def default_layout():
             DEFAULT_SCHEDULE.tokens_per_scale())
 
 
-@pytest.mark.parametrize("case", ["full rows", "last block", "decode round",
-                                  "last decode round", "head"])
+@pytest.mark.parametrize("case", ["full rows", "head", "decode round",
+                                  "last decode round", "first decode round"])
 def test_norm_linear_matches_the_composition_bit_for_bit(case):
-    # every output and gradient, taped and untaped, at the default model's
-    # B=4 teacher-forcing shape [4, 170, 128]: a block's queries and keys
-    # for every row but the last scale's, the last block's row ranges
-    # (queries for the depth rows only), a cached decode round of one
-    # scale's rows, the last round (no keys) and the head
-    n_img, n_keys, tokens = default_layout()
-    length, d, v = 2 * n_img, 128, 64
-    rows, ranges = {
-        "full rows": (length, [(0, length), (0, n_keys)]),
-        "last block": (length, [(n_img, length), (0, n_keys)]),
-        "decode round": (tokens[2], [(0, tokens[2]), (0, tokens[2])]),
-        "last decode round": (tokens[-1], [(0, tokens[-1]), (0, 0)]),
-        "head": (length - n_img, [(0, length - n_img)]),
-    }[case]
-    widths = [d, 2 * d] if len(ranges) == 2 else [v]
-    gen = np.random.default_rng(9)
-    arrays = normal_arrays(gen, [((4, rows, d), 1.0), ((d,), 1.0), ((d,), 0.1)])
-    for width in widths:
-        arrays += normal_arrays(gen, [((d, width), 0.1), ((width,), 0.1)])
-
-    def call(op, t):
-        outs = op(t[0], t[1], t[2], [(t[3 + 2 * i], t[4 + 2 * i], lo, hi)
-                                     for i, (lo, hi) in enumerate(ranges)])
-        assert [o is None for o in outs] == [lo == hi for lo, hi in ranges]
-        return [o for o in outs if o is not None]
-
-    results = fused_and_composed(T.norm_linear, oracle.norm_linear, arrays, call)
-    if case == "last decode round":  # the unused key weights get no gradient
-        for res in results:
-            assert res[-2:] == [None, None]
-            del res[-2:]
-    assert_same_bits(results)
+    # the output and every gradient, taped and untaped, of the final norm
+    # and head at the default model's B=4 shapes: a whole teacher-forcing
+    # sequence, its depth rows (what the head reads), a cached decode round
+    # of one scale's rows, the last round and the first round's start row
+    n_img, _, tokens = default_layout()
+    rows = {"full rows": 2 * n_img, "head": n_img, "decode round": tokens[2],
+            "last decode round": tokens[-1], "first decode round": 1}[case]
+    d, v = 128, 64
+    arrays = normal_arrays(np.random.default_rng(9), [
+        ((4, rows, d), 1.0), ((d,), 1.0), ((d,), 0.1), ((d, v), 0.1), ((v,), 0.1)])
+    assert_same_bits(fused_and_composed(T.norm_linear, oracle.norm_linear, arrays,
+                                        lambda op, t: [op(*t)]))
 
 
 def test_norm_linear_grad():
-    fd_gradcheck(lambda x, g, b, w1, b1, w2, b2: T.concat(
-        [T.reshape(o, (-1,)) for o in T.norm_linear(x, g, b, [(w1, b1, 1, 4), (w2, b2, 0, 3)])],
-        axis=0), [r(2, 4, 5), r(5), r(5), r(5, 3), r(3), r(5, 6), r(6)])
+    fd_gradcheck(T.norm_linear, [r(2, 4, 5), r(5), r(5), r(5, 3), r(3)])
 
 
 def attention_rounds(op, inputs, rounds, counts, heads, keys):
@@ -490,14 +468,14 @@ def test_shape_mismatch_raises():
         T.mlp(x, T.Tensor(np.zeros(3)), g, w1, b1, w2, b2)
     x3 = T.Tensor(np.zeros((1, 3, 4)))
     with pytest.raises(T.DimensionError):
-        T.norm_linear(x3, g, g, [(w1, b1, 2, 4)])
+        T.norm_linear(x3, g, g, w2, b2)
     with pytest.raises(T.DimensionError):
-        T.norm_linear(x3, g, g, [(w2, b2, 0, 3)])
+        T.norm_linear(x3, g, g, w1, b2)
     sub = [T.Tensor(np.zeros(s)) for s in ((4, 4), (4,), (4, 8), (8,), (4, 4), (4,))]
     for lead, keys, counts in ((3, 3, []), (0, 4, [1, 1, 1]), (0, 2, [1, 2, 3]),
                                (1, 3, [1, 2, 3]), (0, 3, [0, 1, 1])):
         with pytest.raises(T.DimensionError):
-            T.attention(x3, g, g, *sub, 2, np.array(counts, np.int64), T.KVCache(),
+            T.attention(x3, g, g, *sub, 2, np.array(counts, np.int64), T.KVCache(keys),
                         lead, keys)
 
 
@@ -547,7 +525,7 @@ def test_cached_attention_matches_masked():
     mask = block_causal_mask([3, 2, 1, 4])
     qkv = T.Tensor(r(2, 10, 3 * 6))
     full = packed_attention(qkv, 3, mask).data
-    cache = T.KVCache()
+    cache = T.KVCache(10)
     parts = []
     for lo, hi in ((0, 3), (3, 5), (5, 6), (6, 10)):
         rows = T.Tensor(qkv.data[:, lo:hi])
@@ -556,14 +534,14 @@ def test_cached_attention_matches_masked():
     assert np.allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
 
-def cached_rounds(qkv, heads, mask, bounds, op=None, keys=0):
-    """Attention of ``qkv`` run round by round through a KV cache sized for
-    ``keys`` keys, each round on a taped slice of the rows, joined back to
-    [B, L, D]. As in decoding, a round passes keys and values only for its
-    rows that are some row's key, the positions below ``mask.max()``, and
-    none if it has no such row."""
-    cache = T.KVCache(keys)
+def cached_rounds(qkv, heads, mask, bounds, op=None):
+    """Attention of ``qkv`` run round by round through a KV cache, each
+    round on a taped slice of the rows, joined back to [B, L, D]. As in
+    decoding, a round passes keys and values only for its rows that are
+    some row's key, the positions below ``mask.max()``, and none if it has
+    no such row, and the cache is sized for those keys."""
     d, n_keys = qkv.shape[2] // 3, int(mask.max())
+    cache = T.KVCache(n_keys)
     parts = []
     for lo, hi in bounds:
         rows = T.slice_axis(qkv, 1, lo, hi)
@@ -595,17 +573,16 @@ def test_cached_attention_under_tape_matches_masked_grad():
                  [r(2, 5, 3 * 4)])
 
 
-def attention_and_grad(op, data, w, heads, visible, bounds=None, taped=True,
-                       keys=0):
+def attention_and_grad(op, data, w, heads, visible, bounds=None, taped=True):
     """Output of ``op`` over float32 packed ``data`` and, when ``taped``, the
     ``qkv`` gradient of ``sum(w * output)``; with ``bounds`` the rows run as
-    cached rounds over a cache sized for ``keys`` keys."""
+    cached rounds."""
     qkv = T.Tensor(data, requires_grad=True)
 
     def run():
         if bounds is None:
             return packed_attention(qkv, heads, visible, op=op)
-        return cached_rounds(qkv, heads, visible, bounds, op=op, keys=keys)
+        return cached_rounds(qkv, heads, visible, bounds, op=op)
 
     if not taped:
         return run().data, None
@@ -650,18 +627,14 @@ def test_attention_matches_dense_oracle(case):
         assert np.abs(grad[:, :85, 128:]).max() > 0
 
 
-def test_cache_sized_up_front_matches_a_growing_one_bit_for_bit():
-    # the decode's cache is allocated once at the mask's key count; one given
-    # no count grows at each round. The score GEMMs then read key rows of
-    # another stride, and outputs and gradients keep their bits
-    gen = np.random.default_rng(9)
-    data = gen.standard_normal((4, 170, 3 * 128)).astype(np.float32)
-    w = gen.standard_normal((4, 170, 128)).astype(np.float32)
-    runs = [attention_and_grad(oracle.multihead_attention, data, w, 4, DEFAULT_COUNTS,
-                               DECODING_ROUNDS, keys=keys)
-            for keys in (0, int(DEFAULT_COUNTS.max()))]
-    assert runs[0][0].tobytes() == runs[1][0].tobytes()
-    assert runs[0][1].tobytes() == runs[1][1].tobytes()
+def test_cache_rejects_keys_past_its_size():
+    # a cache is sized once; one key past a full one would otherwise
+    # broadcast into an empty slice and be lost
+    cache = T.KVCache(2)
+    cache.write(np.zeros((1, 1, 4, 2), np.float32), np.zeros((1, 1, 2, 4), np.float32))
+    with pytest.raises(T.DimensionError):
+        cache.write(np.zeros((1, 1, 4, 1), np.float32), np.zeros((1, 1, 1, 4), np.float32))
+    assert len(cache) == 2
 
 
 def test_attention_query_subset_grad():
@@ -762,7 +735,7 @@ def test_forward_determinism_bit_identical():
         lambda: T.gelu(T.Tensor(a)).data,
         lambda: oracle.layer_norm(T.Tensor(a), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))).data,
         lambda: T.norm_linear(T.Tensor(a[None]), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)),
-                              [(T.Tensor(b), T.Tensor(np.zeros(8)), 0, 8)])[0].data,
+                              T.Tensor(b), T.Tensor(np.zeros(8))).data,
         lambda: T.resize_bilinear(T.Tensor(a), (5, 5)).data,
         lambda: packed_attention(T.Tensor(qkv), 2, mask).data,
     ]

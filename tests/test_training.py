@@ -720,6 +720,12 @@ def test_fit_deterministic_same_seed(trained_tiny_vq, tiny_set):
     assert losses[0] == losses[1]
 
 
+def test_fit_on_an_empty_dataset_is_a_config_error(trained_tiny_vq):
+    # checked before the samples are tokenized, which cannot stack none
+    with pytest.raises(ConfigError, match="empty dataset"):
+        fit(fresh_var(trained_tiny_vq), trained_tiny_vq, [], TrainConfig(steps=1))
+
+
 def test_fit_regime_flag_switches_step_fn(trained_tiny_vq, tiny_set, monkeypatch):
     calls = {"teacher_forcing": 0, "depthart": 0}
 

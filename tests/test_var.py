@@ -265,7 +265,7 @@ def test_cached_forward_matches_masked_forward(tiny_var, tiny_vq):
     seq = build_inputs(prev, img, tiny_var, tiny_vq)
     visible = tiny_var.attention_mask(3)
     full = forward(tiny_var, seq, visible).data[0]
-    cache = [T.KVCache() for _ in range(tiny_var.config.blocks)]
+    cache = [T.KVCache(int(visible.max())) for _ in range(tiny_var.config.blocks)]
     parts = []
     start, stop = 0, tiny_var.n_image_tokens()
     for n in tiny_var.config.schedule.tokens_per_scale():
