@@ -15,7 +15,6 @@ import csv
 import math
 import os
 import struct
-import tempfile
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,13 +42,13 @@ def write_loss_curve(path: str, curve: list[tuple[int, float, float]]) -> None:
 
 
 def save(path: str, entries: dict[str, np.ndarray]) -> None:
-    """Write entries atomically (temp file + rename). Each entry's header
-    and then its payload go straight to the file, the payload from the
-    array's own buffer when that is C-ordered little-endian float32."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write entries atomically (``path + ".tmp"``, then a rename), with the
+    mode the umask gives a new file. Each entry's header and then its
+    payload go straight to the file, the payload from the array's own
+    buffer when that is C-ordered little-endian float32."""
+    tmp = path + ".tmp"
     try:
-        with os.fdopen(fd, "wb") as f:
+        with open(tmp, "wb") as f:
             f.write(MAGIC + struct.pack("<II", VERSION, len(entries)))
             for name, arr in entries.items():
                 a = np.asarray(arr, dtype="<f4", order="C")

@@ -223,7 +223,7 @@ def cmd_rank(args) -> int:
         with open(path, "r", encoding="utf-8") as f:
             try:
                 reports.append(MetricsReport.from_csv(f.read()))
-            except MetricError as e:
+            except (MetricError, UnicodeDecodeError) as e:
                 raise MetricError(f"{path}: {e}") from None
     rank_models(reports)
     print(_rank_table(reports), end="")

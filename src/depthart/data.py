@@ -418,20 +418,24 @@ def make_dataset(n_train: int, n_eval: int, seed: int, out_dir: str) -> str:
 
 
 def load_manifest(data_dir: str, split: str | None = None) -> list[DepthSample]:
+    """The samples of ``split`` (None: every split) in ``data_dir/manifest.tsv``,
+    or a DataError naming the manifest, as for a row not train|eval<TAB>file."""
     manifest = os.path.join(data_dir, "manifest.tsv")
     if not os.path.exists(manifest):
         raise DataError(f"no manifest.tsv in {data_dir}")
+    try:
+        with open(manifest, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError:
+        raise DataError(f"{manifest}: not a UTF-8 text file") from None
     samples = []
-    with open(manifest, "r", encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{manifest}: line {line!r} is not split<TAB>file; "
-                                f"rerun gen-data to rewrite the dataset")
-            if split is None or parts[0] == split:
-                samples.append(load_sample(os.path.join(data_dir, parts[1])))
+    for line in filter(str.strip, lines):
+        parts = line.split("\t")
+        if len(parts) != 2 or parts[0] not in ("train", "eval"):
+            raise DataError(f"{manifest}: line {line!r} is not train|eval<TAB>file; "
+                            f"rerun gen-data to rewrite the dataset")
+        if split is None or parts[0] == split:
+            samples.append(load_sample(os.path.join(data_dir, parts[1])))
     if split is not None and not samples:
-        raise DataError(f"no samples for split {split!r} in {data_dir}")
+        raise DataError(f"{manifest}: no samples for split {split!r}")
     return samples

@@ -188,6 +188,8 @@ class MetricsReport:
                 values = [float(x) for x in r[2:]]
             except ValueError as e:
                 raise MetricError(f"metrics CSV line {line}: {e}") from None
+            if any(map(math.isinf, values)):  # NaN is a plane error without planes
+                raise MetricError(f"metrics CSV line {line}: infinite value in {r!r}")
             report.rows.append(DatasetRow(r[1], *values))
         return report
 

@@ -942,7 +942,7 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, q_w: Tensor, q_b: Tensor,
 
 # --------------------------------------------------------------------------
 # conv2d (one GEMM per kernel tap on the phase-split input) and bilinear
-# resize (matrix form)
+# resize (one product per axis)
 # --------------------------------------------------------------------------
 
 def _phase_interiors(buf: np.ndarray, h: int, wd: int, stride: int,
@@ -1069,54 +1069,42 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     return _maybe_record(out, parents, backward)
 
 
-_RESIZE_CACHE: dict[tuple, np.ndarray] = {}
+_RESIZE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _axis_weights(n_src: int, n_dst: int) -> np.ndarray:
-    """[n_dst, n_src] bilinear weight matrix, align-corners convention."""
-    m = np.zeros((n_dst, n_src))
-    if n_src == 1:
-        m[:, 0] = 1.0
-        return m
-    for i in range(n_dst):
-        pos = i * (n_src - 1) / (n_dst - 1) if n_dst > 1 else 0.0
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, n_src - 1)
-        f = pos - lo
-        m[i, lo] += 1.0 - f
-        m[i, hi] += f
-    return m
-
-
-def resize_matrix(src_hw: tuple[int, int], dst_hw: tuple[int, int]) -> np.ndarray:
-    """Dense ``[dst_h*dst_w, src_h*src_w]`` bilinear interpolation matrix."""
-    key = (src_hw, dst_hw)
-    hit = _RESIZE_CACHE.get(key)
+    """[n_dst, n_src] float32 bilinear weights along one axis, align-corners:
+    destination i reads source position p = i*(n_src-1)/(n_dst-1), and
+    source j gets the tent weight max(0, 1 - |p - j|). Built once per
+    extent pair."""
+    hit = _RESIZE_CACHE.get((n_src, n_dst))
     if hit is None:
-        wy = _axis_weights(src_hw[0], dst_hw[0])
-        wx = _axis_weights(src_hw[1], dst_hw[1])
-        hit = np.kron(wy, wx).astype(np.float32)
-        _RESIZE_CACHE[key] = hit
+        pos = np.arange(n_dst)[:, None] * (n_src - 1) / max(n_dst - 1, 1)
+        hit = np.maximum(0.0, 1.0 - np.abs(pos - np.arange(n_src))).astype(np.float32)
+        _RESIZE_CACHE[(n_src, n_dst)] = hit
     return hit
 
 
 def resize_bilinear(x: Tensor, size: tuple[int, int]) -> Tensor:
-    """Bilinear resize of the trailing two axes, align-corners. Differentiable."""
+    """Bilinear resize of the trailing two axes to ``size``, align-corners
+    (the corner pixels of input and output coincide). Differentiable. Each
+    ``[h, w]`` map becomes ``wy @ map @ wx.T`` with the per-axis weights
+    ``wy = _axis_weights(h, h')`` and ``wx = _axis_weights(w, w')``; its
+    gradient is ``wy.T @ g @ wx``."""
     h2, w2 = int(size[0]), int(size[1])
     if h2 < 1 or w2 < 1:
         raise DimensionError("resize_bilinear: target extents must be >= 1")
     if x.data.ndim < 2:
         raise DimensionError("resize_bilinear: input must have spatial axes")
     h, w = x.data.shape[-2], x.data.shape[-1]
-    r = resize_matrix((h, w), (h2, w2)).astype(x.data.dtype, copy=False)
-    lead = x.data.shape[:-2]
-    y = x.data.reshape(-1, h * w) @ r.T
-    out = Tensor(y.reshape(lead + (h2, w2)), dtype=x.dtype)
+    wy = _axis_weights(h, h2).astype(x.data.dtype, copy=False)
+    wx = _axis_weights(w, w2).astype(x.data.dtype, copy=False)
+    y = wy @ x.data.reshape(-1, h, w) @ wx.T
+    out = Tensor(y.reshape(x.data.shape[:-2] + (h2, w2)), dtype=x.dtype)
     nx = x.node
 
     def backward(g):
         if nx.needs():
-            gx = g.reshape(-1, h2 * w2) @ r
-            nx.accumulate_owned(gx.reshape(nx.shape))
+            nx.accumulate_owned((wy.T @ g.reshape(-1, h2, w2) @ wx).reshape(nx.shape))
 
     return _maybe_record(out, (nx,), backward)

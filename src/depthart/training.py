@@ -13,6 +13,7 @@ are constants: no gradient flows through the argmax.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -55,6 +56,10 @@ def _config_value(key: str, value):
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r} must be {kind.__name__}, "
                           f"got {value!r}") from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    if key == "regime" and out not in _REGIME_ALIASES:
+        raise ConfigError(f"unknown regime {value!r}")
     if key in _POSITIVE and not out > 0:
         raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
     if key in _NON_NEGATIVE and not out >= 0:
@@ -66,32 +71,36 @@ def read_config(path: str, keys: tuple[str, ...],
                 overrides: dict | None = None) -> dict:
     """Read a key=value file (``#`` starts a comment), let ``overrides``
     win, check that exactly ``keys`` are set and that no directory is
-    empty, and convert each value to its key's type. (An empty
-    ``out_dir`` given to ``TrainConfig`` directly means ``fit`` writes
-    nothing; a trainer run from a file always writes its outputs.)"""
+    empty, and convert each value to its key's type; each ConfigError
+    raised starts with ``path``. (An empty ``out_dir`` given to
+    ``TrainConfig`` directly means ``fit`` writes nothing; a trainer run
+    from a file always writes its outputs.)"""
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            raw[key] = val
-    if overrides:
-        raw.update({k: str(v) for k, v in overrides.items()})
-    for key in keys:
-        if key not in raw:
-            raise ConfigError(f"missing config key {key!r}")
-    unknown = set(raw) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in _DIRECTORIES:
-        if key in keys and not raw[key]:
-            raise ConfigError(f"config key {key!r} must name a directory, "
-                              f"got an empty value")
-    return {key: _config_value(key, raw[key]) for key in keys}
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for line in f:
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"malformed config line: {line!r}")
+                key, val = (s.strip() for s in line.split("=", 1))
+                raw[key] = val
+        if overrides:
+            raw.update({k: str(v) for k, v in overrides.items()})
+        for key in keys:
+            if key not in raw:
+                raise ConfigError(f"missing config key {key!r}")
+        unknown = set(raw) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in _DIRECTORIES:
+            if key in keys and not raw[key]:
+                raise ConfigError(f"config key {key!r} must name a directory, "
+                                  f"got an empty value")
+        return {key: _config_value(key, raw[key]) for key in keys}
+    except (ConfigError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 @dataclass
@@ -113,8 +122,6 @@ class TrainConfig:
     def __post_init__(self):
         for name in self.REQUIRED:
             setattr(self, name, _config_value(name, getattr(self, name)))
-        if self.regime not in _REGIME_ALIASES:
-            raise ConfigError(f"unknown regime {self.regime!r}")
         self.regime = _REGIME_ALIASES[self.regime]
 
     @classmethod

@@ -66,6 +66,35 @@ def conv2d_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     return dx, dw, db
 
 
+def resize_matrix(src_hw: tuple[int, int], dst_hw: tuple[int, int]) -> np.ndarray:
+    """Dense float32 ``[dst_h*dst_w, src_h*src_w]`` bilinear interpolation
+    matrix, align-corners: the Kronecker product of the float64 weights of
+    each axis, where destination i reads source position
+    i*(n_src-1)/(n_dst-1) split between its two neighbours."""
+    axes = []
+    for n_src, n_dst in zip(src_hw, dst_hw):
+        m = np.zeros((n_dst, n_src))
+        for i in range(n_dst):
+            pos = i * (n_src - 1) / (n_dst - 1) if n_dst > 1 else 0.0
+            lo = int(math.floor(pos))
+            m[i, lo] += 1.0 - (pos - lo)
+            m[i, min(lo + 1, n_src - 1)] += pos - lo
+        axes.append(m)
+    return np.kron(*axes).astype(np.float32)
+
+
+def resize_bilinear(x: np.ndarray, size: tuple[int, int],
+                    g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(y, dx)``: x's trailing two axes resized to ``size`` by one
+    product with ``resize_matrix``, and the gradient that product gives x
+    for the output gradient ``g``."""
+    r = resize_matrix(x.shape[-2:], size).astype(x.dtype)
+    lead = x.shape[:-2]
+    y = x.reshape(-1, r.shape[1]) @ r.T
+    dx = g.reshape(-1, r.shape[0]) @ r
+    return y.reshape(lead + tuple(size)), dx.reshape(x.shape)
+
+
 def checkpoint_bytes(entries) -> bytes:
     """The bytes of a checkpoint file holding ``entries``, built in one
     buffer: the magic, version and count, then per entry its name length,

@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -101,6 +103,18 @@ def test_save_is_atomic_on_overwrite(tmp_path):
     assert np.array_equal(checkpoint.load(path)["a"], np.full(3, 2.0, np.float32))
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+def test_saved_file_mode_follows_the_umask(tmp_path):
+    # a checkpoint gets the mode the umask gives any new file, as the
+    # manifests written beside it do
+    path = tmp_path / "m.dart"
+    old = os.umask(0o022)
+    try:
+        checkpoint.save(str(path), {"a": np.ones(3, dtype=np.float32)})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_truncated_file_raises_checkpoint_error_at_every_offset(tmp_path):

@@ -709,3 +709,56 @@ def test_rank_with_malformed_csv_is_a_data_error(tmp_path, capsys, text):
     bad.write_text(text)
     assert cli.main(["rank", good, str(bad)]) == 3
     assert "bad.csv" in capsys.readouterr().err
+
+
+# faults applied to the bytes of a text input: a cut at half its length, a
+# row of the wrong field count, a non-finite value, and another file (a
+# sample checkpoint) in its place
+TEXT_FAULTS = {
+    "config": {"truncated": lambda raw: raw[:len(raw) // 2],
+               "field_count": lambda raw: raw + b"bogus line\n",
+               "non_finite": lambda raw: raw.replace(b"lr=2e-3", b"lr=inf"),
+               "swapped": None},
+    "manifest": {"truncated": lambda raw: raw[:len(raw) // 2],
+                 "field_count": lambda raw: raw.replace(b".dart\n", b".dart\textra\n", 1),
+                 "non_finite": lambda raw: raw.replace(b"eval\t", b"nan\t", 1),
+                 "swapped": None},
+    "eval_csv": {"truncated": lambda raw: raw[:len(raw) // 2],
+                 "field_count": lambda raw: raw.replace(b",1.0\n", b"\n"),
+                 "non_finite": lambda raw: raw.replace(b",0.1,", b",inf,"),
+                 "swapped": None},
+}
+
+
+@pytest.mark.parametrize("fault", ["truncated", "field_count", "non_finite", "swapped"])
+@pytest.mark.parametrize("kind", sorted(TEXT_FAULTS))
+def test_a_malformed_text_input_names_the_file(workspace, tmp_path, capsys, kind,
+                                               fault):
+    # a trainer config, a dataset manifest or an eval CSV given to rank,
+    # cut short, with a row of the wrong field count, with a non-finite
+    # value, or swapped for a sample file, exits 2 (config) or 3 (data),
+    # naming the file, with no traceback
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    cfg = tmp_path / "vq.cfg"
+    cfg.write_text(f"lr=2e-3\nbatch=4\nsteps=4\nseed=0\n"
+                   f"data_dir={data}\nout_dir={tmp_path / 'vq'}\n")
+    good = write_report(tmp_path / "good.csv", "m1", [("d1", 0.2, 0.3, 2.0, 5.0)])
+    report = write_report(tmp_path / "bad.csv", "m2", [("d1", 0.1, 0.3, 2.0, 5.0)])
+    runs = {"config": (cfg, ["train-vqvae", "--config", str(cfg)]),
+            "manifest": (data / "manifest.tsv",
+                         ["eval", "--model", str(workspace / "tf" / "model.dart"),
+                          "--vq", str(workspace / "vq" / "vqvae.dart"),
+                          "--data", str(data), "--out", str(tmp_path / "x.csv")]),
+            "eval_csv": (tmp_path / "bad.csv", ["rank", good, report])}
+    path, argv = runs[kind]
+    corrupt = TEXT_FAULTS[kind][fault]
+    raw = path.read_bytes()
+    path.write_bytes((data / "eval_00000.dart").read_bytes() if corrupt is None
+                     else corrupt(raw))
+    assert path.read_bytes() != raw
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == (2 if kind == "config" else 3), err
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "vq").exists() and not (tmp_path / "x.csv").exists()

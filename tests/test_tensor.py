@@ -100,6 +100,53 @@ def test_resize_grad():
     fd_gradcheck(lambda x: T.resize_bilinear(x, (2, 2)), [r(1, 4, 4)])
 
 
+# every resize the package runs: the VQ decoder's two upsamples at batch 8,
+# each scale side to and from the 8x8 latent grid, and one rectangular pair
+RESIZE_CASES = [((8, 32, 8, 8), (16, 16)), ((8, 32, 16, 16), (32, 32)),
+                *[((8, 16, 8, 8), (s, s)) for s in (1, 2, 4, 8)],
+                *[((8, 16, s, s), (8, 8)) for s in (1, 2, 4)],
+                ((2, 3, 4, 6), (5, 7)), ((2, 3, 5, 7), (4, 6))]
+
+
+def resize_and_grad(x, size, g):
+    """(y, dx) of ``T.resize_bilinear`` for output gradient ``g``."""
+    xt = T.Tensor(x, dtype=x.dtype, requires_grad=True)
+    with T.Tape():
+        y = T.resize_bilinear(xt, size)
+        T.sum_all(T.mul(y, T.Tensor(g, dtype=g.dtype))).backward()  # dy == g exactly
+    return y.data, xt.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,size", RESIZE_CASES,
+                         ids=[f"{s[2]}x{s[3]}-{d[0]}x{d[1]}" for s, d in RESIZE_CASES])
+def test_resize_matches_kronecker_oracle(shape, size, dtype):
+    # the per-axis products give the dense Kronecker matrix's output and
+    # gradient; both round their weights to float32, so they agree to a few
+    # float32 ulps of the largest value (measured worst: 2.5e-7 of it)
+    gen = np.random.default_rng(11)
+    x = gen.standard_normal(shape).astype(dtype)
+    g = gen.standard_normal(shape[:2] + size).astype(dtype)
+    got = resize_and_grad(x, size, g)
+    for name, a, ref in zip(("y", "dx"), got, oracle.resize_bilinear(x, size, g)):
+        assert a.dtype == dtype and a.shape == ref.shape, name
+        assert np.abs(a - ref).max() <= 5e-7 * np.abs(ref).max(), name
+
+
+def test_first_decoder_upsample_peaks_under_two_mib():
+    # the 16->32 upsample builds two 32x16 weight matrices, not a 1 MiB
+    # dense matrix from a 2 MiB float64 product
+    x = np.random.default_rng(3).standard_normal((8, 32, 16, 16)).astype(np.float32)
+    T._RESIZE_CACHE.clear()
+    tracemalloc.start()
+    try:
+        T.resize_bilinear(T.Tensor(x), (32, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------

@@ -266,11 +266,13 @@ def test_batched_helpers_match_per_sample():
     f = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
     batched = m.decompose_batch(f)
     comp = m.compose_batch(batched)
+    dec = m.decode_batch(comp)
     for b in range(3):
         singles = m.decompose_batch(f[b:b + 1])
         for k, idx in enumerate(singles):
             assert np.array_equal(batched[k][b], idx[0])
-        assert np.allclose(comp[b], m.compose_batch(singles)[0], atol=1e-6)
+        assert np.array_equal(comp[b], m.compose_batch(singles)[0])
+        assert np.array_equal(dec[b], m.decode_batch(comp[b:b + 1])[0])
 
 
 def test_codebook_pairwise_distinct_after_init():
