@@ -58,6 +58,10 @@ recomputation: Korthikanti et al., Reducing Activation Recomputation in
 Large Transformer Models, 2022; the attention output recomputed from
 what the softmax kept: Dao et al., FlashAttention, 2022).
 
+Every dense projection (``linear``, and those in ``mlp``, ``norm_linear``
+and ``attention``) is ``_project`` forward and ``_project_grads``, the
+one weight-gradient contraction over rows, backward.
+
 Untaped, an op may skip work its backward pass would need: attention
 never normalizes its exponentials, ``gelu`` and the norms in ``mlp``
 and ``attention`` work in place, and ``mlp`` computes no GELU slope. A
@@ -185,8 +189,6 @@ class Tensor:
     __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data, dtype=dtype)
         if dtype is None:  # the engine's working precision
             arr = arr.astype(np.float32, copy=False)
@@ -395,33 +397,42 @@ def mean_all(a: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """``x @ w + b`` over the last axis of ``x``; fused bias add."""
-    if x.data.shape[-1] != w.data.shape[0]:
+def _project(rows: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``rows[N, D] @ w + b``, the bias added in place: every dense
+    projection's forward, and what a backward pass runs to rebuild one."""
+    y = rows @ w
+    np.add(y, b, out=y)
+    return y
+
+
+def _project_grads(rows: np.ndarray, g2: np.ndarray, nw: _Grad, nb: _Grad) -> None:
+    """Send the gradient ``g2[N, F]`` of ``_project(rows, w, b)`` to the
+    weight and bias nodes ``nw`` and ``nb``: every dense projection's
+    weight-gradient contraction over its rows."""
+    if nw.needs():
+        nw.accumulate_owned(rows.T @ g2)
+    if nb.needs():
+        nb.accumulate_owned(g2.sum(axis=0))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``: ``_project`` forward and
+    ``_project_grads`` for the weight and bias gradients."""
+    if x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
         raise DimensionError(
-            f"linear: input width {x.data.shape[-1]} != weight rows {w.data.shape[0]}")
+            f"linear: weight {w.shape} and bias {b.shape} do not fit x {x.shape}")
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    y2 = x2 @ w.data
-    if b is not None:
-        if b.data.shape != (w.data.shape[1],):
-            raise DimensionError("linear: bias shape mismatch")
-        np.add(y2, b.data, out=y2)
-    out_shape = x.data.shape[:-1] + (w.data.shape[1],)
-    out = Tensor(y2.reshape(out_shape), dtype=x.dtype)
-    nx, nw, wd = x.node, w.node, w.data
-    nb = None if b is None else b.node
-    parents = (nx, nw) if b is None else (nx, nw, nb)
+    out = Tensor(_project(x2, w.data, b.data).reshape(x.data.shape[:-1] + w.data.shape[1:]),
+                 dtype=x.dtype)
+    nx, nw, nb, wd = x.node, w.node, b.node, w.data
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         if nx.needs():
             nx.accumulate_owned((g2 @ wd.T).reshape(nx.shape))
-        if nw.needs():
-            nw.accumulate_owned(x2.T @ g2)
-        if nb is not None and nb.needs():
-            nb.accumulate_owned(g2.sum(axis=0))
+        _project_grads(x2, g2, nw, nb)
 
-    return _maybe_record(out, parents, backward)
+    return _maybe_record(out, (nx, nw, nb), backward)
 
 
 def add_table(x: Tensor, t: Tensor) -> Tensor:
@@ -552,7 +563,8 @@ def mlp(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     ``n = xhat * gain + bias`` is the layer norm of ``x``, as one tape
     record: a pre-norm transformer block's MLP with its norm and residual
     add. The bits are those of ``add(x, linear(gelu(linear(layer_norm(x,
-    gain, bias), w1, b1)), w2, b2))``.
+    gain, bias), w1, b1)), w2, b2))``, each projection through ``_project``
+    and ``_project_grads``.
 
     Recorded, it keeps only what its backward pass reads: the normalized
     rows ``xhat`` and their scale, the GELU output y (for the ``w2``
@@ -575,52 +587,31 @@ def mlp(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     gd, bd, w1d, w2d = gain.data, bias.data, w1.data, w2.data
     recorded = active_tape() is not None and any(n.needs() for n in parents)
     xhat, inv = _normalize(x.data.reshape(-1, d))
-    u = _affine(xhat, gd, bd, out=None if recorded else xhat) @ w1d
-    np.add(u, b1.data, out=u)
+    u = _project(_affine(xhat, gd, bd, out=None if recorded else xhat), w1d, b1.data)
     s = _gelu_gate(u)
     du = _gelu_slope(u, s) if recorded else None
     y = np.multiply(s, u, out=s)
     del u  # freed before the projection allocates
-    o = y @ w2d
-    np.add(o, b2.data, out=o)
-    out = Tensor(x.data + o.reshape(x.data.shape), dtype=x.dtype)
+    out = Tensor(x.data + _project(y, w2d, b2.data).reshape(x.data.shape), dtype=x.dtype)
 
     def backward(g):
         g2 = g.reshape(-1, d)
         if nx.needs():  # the residual path, first as in the composition
             nx.accumulate(g)
-        if nw2.needs():
-            nw2.accumulate_owned(y.T @ g2)
-        if nb2.needs():
-            nb2.accumulate_owned(g2.sum(axis=0))
+        _project_grads(y, g2, nw2, nb2)
         dh = g2 @ w2d.T
         dh *= du
-        if nw1.needs():
-            nw1.accumulate_owned(_affine(xhat, gd, bd).T @ dh)
-        if nb1.needs():
-            nb1.accumulate_owned(dh.sum(axis=0))
+        _project_grads(_affine(xhat, gd, bd), dh, nw1, nb1)
         _normalize_backward(dh @ w1d.T, xhat, inv, gd, nx, ngain, nbias)
 
     return _maybe_record(out, parents, backward)
-
-
-def _padded_rows(part: np.ndarray, lo: int, length: int) -> np.ndarray:
-    """The gradient ``part[B, r, D]`` of rows [lo, lo + r) as one of all
-    ``length`` rows, zero outside them, as ``slice_axis`` pads it; ``part``
-    itself when it covers every row."""
-    bsz, rows, d = part.shape
-    if rows == length:
-        return part
-    full = np.zeros((bsz, length, d), part.dtype)
-    full[:, lo:lo + rows] = part
-    return full
 
 
 def norm_linear(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``n @ w + b`` over the last axis of ``x``, where ``n = xhat * gain +
     bias`` is the layer norm of ``x``, as one tape record: the final norm
     and the head. The bits are those of ``linear(layer_norm(x, gain,
-    bias), w, b)``.
+    bias), w, b)``; its projection is ``_project`` / ``_project_grads``.
 
     Recorded, it keeps the normalized rows ``xhat`` and their scale, not
     the norm's output: the backward pass rebuilds that with ``_affine``,
@@ -635,16 +626,12 @@ def norm_linear(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor) -> 
     gd, bd, wd = gain.data, bias.data, w.data
     recorded = active_tape() is not None and any(n.needs() for n in parents)
     xhat, inv = _normalize(x.data.reshape(-1, d))
-    y2 = _affine(xhat, gd, bd, out=None if recorded else xhat) @ wd
-    np.add(y2, b.data, out=y2)
+    y2 = _project(_affine(xhat, gd, bd, out=None if recorded else xhat), wd, b.data)
     out = Tensor(y2.reshape(x.data.shape[:-1] + (-1,)), dtype=x.dtype)
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if nw.needs():
-            nw.accumulate_owned(_affine(xhat, gd, bd).T @ g2)
-        if nb.needs():
-            nb.accumulate_owned(g2.sum(axis=0))
+        _project_grads(_affine(xhat, gd, bd), g2, nw, nb)
         _normalize_backward(g2 @ wd.T, xhat, inv, gd, nx, ngain, nbias)
 
     return _maybe_record(out, parents, backward)
@@ -762,7 +749,8 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, q_w: Tensor, q_b: Tensor,
     the new keys into the cache. Query row i sees only the first
     ``visible[i]`` keys. The bits are those of a layer norm, a ``linear``
     of its query rows and one of its key rows, attention, ``linear`` and
-    ``add`` on the rows of ``x`` from ``lead`` (``tests/oracle.attention``).
+    ``add`` on the rows of ``x`` from ``lead`` (``tests/oracle.attention``);
+    each projection runs through ``_project`` and ``_project_grads``.
 
     Each run of query rows with equal counts scores, exponentiates and
     averages its own key prefix, so no score is computed for a key a row
@@ -821,9 +809,7 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, q_w: Tensor, q_b: Tensor,
     def project(lo, hi, wt, bt):
         rows = _affine(xhat3[:, lo:hi], gd, bd) if recorded \
             else np.ascontiguousarray(normed[:, lo:hi])
-        y2 = rows.reshape(-1, d) @ wt
-        np.add(y2, bt, out=y2)
-        return y2
+        return _project(rows.reshape(-1, d), wt, bt)
 
     nkv = None  # the new keys/values' gradient node
     if keys:
@@ -853,41 +839,31 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, q_w: Tensor, q_b: Tensor,
         if recorded:
             exps.append((p, total))
     del qh, p  # the queries are freed before the projection allocates
-    o2 = heads_out.reshape(-1, d) @ wd
-    np.add(o2, b.data, out=o2)
+    o2 = _project(heads_out.reshape(-1, d), wd, b.data)
     del heads_out
     out = Tensor(x.data[:, lead:] + o2.reshape(bsz, nq, d), dtype=x.dtype)
     if not recorded:
         return out
 
     def backward(g):
-        dn = None  # the gradient of the normalized rows
         if g is not None:
             g2 = g.reshape(-1, d)
             if nx.needs():  # the residual path, first as in the composition
-                if lead:
-                    buf = np.zeros(nx.shape, nx.dtype)
-                    buf[:, lead:] = g
-                    nx.accumulate_owned(buf)
-                else:
-                    nx.accumulate(g)
-            if nb.needs():
-                nb.accumulate_owned(g2.sum(axis=0))
+                buf = np.zeros(nx.shape, nx.dtype)
+                buf[:, lead:] = g
+                nx.accumulate_owned(buf)
             att = np.empty((bsz, nq, heads, dh), dtype=xhat.dtype)
             for (lo, hi), (p, total) in zip(runs, exps):
                 n = p.shape[-1]
                 np.divide(p @ v[:, :, :n], total, out=att[:, lo:hi].transpose(0, 2, 1, 3))
                 p /= total  # the probabilities
-            if nw.needs():
-                nw.accumulate_owned(att.reshape(-1, d).T @ g2)
+            _project_grads(att.reshape(-1, d), g2, nw, nb)
             del att
             gh = np.ascontiguousarray(
                 (g2 @ wd.T).reshape(bsz, nq, heads, dh).transpose(0, 2, 1, 3))
             rows_q = _affine(xhat3[:, lead:], gd, bd).reshape(-1, d)
-            q2 = rows_q @ qwd
-            np.add(q2, qbd, out=q2)
-            qc = np.ascontiguousarray(q2.reshape(bsz, nq, heads, dh).transpose(0, 2, 1, 3))
-            del q2
+            qc = np.ascontiguousarray(
+                _project(rows_q, qwd, qbd).reshape(bsz, nq, heads, dh).transpose(0, 2, 1, 3))
             dq = np.empty((bsz, nq, heads, dh), dtype=g.dtype)
             dk = np.zeros((bsz, heads, seen, dh), dtype=g.dtype)
             dv = np.zeros_like(dk)
@@ -907,33 +883,22 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor, q_w: Tensor, q_b: Tensor,
             for src, lo in rounds:
                 n = src.shape[1]
                 rows = max(min(lo + n, seen) - lo, 0)  # rows of src among the keys
-                dsrc = (np.empty if rows == n else np.zeros)((bsz, n, 2, heads, dh),
-                                                             dtype=g.dtype)
+                dsrc = np.zeros((bsz, n, 2, heads, dh), dtype=g.dtype)
                 dsrc[:, :rows, 0] = dk[:, :, lo:lo + rows].transpose(0, 2, 1, 3)
                 dsrc[:, :rows, 1] = dv[:, :, lo:lo + rows].transpose(0, 2, 1, 3)
                 src.accumulate_owned(dsrc.reshape(bsz, n, 2 * d))
             del dk, dv
+        dn = np.zeros((bsz, length, d), nx.dtype)  # the gradient of the normalized rows
         gkv = None if nkv is None else nkv.grad
         if gkv is not None:  # the key/value range, then the query range
             g2 = gkv.reshape(-1, 2 * d)
-            if nkvw.needs():
-                nkvw.accumulate_owned(_affine(xhat3[:, :keys], gd, bd).reshape(-1, d).T @ g2)
-            if nkvb.needs():
-                nkvb.accumulate_owned(g2.sum(axis=0))
-            dn = _padded_rows((g2 @ kvwd.T).reshape(bsz, keys, d), 0, length)
+            _project_grads(_affine(xhat3[:, :keys], gd, bd).reshape(-1, d), g2, nkvw, nkvb)
+            dn[:, :keys] += (g2 @ kvwd.T).reshape(bsz, keys, d)
         if g is not None:
             dq2 = dq.reshape(-1, d)
-            if nqw.needs():
-                nqw.accumulate_owned(rows_q.T @ dq2)
-            if nqb.needs():
-                nqb.accumulate_owned(dq2.sum(axis=0))
-            part = _padded_rows((dq2 @ qwd.T).reshape(bsz, nq, d), lead, length)
-            if dn is None:
-                dn = part
-            else:
-                dn += part
-        if dn is not None:
-            _normalize_backward(dn.reshape(-1, d), xhat, inv, gd, nx, ngain, nbias)
+            _project_grads(rows_q, dq2, nqw, nqb)
+            dn[:, lead:] += (dq2 @ qwd.T).reshape(bsz, nq, d)
+        _normalize_backward(dn.reshape(-1, d), xhat, inv, gd, nx, ngain, nbias)
 
     out.node.sibling = nkv
     tape.record(out, backward)

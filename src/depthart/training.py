@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,11 +37,7 @@ class ConfigError(ValueError):
     """Run configuration is missing or malformed."""
 
 
-# The type of every key either trainer's config file may set, and the
-# keys whose values must be positive.
-_CONFIG_TYPES = {"regime": str, "lr": float, "wd": float, "batch": int,
-                 "steps": int, "decay_period": int, "decay_gamma": float,
-                 "seed": int, "data_dir": str, "out_dir": str}
+# The keys whose values must be positive.
 _POSITIVE = ("lr", "batch", "steps", "decay_period", "decay_gamma")
 _NON_NEGATIVE = ("wd", "seed")  # zero is no decay; numpy seeds are non-negative
 _DIRECTORIES = ("data_dir", "out_dir")
@@ -116,17 +112,19 @@ class TrainConfig:
     data_dir: str = ""
     out_dir: str = ""
 
-    REQUIRED = ("regime", "lr", "wd", "batch", "steps", "decay_period",
-                "decay_gamma", "seed", "data_dir", "out_dir")
-
     def __post_init__(self):
-        for name in self.REQUIRED:
+        for name in _CONFIG_TYPES:
             setattr(self, name, _config_value(name, getattr(self, name)))
         self.regime = _REGIME_ALIASES[self.regime]
 
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "TrainConfig":
-        return cls(**read_config(path, cls.REQUIRED, overrides))
+        return cls(**read_config(path, tuple(_CONFIG_TYPES), overrides))
+
+
+# The type of every key either trainer's config file may set: the type of
+# its TrainConfig default. A VQ config sets a subset of these keys.
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 @dataclass

@@ -378,14 +378,16 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
 
     ``rasters``: [N, 1, H, W] in [-1, 1]; ``masks``: same shape, {0, 1}.
     Returns (model, loss_curve) where the curve rows are (step, loss).
-    Raises DivergenceError if the loss goes non-finite and DataError if the
-    rasters are not the model's size. With ``out_dir`` set, a rolling
-    checkpoint is written periodically, and the curve as
-    ``vqvae_loss.csv`` (rows step, loss, lr) at the end, also on
-    divergence.
+    Raises DivergenceError if the loss goes non-finite and, before any
+    work, DataError if the rasters are none, unlike the masks or not the
+    model's size. With ``out_dir`` set, a rolling checkpoint is written
+    periodically, and the curve as ``vqvae_loss.csv`` (rows step, loss,
+    lr) at the end, also on divergence.
     """
     if rasters.shape[0] == 0:
-        raise ValueError("train_vqvae: empty dataset")
+        raise DataError("train_vqvae: empty dataset")
+    if masks.shape != rasters.shape:
+        raise DataError(f"train_vqvae: masks {masks.shape} unlike rasters {rasters.shape}")
     rng = np.random.default_rng(config.seed)
     if model is None:
         model = VqModel(seed=config.seed)

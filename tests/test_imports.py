@@ -19,6 +19,9 @@ package has no linter dependency.
   nested in an op reads no parameter of the op annotated with ``Tensor``
   and no local the op bound to a ``Tensor(...)`` call, since a closure
   on the tape would keep that tensor's data alive until ``backward()``.
+- Every weight-gradient contraction in ``tensor`` is ``_project_grads``:
+  no other definition sends ``a.T @ b`` to a gradient node, so a
+  change to how those sums over rows run is a change to one function.
 """
 
 import ast
@@ -338,3 +341,39 @@ def test_closures_capturing_tensors_detected():
 def test_no_backward_closure_captures_a_tensor():
     source = (PACKAGE / "tensor.py").read_text(encoding="utf-8")
     assert closures_capturing_tensors(source) == []
+
+
+def weight_gradient_contractions(source: str) -> list[str]:
+    """``line N: name`` for each ``accumulate_owned(a.T @ b)`` or
+    ``accumulate(a.T @ b)`` call in a top-level definition of ``source``
+    other than ``_project_grads``."""
+    found = []
+    for node in ast.parse(source).body:
+        if getattr(node, "name", None) == "_project_grads":
+            continue
+        found += [f"line {n.lineno}: {getattr(node, 'name', '<module>')}"
+                  for n in ast.walk(node)
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "attr", None) in ("accumulate", "accumulate_owned")
+                  and n.args and isinstance(n.args[0], ast.BinOp)
+                  and isinstance(n.args[0].op, ast.MatMult)
+                  and getattr(n.args[0].left, "attr", None) == "T"]
+    return sorted(found)
+
+
+def test_weight_gradient_contractions_detected():
+    src = ("def _project_grads(rows, g, nw):\n"
+           "    nw.accumulate_owned(rows.T @ g)\n"
+           "def op(x, g, nw, nx, w):\n"
+           "    def backward(g):\n"
+           "        nw.accumulate_owned(f(x).T @ g)\n"
+           "        nx.accumulate_owned(g @ w.T)\n"
+           "        nw.accumulate(x.T @ g)\n"
+           "        nw.accumulate(x @ g)\n"
+           "    return backward\n")
+    assert weight_gradient_contractions(src) == ["line 5: op", "line 7: op"]
+
+
+def test_weight_gradients_are_contracted_in_one_function():
+    source = (PACKAGE / "tensor.py").read_text(encoding="utf-8")
+    assert weight_gradient_contractions(source) == []

@@ -330,18 +330,23 @@ def fused_and_composed(fused, composed, arrays, call):
     for op in (fused, composed):
         untaped = call(op, [T.Tensor(a, requires_grad=True) for a in arrays])
         inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
-        gen = np.random.default_rng(8)
         with T.Tape():
             outs = call(op, inputs)
-            terms = [T.sum_all(T.mul(o, T.Tensor(gen.standard_normal(o.shape))))
-                     for o in outs]
-            total = terms[0]
-            for term in terms[1:]:
-                total = T.add(total, term)
-            total.backward()
+            backward_weighted(outs)
         results.append([o.data for o in untaped] + [o.data for o in outs]
                        + [t.grad for t in inputs])
     return results
+
+
+def backward_weighted(outs):
+    """Run ``backward()`` from the sum of every element of ``outs``, each
+    weighted by a fixed random draw."""
+    gen = np.random.default_rng(8)
+    terms = [T.sum_all(T.mul(o, T.Tensor(gen.standard_normal(o.shape)))) for o in outs]
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    total.backward()
 
 
 def assert_same_bits(results):
@@ -484,6 +489,45 @@ def test_attention_sublayer_grad(last_only):
                       r(16), r(8, 8), r(8)])
 
 
+FROZEN_CASES = {  # op: (input shapes, call, sets of frozen weight and bias positions)
+    "linear": ([(3, 4), (4, 5), (5,)], lambda t: [T.linear(*t)], [{1}, {2}]),
+    "mlp": ([(2, 3, 4), (4,), (4,), (4, 8), (8,), (8, 4), (4,)], lambda t: [T.mlp(*t)],
+            [{3, 6}, {4, 5}]),
+    "norm_linear": ([(2, 4, 5), (5,), (5,), (5, 3), (3,)], lambda t: [T.norm_linear(*t)],
+                    [{3}, {4}]),
+    # the two rounds of test_attention_sublayer_grad; q_w, q_b, kv_w, kv_b,
+    # w and b are inputs 4 to 9
+    "attention": ([(2, 3, 8), (2, 2, 8), (8,), (8,), (8, 8), (8,), (8, 16), (16,),
+                   (8, 8), (8,)],
+                  lambda t: attention_rounds(T.attention, t, [(0, 3, 0), (3, 5, 1)],
+                                             np.array([2, 2, 3, 0, 4]), 2, 4),
+                  [{4, 7, 9}, {5, 6, 8}]),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_CASES)
+def test_dense_ops_leave_frozen_parameters_without_gradient(name):
+    # a weight or bias with requires_grad=False gets no gradient, and every
+    # other input gets the bits of the call where all are trainable
+    shapes, call, frozen_sets = FROZEN_CASES[name]
+    arrays = [r(*s) for s in shapes]
+
+    def grads(frozen):
+        inputs = [T.Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)]
+        with T.Tape():
+            backward_weighted(call(inputs))
+        return [t.grad for t in inputs]
+
+    trainable = grads(set())
+    assert all(g is not None for g in trainable)
+    for frozen in frozen_sets:
+        for i, (got, want) in enumerate(zip(grads(frozen), trainable)):
+            if i in frozen:
+                assert got is None, i
+            else:
+                assert got.tobytes() == want.tobytes(), i
+
+
 # ---------------------------------------------------------------------------
 # structural ops and elementwise
 # ---------------------------------------------------------------------------
@@ -508,6 +552,8 @@ def test_shape_mismatch_raises():
     x, g, w1, b1, w2, b2 = (T.Tensor(np.zeros(s)) for s in
                             ((3, 4), (4,), (4, 8), (8,), (8, 4), (4,)))
     with pytest.raises(T.DimensionError):
+        T.linear(x, w1, b2)
+    with pytest.raises(T.DimensionError):
         T.mlp(x, g, g, w1, b1, T.Tensor(np.zeros((8, 5))), T.Tensor(np.zeros(5)))
     with pytest.raises(T.DimensionError):
         T.mlp(x, g, g, w1, T.Tensor(np.zeros(4)), w2, b2)
@@ -528,7 +574,7 @@ def test_shape_mismatch_raises():
 
 def test_linear_grad():
     fd_gradcheck(lambda x, w, b: T.linear(x, w, b), [r(3, 4), r(4, 5), r(5)])
-    fd_gradcheck(lambda x, w: T.linear(x, w), [r(2, 3, 4), r(4, 2)])
+    fd_gradcheck(lambda x, w, b: T.linear(x, w, b), [r(2, 3, 4), r(4, 2), r(2)])
 
 
 def test_add_table_grad():
@@ -736,10 +782,11 @@ def test_shared_subexpression_accumulates():
 def test_backward_grads_finite_and_shaped():
     x = T.Tensor(r(4, 3), requires_grad=True)
     w = T.Tensor(r(3, 2), requires_grad=True)
+    b = T.Tensor(r(2), requires_grad=True)
     with T.Tape():
-        out = T.mean_all(T.gelu(T.linear(x, w)))
+        out = T.mean_all(T.gelu(T.linear(x, w, b)))
         out.backward()
-    for t in (x, w):
+    for t in (x, w, b):
         assert t.grad is not None
         assert t.grad.shape == t.data.shape
         assert np.all(np.isfinite(t.grad))
@@ -778,7 +825,7 @@ def test_forward_determinism_bit_identical():
     qkv = np.concatenate([a, b, a], axis=1)[None]
     mask = block_causal_mask([3, 5])
     ops = [
-        lambda: T.linear(T.Tensor(a), T.Tensor(b)).data,
+        lambda: T.linear(T.Tensor(a), T.Tensor(b), T.Tensor(a[0])).data,
         lambda: T.gelu(T.Tensor(a)).data,
         lambda: oracle.layer_norm(T.Tensor(a), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))).data,
         lambda: T.norm_linear(T.Tensor(a[None]), T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)),

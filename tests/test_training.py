@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from depthart import tensor as T, training, var as var_mod
+from depthart.data import DataError
 from depthart.optim import AdamW, step_lr
 from depthart.tensor import Tensor
 from depthart.training import (ConfigError, TrainConfig, depthart_step,
@@ -802,3 +803,29 @@ def test_vqvae_divergence_aborts():
         train_vqvae(rasters, masks,
                     VqTrainConfig(steps=60, warmup_steps=10, batch=4,
                                   lr=1e18, seed=3), model=model)
+
+
+def tiny_vq_run(rasters, masks, out_dir):
+    """Two steps of ``train_vqvae`` on a 16-pixel model, writing to ``out_dir``."""
+    model = VqModel(schedule=ScaleSchedule(((1, 1), (2, 2))), codebook_size=4,
+                    emb_dim=4, raster=16, seed=3)
+    return train_vqvae(rasters, masks, VqTrainConfig(steps=2, warmup_steps=1, batch=4,
+                                                     seed=3), model=model, out_dir=out_dir)
+
+
+def test_vqvae_on_an_empty_dataset_is_a_data_error(tmp_path):
+    empty = np.zeros((0, 1, 16, 16), np.float32)
+    with pytest.raises(DataError, match="empty dataset"):
+        tiny_vq_run(empty, empty, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mask_shape", [(5, 1, 16, 16), (3, 1, 16, 16), (4, 1, 8, 8)])
+def test_vqvae_masks_unlike_the_rasters_are_a_data_error_before_any_save(tmp_path,
+                                                                         mask_shape):
+    # more rows used to be ignored; fewer rows or another raster failed in
+    # the first step, after the rolling checkpoint was written
+    rasters = np.zeros((4, 1, 16, 16), np.float32)
+    with pytest.raises(DataError, match="masks"):
+        tiny_vq_run(rasters, np.ones(mask_shape, np.float32), str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
