@@ -4,19 +4,27 @@ Subcommands: gen-data, train-vqvae, train-var, eval, rank.
 Trainers read a key=value config file; flags win over file values. Every
 command that writes outputs writes a JSON run manifest next to them,
 which records the numeric environment (numpy, the BLAS and its version,
-DEPTHART_THREADS, the thread-pool variables in effect and the usable
-CPUs); ``rank`` only prints. Exit codes: 0 ok, 2 usage error, 3 data
-error, 4 numeric divergence.
+DEPTHART_THREADS, the thread-pool variables in effect, the usable CPUs
+and the heap thresholds set); ``rank`` only prints. Exit codes: 0 ok,
+2 usage error, 3 data error, 4 numeric divergence.
 
 DEPTHART_THREADS caps the numeric backend's thread pools: importing this
 module sets each pool variable to it, unless the variable already holds
 a smaller positive whole number. That must happen before the first numpy
 import, which this module guarantees for console invocations.
+
+Importing this module also fixes glibc's heap thresholds (``mallopt``):
+blocks under 4 MiB come from the heap, whose top is trimmed only past
+32 MiB free, so each op reuses the pages the op before freed instead of
+faulting them back in. MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or
+a threshold in GLIBC_TUNABLES, when set, keep glibc's own policy, as does
+any other C library.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -49,6 +57,34 @@ def _cap_threads() -> None:
 
 _cap_threads()
 
+# glibc's mallopt parameter (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD) and the
+# bytes it is fixed at, per heap threshold
+_HEAP_POLICY = {"mmap": (-3, 4 << 20), "trim": (-1, 32 << 20)}
+
+
+def _fix_heap_thresholds() -> dict[str, int] | None:
+    """Fix glibc's heap thresholds at ``_HEAP_POLICY`` through ``mallopt``;
+    returns the thresholds set, or None where the C library is not glibc
+    or the environment already sets either threshold."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return None
+    tunables = {item.split("=", 1)[0]
+                for item in os.environ.get("GLIBC_TUNABLES", "").split(":")}
+    if any(f"MALLOC_{name.upper()}_THRESHOLD_" in os.environ
+           or f"glibc.malloc.{name}_threshold" in tunables for name in _HEAP_POLICY):
+        return None
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return {name: value for name, (param, value) in _HEAP_POLICY.items()
+            if mallopt(param, value) == 1} or None
+
+
+HEAP_THRESHOLDS = _fix_heap_thresholds()
+
 import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
@@ -72,7 +108,8 @@ EXIT_DIVERGENCE = 4
 
 def _environment() -> dict:
     """The numeric environment a run's bits depend on: the BLAS and how
-    many threads it may use, with the thread-pool variables in effect."""
+    many threads it may use, with the thread-pool variables in effect;
+    and the heap thresholds this module fixed, which its speed depends on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
@@ -80,7 +117,8 @@ def _environment() -> dict:
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
             "DEPTHART_THREADS": os.environ.get("DEPTHART_THREADS"),
-            "cpus_usable": len(os.sched_getaffinity(0))} | {
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "heap_thresholds": HEAP_THRESHOLDS} | {
                 var: os.environ.get(var) for var in POOL_VARIABLES}
 
 

@@ -1055,13 +1055,16 @@ def resize_bilinear(x: Tensor, size: tuple[int, int]) -> Tensor:
     (the corner pixels of input and output coincide). Differentiable. Each
     ``[h, w]`` map becomes ``wy @ map @ wx.T`` with the per-axis weights
     ``wy = _axis_weights(h, h')`` and ``wx = _axis_weights(w, w')``; its
-    gradient is ``wy.T @ g @ wx``."""
+    gradient is ``wy.T @ g @ wx``. Maps already of extent ``size`` are
+    ``x`` itself, with nothing recorded."""
     h2, w2 = int(size[0]), int(size[1])
     if h2 < 1 or w2 < 1:
         raise DimensionError("resize_bilinear: target extents must be >= 1")
     if x.data.ndim < 2:
         raise DimensionError("resize_bilinear: input must have spatial axes")
     h, w = x.data.shape[-2], x.data.shape[-1]
+    if (h, w) == (h2, w2):
+        return x
     wy = _axis_weights(h, h2).astype(x.data.dtype, copy=False)
     wx = _axis_weights(w, w2).astype(x.data.dtype, copy=False)
     y = wy @ x.data.reshape(-1, h, w) @ wx.T

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import signal
 import struct
@@ -529,11 +530,26 @@ def test_every_manifest_records_the_numeric_environment(workspace, tmp_path):
     for path in manifests + [tmp_path / "report.csv.manifest.json"]:
         env = json.loads(path.read_text())["environment"]
         assert env.keys() == {"numpy", "blas", "blas_version", "DEPTHART_THREADS",
-                              "cpus_usable", *cli.POOL_VARIABLES}, path
+                              "cpus_usable", "heap_thresholds", *cli.POOL_VARIABLES}, path
+        assert env["heap_thresholds"] == cli.HEAP_THRESHOLDS
         assert env["numpy"] == np.__version__
         assert env["blas"] and env["blas_version"]
         assert env["DEPTHART_THREADS"] == os.environ.get("DEPTHART_THREADS")
         assert env["cpus_usable"] >= 1
+
+
+def run_child(source: str, given: dict, dropped) -> dict:
+    """The JSON that ``source``, run by a fresh interpreter that finds this
+    package, prints, with the variables ``dropped`` removed from the
+    environment and ``given`` set."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in dropped}
+    env |= given | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", source], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 THREADS_CHILD = """
@@ -567,15 +583,7 @@ def test_depthart_threads_caps_every_pool_variable(given, want):
     # at the smaller of its own valid value and DEPTHART_THREADS, the run
     # manifest's environment records them, and numpy's OpenBLAS, where its
     # thread count can be read, runs that many threads (at most one per CPU)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {k: v for k, v in os.environ.items()
-           if k not in cli.POOL_VARIABLES and k != "DEPTHART_THREADS"}
-    env |= given | {"PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", THREADS_CHILD], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = run_child(THREADS_CHILD, given, (*cli.POOL_VARIABLES, "DEPTHART_THREADS"))
     if want is None:  # no cap: the pool variables as given
         expected = {var: given.get(var) for var in cli.POOL_VARIABLES}
     else:
@@ -586,6 +594,81 @@ def test_depthart_threads_caps_every_pool_variable(given, want):
     if out["blas_threads"] is not None:
         cpus = len(os.sched_getaffinity(0))
         assert out["blas_threads"] == min(int(expected["OPENBLAS_NUM_THREADS"]), cpus)
+
+
+HEAP_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+ON_GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                              reason="the heap thresholds are glibc's mallopt settings")
+
+HEAP_CHILD = """
+import ctypes, json
+looked_up = []
+lookup = ctypes.CDLL.__getattr__
+def spy(self, name):
+    looked_up.append(name)
+    return lookup(self, name)
+ctypes.CDLL.__getattr__ = spy
+from depthart import cli
+print(json.dumps({"environment": cli._environment(), "mallopt": "mallopt" in looked_up}))
+"""
+
+
+@ON_GLIBC
+@pytest.mark.parametrize("given, fixed", [
+    ({}, True),
+    ({"MALLOC_TRIM_THRESHOLD_": "1048576"}, False),
+    ({"MALLOC_MMAP_THRESHOLD_": "1048576"}, False),
+    ({"GLIBC_TUNABLES": "glibc.malloc.tcache_count=0:glibc.malloc.mmap_threshold=1048576"},
+     False),
+    ({"GLIBC_TUNABLES": "glibc.malloc.tcache_count=0"}, True),
+], ids=["unset", "trim_variable", "mmap_variable", "threshold_tunable", "other_tunable"])
+def test_importing_the_cli_fixes_the_heap_thresholds_unless_the_environment_does(
+        given, fixed):
+    # a fresh interpreter importing the CLI module calls mallopt and records
+    # both thresholds, unless glibc is already told one of them: then it
+    # calls no mallopt and the manifest records null
+    out = run_child(HEAP_CHILD, given, HEAP_VARIABLES)
+    assert out["mallopt"] is fixed
+    assert out["environment"]["heap_thresholds"] == (
+        {"mmap": 4194304, "trim": 33554432} if fixed else None)
+
+
+FAULTS_CHILD = """
+import json, resource
+from depthart import cli, var, vq as vq_mod
+import numpy as np
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+vq = vq_mod.VqModel(seed=0)
+model = var.VarModel(var.VarConfig(schedule=vq.schedule, vocab=vq.codebook.size,
+                                   emb_dim=vq.emb_dim), codebook_init=vq.codebook.vectors)
+rng = np.random.default_rng(0)
+tokens = rng.integers(0, vq.codebook.size, (8, model.n_image_tokens()))
+for _ in range(3):
+    var.infer_batch(model, vq, tokens)
+before = faults()
+for _ in range(5):
+    var.infer_batch(model, vq, tokens)
+decode = (faults() - before) / 5
+rasters = rng.uniform(-1, 1, (64, 1, 32, 32)).astype(np.float32)
+masks = np.ones_like(rasters)
+vq_mod.train_vqvae(rasters, masks, vq_mod.VqTrainConfig(steps=6, warmup_steps=3))
+before = faults()
+vq_mod.train_vqvae(rasters, masks, vq_mod.VqTrainConfig(steps=12, warmup_steps=3, seed=1))
+print(json.dumps({"decode": decode, "vq_step": (faults() - before) / 12}))
+"""
+
+
+@ON_GLIBC
+def test_ops_do_not_fault_their_temporaries_back_in():
+    # with the heap thresholds fixed, a warm decode and a VQ training step
+    # reuse the heap the op before freed: without them, glibc trims it at
+    # the end of each op and the next faults it back in (about 3000 minor
+    # faults per B=8 decode and 1000 per VQ step)
+    out = run_child(FAULTS_CHILD, {}, HEAP_VARIABLES)
+    assert max(out.values()) < 50, out
 
 
 def test_eval_default_names_tell_runs_apart(workspace, tmp_path, capsys):

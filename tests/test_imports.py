@@ -22,6 +22,9 @@ package has no linter dependency.
 - Every weight-gradient contraction in ``tensor`` is ``_project_grads``:
   no other definition sends ``a.T @ b`` to a gradient node, so a
   change to how those sums over rows run is a change to one function.
+- Process-wide settings live in ``cli`` alone: no other module names
+  ``mallopt``, imports ``ctypes`` or changes ``os.environ``, so the thread
+  caps and the heap policy are set in one place.
 """
 
 import ast
@@ -377,3 +380,68 @@ def test_weight_gradient_contractions_detected():
 def test_weight_gradients_are_contracted_in_one_function():
     source = (PACKAGE / "tensor.py").read_text(encoding="utf-8")
     assert weight_gradient_contractions(source) == []
+
+
+ENVIRON_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear")
+
+
+def _is_environ(node) -> bool:
+    """``os.environ``, or ``environ`` imported from ``os``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and getattr(node.value, "id", None) == "os") or getattr(node, "id", None) == "environ"
+
+
+def _imports_ctypes(node) -> bool:
+    names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+             else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+    return any(name.split(".")[0] == "ctypes" for name in names)
+
+
+def _changes_environ(node) -> bool:
+    """Stores or deletes ``os.environ`` or an item of it, or calls one of
+    its ``ENVIRON_MUTATORS``."""
+    if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+        return _is_environ(node.value if isinstance(node, ast.Subscript) else node)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ENVIRON_MUTATORS and _is_environ(node.func.value))
+
+
+def process_settings(source: str) -> list[str]:
+    """``line N: what`` for each name or string ``mallopt``, each import of
+    ``ctypes`` and each change to ``os.environ``."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if "mallopt" in (getattr(n, "id", None), getattr(n, "attr", None),
+                         getattr(n, "value", None)):
+            found.append(f"line {n.lineno}: mallopt")
+        elif _imports_ctypes(n):
+            found.append(f"line {n.lineno}: imports ctypes")
+        elif _changes_environ(n):
+            found.append(f"line {n.lineno}: changes os.environ")
+    return sorted(found)
+
+
+def test_process_settings_detected():
+    src = ("import os, ctypes.util\n"
+           "from ctypes import CDLL\n"
+           "from os import environ\n"
+           "os.environ['A'] = '1'\n"
+           "environ.update(B='2')\n"
+           "del os.environ['C']\n"
+           "lib.mallopt(-1, 0)\n"
+           "getattr(lib, 'mallopt')\n"
+           "os.environ.setdefault('E', '4')\n"
+           "x = os.environ.get('F')\n"
+           "os.environ = {}\n")
+    assert process_settings(src) == [
+        "line 11: changes os.environ", "line 1: imports ctypes", "line 2: imports ctypes",
+        "line 4: changes os.environ", "line 5: changes os.environ",
+        "line 6: changes os.environ", "line 7: mallopt", "line 8: mallopt",
+        "line 9: changes os.environ"]
+
+
+def test_process_settings_live_in_the_cli_module_only():
+    found = {p.name: process_settings(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert process_settings((PACKAGE / "cli.py").read_text(encoding="utf-8"))

@@ -133,6 +133,26 @@ def test_resize_matches_kronecker_oracle(shape, size, dtype):
         assert np.abs(a - ref).max() <= 5e-7 * np.abs(ref).max(), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 16, 8, 8), (2, 3, 4, 6)])
+def test_same_size_resize_is_its_input(shape, dtype):
+    # a resize to the input's own extent returns the input, untaped and
+    # taped, records nothing, and passes the output gradient on as the
+    # identity weights did
+    gen = np.random.default_rng(5)
+    x = gen.standard_normal(shape).astype(dtype)
+    g = gen.standard_normal(shape).astype(dtype)
+    xt = T.Tensor(x, dtype=dtype)
+    assert T.resize_bilinear(xt, shape[2:]) is xt and xt.data is x
+    xt = T.Tensor(x, dtype=dtype, requires_grad=True)
+    with T.Tape() as tape:
+        y = T.resize_bilinear(xt, shape[2:])
+        assert y is xt and not tape.records
+        T.sum_all(T.mul(y, T.Tensor(g, dtype=dtype))).backward()
+    assert np.array_equal(y.data, x)
+    assert np.array_equal(xt.grad, oracle.resize_bilinear(x, shape[2:], g)[1])
+
+
 def test_first_decoder_upsample_peaks_under_two_mib():
     # the 16->32 upsample builds two 32x16 weight matrices, not a 1 MiB
     # dense matrix from a 2 MiB float64 product
