@@ -62,6 +62,14 @@ Every dense projection (``linear``, and those in ``mlp``, ``norm_linear``
 and ``attention``) is ``_project`` forward and ``_project_grads``, the
 one weight-gradient contraction over rows, backward.
 
+Every op whose backward pass is one rule per input records through
+``_op``, which runs the rule of each input that needs a gradient, so a
+constant input gets none. Five ops keep their own closure: ``linear``,
+``mlp``, ``norm_linear`` and ``conv2d`` share backward work between
+inputs (``_project_grads`` fills a weight and its bias together, and a
+frozen weight must not stop its bias's gradient), and ``attention`` has
+a second output, its keys/values node.
+
 Untaped, an op may skip work its backward pass would need: attention
 never normalizes its exponentials, ``gelu`` and the norms in ``mlp``
 and ``attention`` work in place, and ``mlp`` computes no GELU slope. A
@@ -202,10 +210,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -217,19 +221,11 @@ class Tensor:
     def grad(self, value: Optional[np.ndarray]) -> None:
         self.node.grad = value
 
-    @property
-    def requires_grad(self) -> bool:
-        return self.node.requires_grad
-
-    @requires_grad.setter
-    def requires_grad(self, value: bool) -> None:
-        self.node.requires_grad = bool(value)
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
+        flag = ", requires_grad=True" if self.node.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
     # -- graph participation --------------------------------------------------
@@ -262,134 +258,97 @@ def _maybe_record(out: Tensor, parents: Sequence[_Grad],
     return out
 
 
+def _op(y: np.ndarray, dtype, *sends: tuple[_Grad, Callable[[np.ndarray], None]]) -> Tensor:
+    """``Tensor(y)``, recorded with one closure that runs ``send(g)`` for
+    each ``(node, send)`` pair whose input node needs a gradient: an op's
+    forward value and one vector-Jacobian rule per input."""
+    def backward(g):
+        for node, send in sends:
+            if node.needs():
+                send(g)
+
+    return _maybe_record(Tensor(y, dtype=dtype), [node for node, _ in sends], backward)
+
+
 # --------------------------------------------------------------------------
 # elementwise / structural ops
 # --------------------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _same_shape(name: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
-        raise DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data, dtype=a.dtype)
+        raise DimensionError(f"{name}: shape mismatch {a.shape} vs {b.shape}")
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a, b)
     na, nb = a.node, b.node
-
-    def backward(g):
-        if na.needs():
-            na.accumulate(g)
-        if nb.needs():
-            nb.accumulate(g)
-
-    return _maybe_record(out, (na, nb), backward)
+    return _op(a.data + b.data, a.dtype, (na, na.accumulate), (nb, nb.accumulate))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data, dtype=a.dtype)
+    _same_shape("sub", a, b)
     na, nb = a.node, b.node
-
-    def backward(g):
-        if na.needs():
-            na.accumulate(g)
-        if nb.needs():
-            nb.accumulate_owned(-g)
-
-    return _maybe_record(out, (na, nb), backward)
+    return _op(a.data - b.data, a.dtype, (na, na.accumulate),
+               (nb, lambda g: nb.accumulate_owned(-g)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data, dtype=a.dtype)
+    _same_shape("mul", a, b)
     na, nb, ad, bd = a.node, b.node, a.data, b.data
-
-    def backward(g):
-        if na.needs():
-            na.accumulate_owned(g * bd)
-        if nb.needs():
-            nb.accumulate_owned(g * ad)
-
-    return _maybe_record(out, (na, nb), backward)
+    return _op(ad * bd, a.dtype, (na, lambda g: na.accumulate_owned(g * bd)),
+               (nb, lambda g: nb.accumulate_owned(g * ad)))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s, dtype=a.dtype)
     na = a.node
-
-    def backward(g):
-        if na.needs():
-            na.accumulate_owned(g * s)
-
-    return _maybe_record(out, (na,), backward)
+    return _op(a.data * s, a.dtype, (na, lambda g: na.accumulate_owned(g * s)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), dtype=a.dtype)
     na = a.node
-
-    def backward(g):
-        if na.needs():
-            na.accumulate(g.reshape(na.shape))
-
-    return _maybe_record(out, (na,), backward)
+    return _op(a.data.reshape(shape), a.dtype,
+               (na, lambda g: na.accumulate(g.reshape(na.shape))))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     parts = list(tensors)
     if not parts:
         raise DimensionError("concat: need at least one tensor")
-    out = Tensor(np.concatenate([t.data for t in parts], axis=axis),
-                 dtype=parts[0].dtype)
-    nodes = [t.node for t in parts]
+    y = np.concatenate([t.data for t in parts], axis=axis)
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in parts])
 
-    def backward(g):
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            if n.needs():
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                n.accumulate(g[tuple(idx)])
+    def part(n: _Grad, lo: int, hi: int):
+        idx = (slice(None),) * range(y.ndim)[axis] + (slice(lo, hi),)
+        return n, lambda g: n.accumulate(g[idx])
 
-    return _maybe_record(out, nodes, backward)
+    return _op(y, parts[0].dtype, *(part(t.node, lo, hi) for t, lo, hi
+                                    in zip(parts, offsets[:-1], offsets[1:])))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = Tensor(np.ascontiguousarray(a.data[idx]), dtype=a.dtype)
+    # [start, stop) along axis; indexing range() rejects a bad axis as a list would
+    idx = (slice(None),) * range(a.data.ndim)[axis] + (slice(start, stop),)
     na = a.node
 
-    def backward(g):
-        if na.needs():
-            buf = np.zeros(na.shape, na.dtype)
-            buf[idx] = g
-            na.accumulate_owned(buf)
+    def send(g):
+        buf = np.zeros(na.shape, na.dtype)
+        buf[idx] = g
+        na.accumulate_owned(buf)
 
-    return _maybe_record(out, (na,), backward)
+    return _op(np.ascontiguousarray(a.data[idx]), a.dtype, (na, send))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(dtype=a.dtype), dtype=a.dtype)
     na = a.node
-
-    def backward(g):
-        if na.needs():
-            na.accumulate_owned(np.full(na.shape, g, na.dtype))
-
-    return _maybe_record(out, (na,), backward)
+    return _op(a.data.sum(dtype=a.dtype), a.dtype,
+               (na, lambda g: na.accumulate_owned(np.full(na.shape, g, na.dtype))))
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(a.data.mean(dtype=a.dtype), dtype=a.dtype)
-    na = a.node
-
-    def backward(g):
-        if na.needs():
-            na.accumulate_owned(np.full(na.shape, g / n, na.dtype))
-
-    return _maybe_record(out, (na,), backward)
+    na, n = a.node, a.data.size
+    return _op(a.data.mean(dtype=a.dtype), a.dtype,
+               (na, lambda g: na.accumulate_owned(np.full(na.shape, g / n, na.dtype))))
 
 
 # --------------------------------------------------------------------------
@@ -440,16 +399,9 @@ def add_table(x: Tensor, t: Tensor) -> Tensor:
     if x.data.ndim != 3 or t.data.shape != x.data.shape[1:]:
         raise DimensionError(
             f"add_table: expected x[B,L,D] and t[L,D], got {x.shape} and {t.shape}")
-    out = Tensor(x.data + t.data[None, :, :], dtype=x.dtype)
     nx, nt = x.node, t.node
-
-    def backward(g):
-        if nx.needs():
-            nx.accumulate(g)
-        if nt.needs():
-            nt.accumulate_owned(g.sum(axis=0))
-
-    return _maybe_record(out, (nx, nt), backward)
+    return _op(x.data + t.data[None, :, :], x.dtype, (nx, nx.accumulate),
+               (nt, lambda g: nt.accumulate_owned(g.sum(axis=0))))
 
 
 # --------------------------------------------------------------------------
@@ -495,15 +447,13 @@ def gelu(x: Tensor) -> Tensor:
     s = _gelu_gate(xd)
     recorded = active_tape() is not None and nx.needs()
     y = s * xd if recorded else np.multiply(s, xd, out=s)
-    out = Tensor(y, dtype=x.dtype)
 
-    def backward(g):
-        if nx.needs():
-            du = _gelu_slope(xd, s)
-            du *= g
-            nx.accumulate_owned(du)
+    def send(g):
+        du = _gelu_slope(xd, s)
+        du *= g
+        nx.accumulate_owned(du)
 
-    return _maybe_record(out, (nx,), backward)
+    return _op(y, x.dtype, (nx, send))
 
 
 LN_EPS = 1e-5  # added to the variance before the square root
@@ -650,16 +600,14 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     v = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise IndexError(f"embedding_lookup: index out of range [0, {v})")
-    out = Tensor(table.data[idx], dtype=table.dtype)
     nt = table.node
 
-    def backward(g):
-        if nt.needs():
-            buf = np.zeros(nt.shape, nt.dtype)
-            np.add.at(buf, idx.reshape(-1), g.reshape(-1, nt.shape[1]))
-            nt.accumulate_owned(buf)
+    def send(g):
+        buf = np.zeros(nt.shape, nt.dtype)
+        np.add.at(buf, idx.reshape(-1), g.reshape(-1, nt.shape[1]))
+        nt.accumulate_owned(buf)
 
-    return _maybe_record(out, (nt,), backward)
+    return _op(table.data[idx], table.dtype, (nt, send))
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -677,17 +625,14 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     e = np.exp(ld - m)
     z = e.sum(axis=1, keepdims=True)
     logp = (ld - m) - np.log(z)
-    loss = -logp[np.arange(n), t].mean(dtype=ld.dtype)
-    out = Tensor(loss, dtype=logits.dtype)
     nl = logits.node
 
-    def backward(g):
-        if nl.needs():
-            p = e / z
-            p[np.arange(n), t] -= 1.0
-            nl.accumulate_owned(p * (g / n))
+    def send(g):
+        p = e / z
+        p[np.arange(n), t] -= 1.0
+        nl.accumulate_owned(p * (g / n))
 
-    return _maybe_record(out, (nl,), backward)
+    return _op(-logp[np.arange(n), t].mean(dtype=ld.dtype), logits.dtype, (nl, send))
 
 
 # --------------------------------------------------------------------------
@@ -1068,11 +1013,7 @@ def resize_bilinear(x: Tensor, size: tuple[int, int]) -> Tensor:
     wy = _axis_weights(h, h2).astype(x.data.dtype, copy=False)
     wx = _axis_weights(w, w2).astype(x.data.dtype, copy=False)
     y = wy @ x.data.reshape(-1, h, w) @ wx.T
-    out = Tensor(y.reshape(x.data.shape[:-2] + (h2, w2)), dtype=x.dtype)
     nx = x.node
-
-    def backward(g):
-        if nx.needs():
-            nx.accumulate_owned((wy.T @ g.reshape(-1, h2, w2) @ wx).reshape(nx.shape))
-
-    return _maybe_record(out, (nx,), backward)
+    return _op(y.reshape(x.data.shape[:-2] + (h2, w2)), x.dtype,
+               (nx, lambda g: nx.accumulate_owned(
+                   (wy.T @ g.reshape(-1, h2, w2) @ wx).reshape(nx.shape))))

@@ -400,13 +400,10 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
     if ckpt_path:
         model.save(ckpt_path)
 
-    def batch_indices(step):
-        return rng.integers(0, n, size=min(config.batch, n))
-
     try:
         # phase 1: reconstruction only, no quantization in the loop
         for step in range(config.warmup_steps):
-            sel = batch_indices(step)
+            sel = rng.integers(0, n, size=min(config.batch, n))
             x, m = rasters[sel], masks[sel]
             with T.Tape():
                 recon = model.decode(model.encode(Tensor(x)))
@@ -427,7 +424,7 @@ def train_vqvae(rasters: np.ndarray, masks: np.ndarray, config: VqTrainConfig,
         ema_sum = model.codebook.vectors.astype(np.float64).copy()
         v = model.codebook.size
         for step in range(config.warmup_steps, config.steps):
-            sel = batch_indices(step)
+            sel = rng.integers(0, n, size=min(config.batch, n))
             x, m = rasters[sel], masks[sel]
             assigned, rows = [], []  # per scale, in schedule order
             with T.Tape():

@@ -552,23 +552,34 @@ def run_child(source: str, given: dict, dropped) -> dict:
     return json.loads(proc.stdout)
 
 
-THREADS_CHILD = """
-import ctypes, json
+BLAS_PROBE = """
+import ctypes
+
+def openblas(*names):
+    # the first of these functions that numpy's loaded OpenBLAS exports, or None
+    try:
+        libs = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}
+    except OSError:
+        libs = set()
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in names:
+            if hasattr(lib, name):
+                return getattr(lib, name)
+    return None
+
+def blas_threads():
+    get = openblas("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads")
+    return get and get()
+"""
+
+THREADS_CHILD = BLAS_PROBE + """
+import json
 from depthart import cli
 import numpy as np
 np.ones((64, 64)) @ np.ones((64, 64))
-pool = None
-try:
-    libs = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}
-except OSError:
-    libs = set()
-for path in libs:
-    lib = ctypes.CDLL(path)
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads"):
-        if hasattr(lib, name):
-            pool = getattr(lib, name)()
-print(json.dumps({"environment": cli._environment(), "blas_threads": pool}))
+print(json.dumps({"environment": cli._environment(), "blas_threads": blas_threads()}))
 """
 
 
@@ -669,6 +680,116 @@ def test_ops_do_not_fault_their_temporaries_back_in():
     # faults per B=8 decode and 1000 per VQ step)
     out = run_child(FAULTS_CHILD, {}, HEAP_VARIABLES)
     assert max(out.values()) < 50, out
+
+
+FINGERPRINT_CHILD = BLAS_PROBE + """
+import contextlib, hashlib, io, json, os
+from depthart import cli  # first: it caps the thread pools before numpy loads
+from depthart import checkpoint
+from depthart.data import load_manifest
+from depthart.metrics import predict_depth_rasters
+from depthart.var import VarModel
+from depthart.vq import VqModel
+import numpy as np
+
+def run(*args):
+    with contextlib.redirect_stdout(io.StringIO()):  # stdout carries the result only
+        assert cli.main(list(args)) == 0, args
+
+def path(*parts):
+    return os.path.join(ROOT, *parts)
+
+def digest(items):
+    # (label, bytes or array) pairs; an array is labelled with its dtype and shape
+    h = hashlib.sha256()
+    for label, data in items:
+        if isinstance(data, np.ndarray):
+            label, data = f"{label} {data.dtype} {data.shape}", data.tobytes()
+        h.update(f"{label} {len(data)}".encode() + b"\\0" + data)
+    return h.hexdigest()[:16]
+
+def files(*names):
+    return [(name, open(path(name), "rb").read()) for name in names]
+
+def entries(run_dir):  # every entry of every checkpoint the run left
+    return [(f"{name}:{key}", a) for name in sorted(os.listdir(path(run_dir)))
+            if name.endswith(".dart")
+            for key, a in sorted(checkpoint.load(path(run_dir, name)).items())]
+
+run("gen-data", "--out", path("data"), "--train", "16", "--eval", "8", "--seed", "3")
+with open(path("vq.cfg"), "w", encoding="utf-8") as f:
+    f.write(f"lr=0.002\\nbatch=8\\nsteps=6\\nseed=0\\ndata_dir={path('data')}\\n"
+            f"out_dir={path('vq')}\\n")
+run("train-vqvae", "--config", path("vq.cfg"))
+vq_file = path("vq", "vqvae.dart")
+with open(path("var.cfg"), "w", encoding="utf-8") as f:
+    f.write(f"lr=5e-4\\nwd=0.01\\nbatch=4\\nsteps=6\\ndecay_period=200\\ndecay_gamma=0.7\\n"
+            f"seed=0\\ndata_dir={path('data')}\\n")
+regimes = ("tf", "depthart")
+for regime in regimes:
+    run("train-var", "--config", path("var.cfg"), "--regime", regime, "--vq", vq_file,
+        "--set", f"out_dir={path(regime)}")
+for regime in regimes:
+    run("eval", "--model", path(regime, "model.dart"), "--vq", vq_file,
+        "--data", path("data"), "--out", path(f"{regime}.csv"))
+
+stages = {"data": digest(files(*(os.path.join("data", name)
+                                  for name in sorted(os.listdir(path("data")))
+                                  if name != "run_manifest.json"))),
+          "vq": digest(files("vq/vqvae_loss.csv") + entries("vq"))}
+for regime in regimes:
+    stages[regime] = digest(files(f"{regime}/loss.csv") + entries(regime))
+eval_split = load_manifest(path("data"), "eval")
+for regime in regimes:
+    maps = predict_depth_rasters(VarModel.load(path(regime, "model.dart")),
+                                 VqModel.load(vq_file), eval_split)
+    stages[f"{regime}.maps"] = digest((str(i), m) for i, m in enumerate(maps))
+for regime in regimes:
+    stages[f"{regime}.eval"] = digest(files(f"{regime}.csv", f"{regime}.csv.scales.csv"))
+corename = openblas("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                    "openblas_get_corename")
+if corename is not None:
+    corename.restype = ctypes.c_char_p
+print(json.dumps({"environment": cli._environment(), "stages": stages,
+                  "core": corename and corename().decode(), "blas_threads": blas_threads()}))
+"""
+
+# The numeric platform the fingerprints were taken on: numpy, its BLAS and
+# the kernels OpenBLAS chose for the CPU all set the bits.
+FINGERPRINT_PLATFORM = {"numpy": "2.4.6", "blas": "scipy-openblas",
+                        "blas_version": "0.3.31.188.0", "core": "SkylakeX"}
+FINGERPRINT_SHARED = {  # the stages whose bits do not depend on the BLAS threads
+    "data": "8c23cd32d990fbcd", "vq": "3f3e46f2dcd3a0e4", "depthart": "5a363a4e4591bdf1",
+    "tf.maps": "b2edd1b6489bb81a", "depthart.maps": "629cb0d9f917f34c",
+    "tf.eval": "8f7880c9bd23eb04", "depthart.eval": "e1ecbb53f7bf7c19"}
+FINGERPRINTS = {  # per DEPTHART_THREADS, each stage's hash
+    1: FINGERPRINT_SHARED | {"tf": "8e5d68ab9f975451"},
+    2: FINGERPRINT_SHARED | {"tf": "173c437d602b70c1"},
+}
+
+
+@pytest.mark.parametrize("threads", sorted(FINGERPRINTS))
+def test_pipeline_fingerprint_is_unchanged(threads, tmp_path):
+    # a fresh interpreter runs gen-data, a 6-step VQ, 6 steps of each regime
+    # and eval through the CLI, and hashes each stage's outputs (run
+    # manifests aside, which hold wall times): the sample files; each loss
+    # CSV with every checkpoint entry loaded back; each model's decoded
+    # eval maps; each eval CSV with its per-scale curve. A change to any
+    # output bit moves a hash, and the first stage that moved names where.
+    if len(os.sched_getaffinity(0)) < threads:
+        pytest.skip(f"{threads} BLAS threads need as many usable CPUs")
+    out = run_child(f"ROOT = {str(tmp_path)!r}\n" + FINGERPRINT_CHILD,
+                    {"DEPTHART_THREADS": str(threads)},
+                    (*cli.POOL_VARIABLES, "DEPTHART_THREADS"))
+    env = out["environment"]
+    platform_found = {"numpy": env["numpy"], "blas": env["blas"],
+                      "blas_version": env["blas_version"], "core": out["core"]}
+    if platform_found != FINGERPRINT_PLATFORM:
+        pytest.skip(f"the fingerprints hold for {FINGERPRINT_PLATFORM}, "
+                    f"not for {platform_found}")
+    assert out["blas_threads"] == threads
+    assert out["stages"] == FINGERPRINTS[threads], \
+        f"per-stage hashes at {threads} BLAS threads: {json.dumps(out['stages'])}"
 
 
 def test_eval_default_names_tell_runs_apart(workspace, tmp_path, capsys):

@@ -22,6 +22,9 @@ package has no linter dependency.
 - Every weight-gradient contraction in ``tensor`` is ``_project_grads``:
   no other definition sends ``a.T @ b`` to a gradient node, so a
   change to how those sums over rows run is a change to one function.
+- Ops record through one helper: in ``tensor``, only the definitions in
+  ``TAPE_RECORDERS`` (``_op``, ``_maybe_record`` and the five ops that keep
+  their own closure) call ``_maybe_record`` or a ``record`` method.
 - Process-wide settings live in ``cli`` alone: no other module names
   ``mallopt``, imports ``ctypes`` or changes ``os.environ``, so the thread
   caps and the heap policy are set in one place.
@@ -380,6 +383,46 @@ def test_weight_gradient_contractions_detected():
 def test_weight_gradients_are_contracted_in_one_function():
     source = (PACKAGE / "tensor.py").read_text(encoding="utf-8")
     assert weight_gradient_contractions(source) == []
+
+
+TAPE_RECORDERS = ("_op", "_maybe_record", "linear", "mlp", "norm_linear", "conv2d",
+                  "attention")
+
+
+def tape_records(source: str, allowed: tuple[str, ...]) -> list[str]:
+    """``line N: name`` for each call of ``_maybe_record`` or of a ``record``
+    method in a top-level definition ``name`` of ``source`` not in ``allowed``."""
+    found = []
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "<module>")
+        if name in allowed:
+            continue
+        found += [f"line {n.lineno}: {name}" for n in ast.walk(node)
+                  if isinstance(n, ast.Call)
+                  and (getattr(n.func, "id", None) == "_maybe_record"
+                       or getattr(n.func, "attr", None) == "record")]
+    return sorted(found)
+
+
+def test_tape_records_detected():
+    src = ("def _op(y, *sends):\n"
+           "    return _maybe_record(y, sends, None)\n"
+           "def add(a, b):\n"
+           "    return _maybe_record(a, (a, b), None)\n"
+           "class Tape:\n"
+           "    def record(self, out, fn):\n"
+           "        self.records.append((out, fn))\n"
+           "def attention(x, tape):\n"
+           "    tape.record(x, None)\n"
+           "def gelu(x):\n"
+           "    active_tape().record(x, None)\n"
+           "    return _op(x)\n")
+    assert tape_records(src, ("_op", "attention")) == ["line 11: gelu", "line 4: add"]
+
+
+def test_ops_record_through_one_helper():
+    source = (PACKAGE / "tensor.py").read_text(encoding="utf-8")
+    assert tape_records(source, TAPE_RECORDERS) == []
 
 
 ENVIRON_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear")

@@ -525,13 +525,11 @@ FROZEN_CASES = {  # op: (input shapes, call, sets of frozen weight and bias posi
 }
 
 
-@pytest.mark.parametrize("name", FROZEN_CASES)
-def test_dense_ops_leave_frozen_parameters_without_gradient(name):
-    # a weight or bias with requires_grad=False gets no gradient, and every
-    # other input gets the bits of the call where all are trainable
-    shapes, call, frozen_sets = FROZEN_CASES[name]
-    arrays = [r(*s) for s in shapes]
-
+def assert_frozen_inputs_get_no_gradient(arrays, call, frozen_sets):
+    """Each set of input positions of ``frozen_sets``, given
+    requires_grad=False, gets no gradient from ``call`` on ``arrays`` under
+    a tape, and every other input gets the bits of the call where all are
+    trainable."""
     def grads(frozen):
         inputs = [T.Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)]
         with T.Tape():
@@ -546,6 +544,38 @@ def test_dense_ops_leave_frozen_parameters_without_gradient(name):
                 assert got is None, i
             else:
                 assert got.tobytes() == want.tobytes(), i
+
+
+@pytest.mark.parametrize("name", FROZEN_CASES)
+def test_dense_ops_leave_frozen_parameters_without_gradient(name):
+    # a weight or bias with requires_grad=False gets no gradient, and every
+    # other input gets the bits of the call where all are trainable
+    shapes, call, frozen_sets = FROZEN_CASES[name]
+    assert_frozen_inputs_get_no_gradient([r(*s) for s in shapes], call, frozen_sets)
+
+
+CONSTANT_CASES = {  # op: (input shapes, call); each input in turn is the constant
+    "add": ([(3, 4), (3, 4)], lambda t: [T.add(*t)]),
+    "sub": ([(3, 4), (3, 4)], lambda t: [T.sub(*t)]),
+    "mul": ([(3, 4), (3, 4)], lambda t: [T.mul(*t)]),
+    "add_table": ([(2, 3, 4), (3, 4)], lambda t: [T.add_table(*t)]),
+    "concat": ([(2, 3), (2, 1), (2, 2)], lambda t: [T.concat(t, axis=1)]),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_CASES)
+def test_single_rule_ops_leave_constant_inputs_without_gradient(name):
+    # an op that records one rule per input runs no rule for a constant
+    # input: it keeps grad None (a frozen parameter that got one would be
+    # moved by AdamW), and the other inputs get the all-trainable bits; an
+    # op whose inputs are all constants records nothing
+    shapes, call = CONSTANT_CASES[name]
+    gen = np.random.default_rng(5)
+    arrays = [gen.standard_normal(s) for s in shapes]
+    assert_frozen_inputs_get_no_gradient(arrays, call, [{i} for i in range(len(shapes))])
+    with T.Tape() as tape:
+        call([T.Tensor(a) for a in arrays])
+        assert tape.records == []
 
 
 # ---------------------------------------------------------------------------
